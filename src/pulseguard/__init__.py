@@ -37,9 +37,7 @@ from .adiabatic import (
     PassageEnsemble,
     Psi0Curve,
     SweepSpec,
-    adiabatic_defect,
     ensemble_passage,
-    passage_kernel,
     solve_psi0,
     tdse_oracle,
 )
@@ -85,9 +83,7 @@ __all__ = [
     "PassageEnsemble",
     "Psi0Curve",
     "SweepSpec",
-    "adiabatic_defect",
     "ensemble_passage",
-    "passage_kernel",
     "solve_psi0",
     "tdse_oracle",
     "ConfigError",

@@ -14,11 +14,15 @@ with the propagator
 
 E = E0 - E1 the signed gap.  In the real gauge the Berry terms vanish and
 the geometric couplings reduce to half the mixing-angle velocity,
-thetadot = (1/T) / (2 s^2 - 2 s + 1) with s = t/T.  A two-component
+thetadot = (1/T) / (2 s^2 - 2 s + 1) with s = t/T, and the propagator
+separates: g(t, s) = u(t) v(s) with u = (thetadot/2) exp(i Lambda) and
+v = (thetadot/2) exp(-i Lambda), Lambda = int_0^t E.  A two-component
 Schroedinger integration in the same frame serves as the independent
 oracle.  |int_0^t g(t,s) psi_0(s) ds| is the adiabaticity defect: the sweep
 is adiabatic exactly where it stays small, and a fast control c(t) shrinks
-it by speeding up the oscillatory exponent.
+it by speeding up the oscillatory exponent.  The Volterra solve computes the
+memory integral anyway, so the defect comes out of the same pass.  The
+eigenframe cross-checks live in sweep_oracle.
 """
 
 from __future__ import annotations
@@ -33,21 +37,13 @@ from .signals import SampledSignal, SignalFamily, substream
 
 __all__ = [
     "SweepSpec",
-    "EigenFrame",
     "PhaseTable",
     "Psi0Curve",
     "PassageEnsemble",
-    "eigensystem",
-    "build_eigen_frame",
-    "geometric_couplings",
-    "finite_difference_couplings",
     "dynamical_phases",
-    "propagator_g",
     "solve_psi0",
     "tdse_oracle",
     "tdse_components",
-    "adiabatic_defect",
-    "passage_kernel",
     "ensemble_passage",
 ]
 
@@ -100,126 +96,6 @@ def _clamped_control(sweep: SweepSpec, control: Optional[SampledSignal], grid: T
 
 
 @dataclass(frozen=True)
-class EigenFrame:
-    """Instantaneous eigensystem on the grid nodes, in a continuous real gauge.
-
-    energies[:, n] is E_n with E_0 <= E_1; gap = E_0 - E_1 (signed, negative
-    throughout); vectors[k, :, n] is |E_n(t_k)>.  Eigenvectors do not depend
-    on the control because c(t) multiplies the whole Hamiltonian.
-    """
-
-    sweep: SweepSpec
-    grid: TimeGrid
-    energies: np.ndarray
-    gap: np.ndarray
-    mixing_angle: np.ndarray
-    vectors: np.ndarray
-
-
-def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
-    """Fix eigenvector signs: anchor the first frame, then keep consecutive
-    overlaps positive along the grid."""
-    fixed = vectors.copy()
-    for n in range(fixed.shape[2]):
-        anchor = fixed[0, :, n]
-        if anchor[np.argmax(np.abs(anchor))] < 0.0:
-            fixed[0, :, n] = -anchor
-    overlaps = np.einsum("kin,kin->kn", fixed[:-1], fixed[1:])
-    flips = np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0), axis=0)
-    fixed[1:] *= flips[:, None, :]
-    return fixed
-
-
-def build_eigen_frame(
-    sweep: SweepSpec, control: Optional[SampledSignal], grid: TimeGrid
-) -> EigenFrame:
-    """Diagonalize H(t) at every node and fix the gauge.
-
-    The node value of a piecewise-constant control is taken from the cell to
-    its right (the final node reuses the last cell).
-    """
-    kappa_cells = _clamped_control(sweep, control, grid)
-    kappa_nodes = np.append(kappa_cells, kappa_cells[-1])
-    times = grid.times
-    s = times / sweep.passage_time
-    h = np.zeros((grid.n_steps + 1, 2, 2))
-    h[:, 0, 0] = 1.0 - s
-    h[:, 1, 1] = -(1.0 - s)
-    h[:, 0, 1] = s
-    h[:, 1, 0] = s
-    h *= kappa_nodes[:, None, None]
-    energies, vectors = np.linalg.eigh(h)
-    gap = energies[:, 0] - energies[:, 1]
-    if np.max(gap) > -1.0e-9:
-        raise ValueError("eigenvalue gap closed; control must keep omega + c positive")
-    return EigenFrame(
-        sweep=sweep,
-        grid=grid,
-        energies=energies,
-        gap=gap,
-        mixing_angle=sweep.mixing_angle(times),
-        vectors=_gauge_fix(vectors),
-    )
-
-
-def eigensystem(
-    t: float, sweep: SweepSpec, control=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point eigensystem: (energies [E0, E1], vectors [:, n] = |E_n>).
-
-    control may be None, a plain number, or a SampledSignal (the value is
-    read from the cell containing t).  Vectors follow the same real-gauge
-    convention as build_eigen_frame's anchor (dominant component positive).
-    """
-    if control is None:
-        c = 0.0
-    elif isinstance(control, SampledSignal):
-        idx = min(int(t / control.grid.dt), control.grid.n_steps - 1)
-        c = float(control.values[idx])
-    else:
-        c = float(control)
-    kappa = sweep.base_freq + max(c, _CLAMP_FRACTION * sweep.base_freq)
-    if not kappa > 0.0:
-        raise ValueError("omega + c must stay positive")
-    s = t / sweep.passage_time
-    h = kappa * np.array([[1.0 - s, s], [s, -(1.0 - s)]])
-    energies, vectors = np.linalg.eigh(h)
-    if abs(energies[1] - energies[0]) < 1.0e-9:
-        raise ValueError(f"degenerate gap at t = {t!r}")
-    for n in range(2):
-        if vectors[np.argmax(np.abs(vectors[:, n])), n] < 0.0:
-            vectors[:, n] = -vectors[:, n]
-    return energies, vectors
-
-
-def geometric_couplings(frame: EigenFrame) -> np.ndarray:
-    """<E_m | dE_n> on the nodes, shape (n+1, 2, 2), from the analytic angle.
-
-    In the real gauge the diagonal entries vanish and the off-diagonal pair
-    is antisymmetric: <E0|dE1> = thetadot/2 = -<E1|dE0>.
-    """
-    half = 0.5 * frame.sweep.angle_velocity(frame.grid.times)
-    out = np.zeros((frame.grid.n_steps + 1, 2, 2))
-    out[:, 0, 1] = half
-    out[:, 1, 0] = -half
-    return out
-
-
-def finite_difference_couplings(frame: EigenFrame) -> np.ndarray:
-    """Centered-difference <E_m | dE_n>, second-order one-sided at the ends.
-
-    Pure cross-check for the analytic form; never used by the solvers.
-    """
-    v = frame.vectors
-    dt = frame.grid.dt
-    dv = np.empty_like(v)
-    dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    dv[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    return np.einsum("kim,kin->kmn", v, dv)
-
-
-@dataclass(frozen=True)
 class PhaseTable:
     """Dynamical phases of the sweep at half-step resolution.
 
@@ -260,32 +136,17 @@ def dynamical_phases(
     return PhaseTable(grid=grid, fine=fine, theta=theta)
 
 
-def _phase_index(t, dt: float) -> np.ndarray:
-    """Map half-step-aligned times onto indices of PhaseTable.fine."""
-    idx = np.rint(np.asarray(t) / (0.5 * dt)).astype(int)
-    return idx
-
-
-def propagator_g(t: float, s, frame: EigenFrame, phases: PhaseTable):
-    """g(t, s) for node-aligned t and s (scalar or array s <= t).
-
-    Equal to (thetadot(t) thetadot(s) / 4) exp[i (Lambda(t) - Lambda(s))];
-    at t = s this is +|<E1|dE0>|^2, real and positive.
-    """
-    dt = frame.grid.dt
-    lam_t = phases.fine[_phase_index(t, dt)]
-    lam_s = phases.fine[_phase_index(s, dt)]
-    half_t = 0.5 * frame.sweep.angle_velocity(t)
-    half_s = 0.5 * frame.sweep.angle_velocity(s)
-    return half_t * half_s * np.exp(1j * (lam_t - lam_s))
-
-
 @dataclass(frozen=True)
 class Psi0Curve:
-    """Complex amplitude on the target eigenstate along the sweep."""
+    """Complex amplitude on the target eigenstate along the sweep.
+
+    defect, when present, is the adiabaticity defect |int_0^t g psi_0| on
+    the nodes.
+    """
 
     grid: TimeGrid
     amplitudes: np.ndarray
+    defect: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -304,6 +165,10 @@ class Psi0Curve:
                 "refine the grid or check the kernel"
             )
         object.__setattr__(self, "amplitudes", amp)
+        if self.defect is not None and np.shape(self.defect) != amp.shape:
+            raise ValueError(
+                f"defect must have shape {amp.shape}, got {np.shape(self.defect)}"
+            )
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -315,13 +180,10 @@ class Psi0Curve:
 
 
 def _kernel_factors(sweep, control, grid):
-    """u(t), v(s) with g(t, s) = u(t) v(s), plus the phase table."""
-    phases = dynamical_phases(sweep, control, grid)
+    """u(t), v(s) on the nodes, with g(t, s) = u(t) v(s)."""
+    lam = dynamical_phases(sweep, control, grid).nodes
     half = 0.5 * sweep.angle_velocity(grid.times)
-    lam = phases.nodes
-    u = half * np.exp(1j * lam)
-    v = half * np.exp(-1j * lam)
-    return u, v, phases
+    return half * np.exp(1j * lam), half * np.exp(-1j * lam)
 
 
 def solve_psi0(
@@ -329,19 +191,13 @@ def solve_psi0(
 ) -> Psi0Curve:
     """Production path: Volterra integro-differential solve of psi_0.
 
-    Local rate is zero (real gauge kills the Berry term); the kernel rows
-    are supplied to numerics.volterra_solve as a vectorised callable.
+    Local rate is zero (real gauge kills the Berry term); the kernel goes to
+    numerics.volterra_solve as its factors u, v, and the memory integral the
+    solve returns gives the defect.
     """
-    u, v, _ = _kernel_factors(sweep, control, grid)
-    dt = grid.dt
-
-    def kernel(t: float, s_arr: np.ndarray) -> np.ndarray:
-        i = int(round(t / dt))
-        j = np.rint(np.asarray(s_arr) / dt).astype(int)
-        return u[i] * v[j]
-
-    amplitudes = volterra_solve(None, kernel, grid, 1.0 + 0.0j)
-    return Psi0Curve(grid, amplitudes)
+    u, v = _kernel_factors(sweep, control, grid)
+    amplitudes, memory = volterra_solve(u, v, grid, 1.0 + 0.0j)
+    return Psi0Curve(grid, amplitudes, defect=np.abs(memory))
 
 
 def tdse_components(
@@ -383,43 +239,6 @@ def tdse_oracle(
     return Psi0Curve(grid, components[:, 0])
 
 
-def adiabatic_defect(
-    psi0: Psi0Curve,
-    kernel: Callable[[float, np.ndarray], np.ndarray],
-    grid: TimeGrid,
-) -> np.ndarray:
-    """|int_0^t g(t, s) psi_0(s) ds| per node: the adiabaticity residual.
-
-    The sweep is adiabatic exactly where this stays near zero; it also
-    equals |d psi_0/dt|, so it measures how hard the amplitude is being
-    driven off the target eigenstate.
-    """
-    y = psi0.amplitudes
-    times = grid.times
-    dt = grid.dt
-    out = np.zeros(grid.n_steps + 1)
-    for i in range(1, grid.n_steps + 1):
-        integrand = kernel(times[i], times[: i + 1]) * y[: i + 1]
-        val = dt * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[i]))
-        out[i] = abs(val)
-    return out
-
-
-def passage_kernel(
-    sweep: SweepSpec, control: Optional[SampledSignal], grid: TimeGrid
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The g(t, s) callable for this sweep, for defect evaluation."""
-    u, v, _ = _kernel_factors(sweep, control, grid)
-    dt = grid.dt
-
-    def kernel(t: float, s_arr: np.ndarray) -> np.ndarray:
-        i = int(round(t / dt))
-        j = np.rint(np.asarray(s_arr) / dt).astype(int)
-        return u[i] * v[j]
-
-    return kernel
-
-
 @dataclass(frozen=True)
 class PassageEnsemble:
     """Noise-averaged sweep outcome: mean |psi_0|, its stderr, mean defect."""
@@ -454,8 +273,7 @@ def _run_passage_block(block: _PassageBlock) -> tuple[np.ndarray, np.ndarray]:
             raise NumericOverflowError(f"trajectory {k}: {exc}") from exc
         mags[row] = curve.magnitudes
         if block.with_defect:
-            kernel = passage_kernel(block.sweep, control, block.grid)
-            defects[row] = adiabatic_defect(curve, kernel, block.grid)
+            defects[row] = curve.defect
     return mags, defects
 
 

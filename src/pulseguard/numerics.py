@@ -3,7 +3,10 @@
 Everything here is deliberately plain: uniform grids, classical RK4, composite
 trapezoid sums, and a predictor-corrector scheme for Volterra integro-
 differential equations.  Fixed steps keep runs bit-reproducible, which the
-rest of the package relies on.
+rest of the package relies on.  The Volterra solver takes a separable kernel
+g(t, s) = u(t) v(s) as its two node arrays, so it costs O(n), and it returns
+the memory integral alongside the solution so that callers needing it (the
+adiabaticity defect) do not run a second pass.
 """
 
 from __future__ import annotations
@@ -95,58 +98,74 @@ def running_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _node_values(values, grid: TimeGrid, name: str) -> list:
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (grid.n_steps + 1,):
+        raise ValueError(
+            f"{name} must have shape ({grid.n_steps + 1},), got {values.shape}"
+        )
+    return values.tolist()
+
+
 def volterra_solve(
-    local_rate: Optional[Callable[[float], complex]],
-    kernel: Callable[[float, np.ndarray], np.ndarray],
+    u: np.ndarray,
+    v: np.ndarray,
     grid: TimeGrid,
     y0: complex,
+    local_rate: Optional[np.ndarray] = None,
     overflow_limit: float = 1.0e6,
-) -> np.ndarray:
-    """Solve dy/dt = a(t) y - int_0^t g(t, s) y(s) ds on the grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve dy/dt = a(t) y - int_0^t g(t, s) y(s) ds for g(t, s) = u(t) v(s).
 
-    local_rate is a(t) (None means zero); kernel(t, s_array) must return
-    g(t, s) for a vector of history points s <= t.  The memory integral is a
-    composite trapezoid over the solution history and each step is a Heun
-    predictor-corrector, so the scheme is globally second order.  Cost is
-    O(n^2) in the number of steps; with a kernel vectorised over s the
-    constant is small.
+    u, v and local_rate (a(t); None means zero) are sampled on the grid
+    nodes.  The memory integral is a composite trapezoid over the solution
+    history and each step is a Heun predictor-corrector, so the scheme is
+    globally second order.  Because the kernel separates, the history enters
+    only through the running sum S_i = sum_{j<=i} v_j y_j, so each step costs
+    O(1) and the whole solve O(n).
+
+    Returns (y, memory) with memory[i] the trapezoid int_0^{t_i} g(t_i, s)
+    y(s) ds on the final solution; memory[0] = 0.
 
     Raises NumericOverflowError as soon as |y| exceeds overflow_limit,
     reporting the time at which the solution ran away.
     """
     n = grid.n_steps
     dt = grid.dt
-    times = grid.times
-    y = np.empty(n + 1, dtype=complex)
-    y[0] = y0
+    # Python complex arithmetic on lists is several times faster per step
+    # than numpy scalar arithmetic, and this loop is all scalar work
+    u = _node_values(u, grid, "u")
+    v = _node_values(v, grid, "v")
+    if local_rate is None:
+        a = [0.0] * (n + 1)
+    else:
+        a = _node_values(local_rate, grid, "local_rate")
 
-    def a(t: float) -> complex:
-        return 0.0 if local_rate is None else local_rate(t)
-
-    # trapezoid weights are built once and sliced; w[0] stays 1/2 throughout
+    y = [0j] * (n + 1)
+    memory = [0j] * (n + 1)
+    y_i = complex(y0)
+    y[0] = y_i
+    head = 0.5 * v[0] * y_i
+    total = v[0] * y_i  # S_i
     for i in range(n):
-        t_i = times[i]
-        t_next = times[i + 1]
-        if i == 0:
-            mem_i = 0.0
-        else:
-            integrand = kernel(t_i, times[: i + 1]) * y[: i + 1]
-            mem_i = dt * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[i]))
-        f_i = a(t_i) * y[i] - mem_i
+        # mem_0 is an empty integral; the formula gives it exactly
+        mem_i = u[i] * dt * (total - head - 0.5 * v[i] * y_i)
+        memory[i] = mem_i
+        f_i = a[i] * y_i - mem_i
 
-        y_pred = y[i] + dt * f_i
-        row = kernel(t_next, times[: i + 2])
-        integrand = row[: i + 1] * y[: i + 1]
-        # history part keeps full weight on the last known point; the new
+        y_pred = y_i + dt * f_i
+        # history keeps full weight on the last known point; the new
         # endpoint enters with the predictor value and trapezoid weight 1/2
-        mem_next = dt * (
-            np.sum(integrand) - 0.5 * integrand[0] + 0.5 * row[i + 1] * y_pred
-        )
-        f_next = a(t_next) * y_pred - mem_next
-        y[i + 1] = y[i] + 0.5 * dt * (f_i + f_next)
+        mem_next = u[i + 1] * dt * (total - head + 0.5 * v[i + 1] * y_pred)
+        f_next = a[i + 1] * y_pred - mem_next
+        y_i = y_i + 0.5 * dt * (f_i + f_next)
 
-        if not np.isfinite(y[i + 1]) or abs(y[i + 1]) > overflow_limit:
+        # the negated comparison also catches nan
+        if not abs(y_i) <= overflow_limit:
             raise NumericOverflowError(
-                f"Volterra solution exceeded {overflow_limit:g} at t = {t_next:.6g}"
+                f"Volterra solution exceeded {overflow_limit:g} at t = {(i + 1) * dt:.6g}"
             )
-    return y
+        y[i + 1] = y_i
+        total += v[i + 1] * y_i
+    memory[n] = u[n] * dt * (total - head - 0.5 * v[n] * y_i)
+    return np.array(y, dtype=complex), np.array(memory, dtype=complex)

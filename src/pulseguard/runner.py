@@ -22,13 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .adiabatic import (
-    SweepSpec,
-    adiabatic_defect,
-    ensemble_passage,
-    passage_kernel,
-    solve_psi0,
-)
+from .adiabatic import SweepSpec, ensemble_passage, solve_psi0
 from .bath import BathSpec
 from .numerics import NumericOverflowError, TimeGrid
 from .qsd import (
@@ -62,6 +56,7 @@ __all__ = [
 ]
 
 KINDS = ("memory-me2", "memory-qsd", "memory-ensemble", "adiabatic")
+_SWEEP_END_SLACK = 1.0e-12  # relative
 
 
 class ConfigError(ValueError):
@@ -231,6 +226,13 @@ class ExperimentConfig:
                 )
             except ValueError as exc:
                 raise ConfigError(f"sweep: {exc}") from exc
+            # the schedule a(s) = s, b(s) = 1 - s means nothing past s = 1;
+            # the slack only forgives float round-off in equal values
+            if grid.t_max > sweep.passage_time * (1.0 + _SWEEP_END_SLACK):
+                raise ConfigError(
+                    f"grid.t_max = {grid.t_max!r} runs past sweep.passage_time = "
+                    f"{sweep.passage_time!r}; the sweep ends at s = 1"
+                )
             with_defect = bool(raw.get("with_defect", False))
             if n_traj < 1:
                 raise ConfigError(f"config: n_traj must be >= 1, got {n_traj}")
@@ -417,9 +419,8 @@ def _dispatch(config: ExperimentConfig, n_workers: int, metadata: dict, t) -> Re
     columns = ["psi0"]
     data = {"psi0": curve.magnitudes}
     if config.with_defect:
-        kernel = passage_kernel(config.sweep, control, config.grid)
         columns.append("defect")
-        data["defect"] = adiabatic_defect(curve, kernel, config.grid)
+        data["defect"] = curve.defect
     return ResultTable(t, tuple(columns), data, metadata)
 
 

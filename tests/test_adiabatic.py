@@ -3,8 +3,9 @@ reduction.
 
 Cross-validation levels: the analytic geometric couplings against centered
 finite differences of the gauge-fixed eigenvectors; the Volterra solution
-against an RK4 integration of the two-component frame equation; and the
-final state against a direct diagonalisation of the end-point Hamiltonian.
+and its adiabaticity defect against an RK4 integration of the two-component
+frame equation; and the final state against a direct diagonalisation of the
+end-point Hamiltonian.
 """
 
 import dataclasses
@@ -16,21 +17,21 @@ from pulseguard.adiabatic import (
     PassageEnsemble,
     Psi0Curve,
     SweepSpec,
-    adiabatic_defect,
-    build_eigen_frame,
+    _kernel_factors,
     dynamical_phases,
-    eigensystem,
     ensemble_passage,
-    finite_difference_couplings,
-    geometric_couplings,
-    passage_kernel,
-    propagator_g,
     solve_psi0,
     tdse_components,
     tdse_oracle,
 )
 from pulseguard.numerics import TimeGrid, volterra_solve
 from pulseguard.signals import SampledSignal, ShotNoiseSpec, SignalFamily, substream
+from pulseguard.sweep_oracle import (
+    build_eigen_frame,
+    eigensystem,
+    finite_difference_couplings,
+    geometric_couplings,
+)
 
 OMEGA = 0.3
 FAST = SweepSpec(passage_time=5.0, base_freq=OMEGA)
@@ -174,10 +175,11 @@ class TestPhases:
         np.testing.assert_allclose(diff[j + 1 :], -2.0 * 40.0 * cell_area, atol=1e-12)
 
     def test_propagator_equal_time_positive(self):
-        frame = build_eigen_frame(FAST, None, GRID_FAST)
-        phases = dynamical_phases(FAST, None, GRID_FAST)
+        """g(t, s) = u(t) v(s); at t = s it is real and (thetadot/2)^2."""
+        u, v = _kernel_factors(FAST, None, GRID_FAST)
         for t in (0.0, 1.0, 2.5, 5.0):
-            g = propagator_g(t, t, frame, phases)
+            i = int(round(t / GRID_FAST.dt))
+            g = u[i] * v[i]
             assert g.imag == pytest.approx(0.0, abs=1e-15)
             assert g.real == pytest.approx((0.5 * FAST.angle_velocity(t)) ** 2)
 
@@ -185,13 +187,11 @@ class TestPhases:
         """The control only spins the phase of g, never its modulus."""
         values = np.full(GRID_FAST.n_steps, 3.0)
         control = SampledSignal(GRID_FAST, values)
-        frame_a = build_eigen_frame(FAST, None, GRID_FAST)
-        frame_b = build_eigen_frame(FAST, control, GRID_FAST)
-        phases_a = dynamical_phases(FAST, None, GRID_FAST)
-        phases_b = dynamical_phases(FAST, control, GRID_FAST)
-        s = GRID_FAST.times[:1001]
-        ga = propagator_g(2.0, s, frame_a, phases_a)
-        gb = propagator_g(2.0, s, frame_b, phases_b)
+        u_a, v_a = _kernel_factors(FAST, None, GRID_FAST)
+        u_b, v_b = _kernel_factors(FAST, control, GRID_FAST)
+        i = int(round(2.0 / GRID_FAST.dt))
+        ga = u_a[i] * v_a[:1001]
+        gb = u_b[i] * v_b[:1001]
         np.testing.assert_allclose(np.abs(ga), np.abs(gb), rtol=1e-12)
         assert not np.allclose(ga, gb)
 
@@ -244,14 +244,8 @@ class TestSolvers:
         lam = phases.nodes
         u = fd[:, 0, 1] * np.exp(1j * lam)
         v = -fd[:, 1, 0] * np.exp(-1j * lam)
-        dt = GRID_FAST.dt
 
-        def kernel(t, s_arr):
-            i = int(round(t / dt))
-            j = np.rint(np.asarray(s_arr) / dt).astype(int)
-            return u[i] * v[j]
-
-        y = volterra_solve(None, kernel, GRID_FAST, 1.0 + 0.0j)
+        y, _ = volterra_solve(u, v, GRID_FAST, 1.0 + 0.0j)
         reference = solve_psi0(FAST, None, GRID_FAST)
         assert np.max(np.abs(np.abs(y) - reference.magnitudes)) < 1e-5
 
@@ -264,24 +258,39 @@ class TestSolvers:
         with pytest.raises(ValueError, match="exceeded"):
             Psi0Curve(grid, bad)
 
+    def test_curve_defect_validation(self):
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError, match="defect must have shape"):
+            Psi0Curve(grid, np.ones(5, dtype=complex), defect=np.zeros(4))
+
 
 class TestDefect:
     def test_frozen_hamiltonian_has_none(self):
-        curve = solve_psi0(FAST, None, GRID_FAST)
-        zero_kernel = lambda t, s: np.zeros_like(s, dtype=complex)
-        defect = adiabatic_defect(curve, zero_kernel, GRID_FAST)
-        assert np.all(defect == 0.0)
+        """A frozen eigenbasis (thetadot = 0) gives a zero kernel."""
+        zero = np.zeros(GRID_FAST.n_steps + 1, dtype=complex)
+        y, memory = volterra_solve(zero, zero, GRID_FAST, 1.0 + 0.0j)
+        assert np.all(np.abs(memory) == 0.0)
+        assert np.all(y == 1.0)
 
     def test_slow_sweep_suppresses_defect(self):
-        fast_curve = solve_psi0(FAST, None, GRID_FAST)
-        fast_defect = adiabatic_defect(
-            fast_curve, passage_kernel(FAST, None, GRID_FAST), GRID_FAST
-        )
-        slow_curve = solve_psi0(SLOW, None, GRID_SLOW)
-        slow_defect = adiabatic_defect(
-            slow_curve, passage_kernel(SLOW, None, GRID_SLOW), GRID_SLOW
-        )
+        fast_defect = solve_psi0(FAST, None, GRID_FAST).defect
+        slow_defect = solve_psi0(SLOW, None, GRID_SLOW).defect
         assert slow_defect.max() < 0.02 * fast_defect.max()
+
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    @pytest.mark.parametrize("sweep, grid", [(FAST, GRID_FAST), (SLOW, GRID_SLOW)])
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_matches_two_component_oracle(self, sweep, grid, driven):
+        """d psi_0/dt = -(thetadot/2) e^{i Lambda} psi_1 in the two-component
+        frame, so the defect equals (thetadot/2) |psi_1| from the RK4 oracle."""
+        control = None
+        if driven:
+            family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=50.0))
+            control = family.sample(substream(3, 0), grid)
+        defect = solve_psi0(sweep, control, grid).defect
+        components, _ = tdse_components(sweep, control, grid)
+        oracle = 0.5 * sweep.angle_velocity(grid.times) * np.abs(components[:, 1])
+        assert np.max(np.abs(defect - oracle)) < 1e-5
 
     @pytest.mark.filterwarnings("ignore:shot rate")
     def test_shot_control_reduces_defect_between_kicks(self):
@@ -290,10 +299,7 @@ class TestDefect:
         driven = ensemble_passage(
             FAST, family, n_traj=8, master_seed=7, grid=GRID_FAST, with_defect=True
         )
-        free_curve = solve_psi0(FAST, None, GRID_FAST)
-        free_defect = adiabatic_defect(
-            free_curve, passage_kernel(FAST, None, GRID_FAST), GRID_FAST
-        )
+        free_defect = solve_psi0(FAST, None, GRID_FAST).defect
         spacing = int(round(0.01 / GRID_FAST.dt))
         idx = np.arange(spacing, GRID_FAST.n_steps + 1, spacing)
         assert np.all(driven.mean_defect[idx] < free_defect[idx])

@@ -143,6 +143,72 @@ class TestTrapezoid:
         assert out[-1] == pytest.approx(4j)
 
 
+def _quadratic_volterra_reference(local_rate, kernel, grid, y0, overflow_limit=1.0e6):
+    """The history-resumming O(n^2) solver the separable one replaced, kept
+    verbatim as a reference: kernel(t, s_array) returns g(t, s) and the
+    whole trapezoid history is summed again at every step."""
+    n = grid.n_steps
+    dt = grid.dt
+    times = grid.times
+    y = np.empty(n + 1, dtype=complex)
+    y[0] = y0
+
+    def a(t: float) -> complex:
+        return 0.0 if local_rate is None else local_rate(t)
+
+    # trapezoid weights are built once and sliced; w[0] stays 1/2 throughout
+    for i in range(n):
+        t_i = times[i]
+        t_next = times[i + 1]
+        if i == 0:
+            mem_i = 0.0
+        else:
+            integrand = kernel(t_i, times[: i + 1]) * y[: i + 1]
+            mem_i = dt * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[i]))
+        f_i = a(t_i) * y[i] - mem_i
+
+        y_pred = y[i] + dt * f_i
+        row = kernel(t_next, times[: i + 2])
+        integrand = row[: i + 1] * y[: i + 1]
+        # history part keeps full weight on the last known point; the new
+        # endpoint enters with the predictor value and trapezoid weight 1/2
+        mem_next = dt * (
+            np.sum(integrand) - 0.5 * integrand[0] + 0.5 * row[i + 1] * y_pred
+        )
+        f_next = a(t_next) * y_pred - mem_next
+        y[i + 1] = y[i] + 0.5 * dt * (f_i + f_next)
+
+        if not np.isfinite(y[i + 1]) or abs(y[i + 1]) > overflow_limit:
+            raise NumericOverflowError(
+                f"Volterra solution exceeded {overflow_limit:g} at t = {t_next:.6g}"
+            )
+    return y
+
+
+def _quadratic_memory_reference(y, kernel, grid):
+    """Signed trapezoid int_0^t g(t, s) y(s) ds per node, summed from
+    the start at every node (the former defect pass, without the modulus)."""
+    times = grid.times
+    dt = grid.dt
+    out = np.zeros(grid.n_steps + 1, dtype=complex)
+    for i in range(1, grid.n_steps + 1):
+        integrand = kernel(times[i], times[: i + 1]) * y[: i + 1]
+        out[i] = dt * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[i]))
+    return out
+
+
+def _node_kernel(u, v, grid):
+    """g(t, s) = u(t) v(s) as the callable the reference solver takes."""
+    dt = grid.dt
+
+    def kernel(t, s_arr):
+        i = int(round(t / dt))
+        j = np.rint(np.asarray(s_arr) / dt).astype(int)
+        return u[i] * v[j]
+
+    return kernel
+
+
 class TestVolterra:
     def test_zero_kernel_matches_heun_bitwise(self):
         """With no memory the scheme must collapse to plain Heun."""
@@ -151,8 +217,14 @@ class TestVolterra:
         def rate(t):
             return -0.7 + 0.2j
 
-        zero = lambda t, s: np.zeros_like(s)
-        y = volterra_solve(rate, zero, grid, 1.0 + 0j)
+        nodes = grid.n_steps + 1
+        y, memory = volterra_solve(
+            np.zeros(nodes),
+            np.ones(nodes),
+            grid,
+            1.0 + 0j,
+            local_rate=np.full(nodes, rate(0.0)),
+        )
 
         ref = np.empty(grid.n_steps + 1, dtype=complex)
         ref[0] = 1.0
@@ -163,11 +235,13 @@ class TestVolterra:
             f_next = rate(grid.times[i + 1]) * y_pred
             ref[i + 1] = ref[i] + 0.5 * dt * (f_i + f_next)
         np.testing.assert_array_equal(y, ref)
+        np.testing.assert_array_equal(memory, 0.0)
 
     def test_cosine_oracle(self):
         """g = 1 turns the equation into y'' = -y, so y(t) = cos t."""
         grid = TimeGrid(t_max=2.0 * np.pi, n_steps=2000)
-        y = volterra_solve(None, lambda t, s: np.ones_like(s), grid, 1.0 + 0j)
+        ones = np.ones(grid.n_steps + 1)
+        y, _ = volterra_solve(ones, ones, grid, 1.0 + 0j)
         assert np.max(np.abs(y.real - np.cos(grid.times))) < 1e-5
         assert np.max(np.abs(y.imag)) < 1e-12
 
@@ -175,7 +249,8 @@ class TestVolterra:
         errs = []
         for n in (500, 1000):
             grid = TimeGrid(t_max=2.0 * np.pi, n_steps=n)
-            y = volterra_solve(None, lambda t, s: np.ones_like(s), grid, 1.0 + 0j)
+            ones = np.ones(n + 1)
+            y, _ = volterra_solve(ones, ones, grid, 1.0 + 0j)
             errs.append(np.max(np.abs(y.real - np.cos(grid.times))))
         assert 3.4 < errs[0] / errs[1] < 4.6
 
@@ -183,7 +258,8 @@ class TestVolterra:
         """Constant local rate a plus g = 1 gives y'' - a y' + y = 0."""
         a = -0.1
         grid = TimeGrid(t_max=10.0, n_steps=2000)
-        y = volterra_solve(lambda t: a, lambda t, s: np.ones_like(s), grid, 1.0 + 0j)
+        ones = np.ones(grid.n_steps + 1)
+        y, _ = volterra_solve(ones, ones, grid, 1.0 + 0j, local_rate=a * ones)
         wt = np.sqrt(1.0 - 0.0025)
         t = grid.times
         ref = np.exp(-0.05 * t) * (np.cos(wt * t) - (0.05 / wt) * np.sin(wt * t))
@@ -192,7 +268,36 @@ class TestVolterra:
     def test_overflow_reports_time(self):
         # g = -1 gives y'' = +y, growing like cosh until the limit trips
         grid = TimeGrid(t_max=20.0, n_steps=2000)
+        ones = np.ones(grid.n_steps + 1)
         with pytest.raises(NumericOverflowError, match="exceeded"):
-            volterra_solve(
-                None, lambda t, s: -np.ones_like(s), grid, 1.0 + 0j, overflow_limit=10.0
-            )
+            volterra_solve(-ones, ones, grid, 1.0 + 0j, overflow_limit=10.0)
+
+    def test_factor_shape_checked(self):
+        grid = TimeGrid(t_max=1.0, n_steps=10)
+        with pytest.raises(ValueError, match="v must have shape"):
+            volterra_solve(np.ones(11), np.ones(10), grid, 1.0 + 0j)
+
+    def _assert_matches_reference(self, u, v, grid, local_rate=None):
+        y, memory = volterra_solve(u, v, grid, 1.0 + 0j, local_rate=local_rate)
+        kernel = _node_kernel(u, v, grid)
+        rate = None if local_rate is None else (lambda t: local_rate[int(round(t / grid.dt))])
+        ref_y = _quadratic_volterra_reference(rate, kernel, grid, 1.0 + 0j)
+        ref_memory = _quadratic_memory_reference(ref_y, kernel, grid)
+        assert np.max(np.abs(y - ref_y)) <= 1e-12
+        assert np.max(np.abs(memory - ref_memory)) <= 1e-12
+
+    def test_matches_quadratic_reference_on_sweep_kernel(self):
+        from pulseguard.adiabatic import SweepSpec, _kernel_factors
+
+        grid = TimeGrid(t_max=5.0, n_steps=500)
+        u, v = _kernel_factors(SweepSpec(passage_time=5.0, base_freq=0.3), None, grid)
+        self._assert_matches_reference(u, v, grid)
+
+    def test_matches_quadratic_reference_on_random_kernel(self):
+        rng = np.random.default_rng(1412)
+        grid = TimeGrid(t_max=3.0, n_steps=500)
+        nodes = grid.n_steps + 1
+        u, v, rate = (
+            rng.normal(size=nodes) + 1j * rng.normal(size=nodes) for _ in range(3)
+        )
+        self._assert_matches_reference(u, v, grid, local_rate=-0.5 + 0.2 * rate)

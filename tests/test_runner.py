@@ -155,6 +155,19 @@ class TestConfigValidation:
                 raw(ADIABATIC_RAW, sweep={"passage_time": 0.0, "base_freq": 0.3})
             )
 
+    def test_sweep_run_past_passage_time_rejected(self):
+        with pytest.raises(ConfigError, match="grid.t_max"):
+            ExperimentConfig.from_dict(
+                raw(ADIABATIC_RAW, grid={"t_max": 5.5, "n_steps": 550})
+            )
+
+    def test_sweep_end_equal_up_to_round_off_accepted(self):
+        t_max = 5.0 * (1.0 + 1e-13)
+        config = ExperimentConfig.from_dict(
+            raw(ADIABATIC_RAW, grid={"t_max": t_max, "n_steps": 500})
+        )
+        assert config.grid.t_max == t_max
+
     def test_unknown_signal_family(self):
         with pytest.raises(ConfigError, match="unknown family"):
             ExperimentConfig.from_dict(raw(MEMORY_RAW, signal={"family": "telegraph"}))
@@ -435,6 +448,13 @@ class TestCli:
         cfg = self.write(tmp_path, raw(MEMORY_RAW, kind="bogus"))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_run_past_sweep_end_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, raw(ADIABATIC_RAW, grid={"t_max": 6.0, "n_steps": 600}))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "grid.t_max" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
