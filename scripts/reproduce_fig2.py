@@ -15,7 +15,7 @@ from pulseguard import (
     ExperimentConfig,
     SignalFamily,
     effective_frequency,
-    qsd_fidelity,
+    qsd_mean_fidelity,
     solve_kernel_riccati,
     run_experiment,
     ResultTable,
@@ -42,8 +42,7 @@ def main() -> None:
     free = SignalFamily(kind="none").sample(0, grid)
     freq = effective_frequency(free, config.omega)
     kernel = solve_kernel_riccati(freq, config.bath, grid)
-    curves = [qsd_fidelity(state, kernel).values for state in config.states]
-    free_mean = sum(curves) / len(curves)
+    free_mean = qsd_mean_fidelity(config.states, kernel).values
 
     merged = ResultTable(
         t=table.t,

@@ -29,10 +29,11 @@ from .qsd import (
     default_state_grid,
     ensemble_fidelity,
     qsd_fidelity,
+    qsd_mean_fidelity,
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
-from .me2 import LeakageKernel, accumulated_phase, leakage_kernel, me2_fidelity
+from .me2 import accumulated_phase, me2_fidelity, me2_mean_fidelity
 from .adiabatic import (
     PassageEnsemble,
     Psi0Curve,
@@ -74,12 +75,12 @@ __all__ = [
     "default_state_grid",
     "ensemble_fidelity",
     "qsd_fidelity",
+    "qsd_mean_fidelity",
     "solve_kernel_quadrature",
     "solve_kernel_riccati",
-    "LeakageKernel",
     "accumulated_phase",
-    "leakage_kernel",
     "me2_fidelity",
+    "me2_mean_fidelity",
     "PassageEnsemble",
     "Psi0Curve",
     "SweepSpec",

@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .numerics import NumericOverflowError, TimeGrid, rk4_step, volterra_solve
+from .ensemble import ensemble_mean
+from .numerics import TimeGrid, rk4_step, volterra_solve
 from .signals import SampledSignal, SignalFamily, substream
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "PhaseTable",
     "Psi0Curve",
     "PassageEnsemble",
+    "PassageTrajectory",
     "dynamical_phases",
     "solve_psi0",
     "tdse_oracle",
@@ -251,33 +253,21 @@ class PassageEnsemble:
 
 
 @dataclass(frozen=True)
-class _PassageBlock:
+class PassageTrajectory:
+    """Trajectory k of a sweep, as a picklable unit of ensemble work.
+
+    The control comes from substream (master_seed, k); returns (|psi_0|, defect).
+    """
+
     sweep: SweepSpec
     family: SignalFamily
     master_seed: int
     grid: TimeGrid
-    with_defect: bool
-    start: int
-    stop: int
 
-
-def _run_passage_block(block: _PassageBlock) -> tuple[np.ndarray, np.ndarray]:
-    n_pts = block.grid.n_steps + 1
-    mags = np.empty((block.stop - block.start, n_pts))
-    defects = np.zeros((block.stop - block.start, n_pts))
-    for row, k in enumerate(range(block.start, block.stop)):
-        control = block.family.sample(substream(block.master_seed, k), block.grid)
-        try:
-            curve = solve_psi0(block.sweep, control, block.grid)
-        except NumericOverflowError as exc:
-            raise NumericOverflowError(f"trajectory {k}: {exc}") from exc
-        mags[row] = curve.magnitudes
-        if block.with_defect:
-            defects[row] = curve.defect
-    return mags, defects
-
-
-_BLOCK = 8
+    def __call__(self, k: int) -> np.ndarray:
+        control = self.family.sample(substream(self.master_seed, k), self.grid)
+        curve = solve_psi0(self.sweep, control, self.grid)
+        return np.stack([curve.magnitudes, curve.defect])
 
 
 def ensemble_passage(
@@ -289,32 +279,9 @@ def ensemble_passage(
     map_fn: Callable[..., Iterable] = map,
     with_defect: bool = False,
 ) -> PassageEnsemble:
-    """Average the sweep over control-noise realisations.
-
-    Same contract as the memory ensembles: trajectory k draws substream
-    (master_seed, k), work is split in fixed blocks, and the reduction is
-    sequential in index order, so results do not depend on worker count.
+    """Average the sweep (a PassageTrajectory per k) over control-noise
+    realisations; blocking, map_fn and the stderr are those of ensemble_mean.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    blocks = [
-        _PassageBlock(sweep, family, master_seed, grid, with_defect, lo, min(lo + _BLOCK, n_traj))
-        for lo in range(0, n_traj, _BLOCK)
-    ]
-    results = list(map_fn(_run_passage_block, blocks))
-    mags = np.concatenate([r[0] for r in results], axis=0)
-    mean = mags.mean(axis=0)
-    if n_traj > 1:
-        stderr = mags.std(axis=0, ddof=1) / np.sqrt(n_traj)
-    else:
-        stderr = np.zeros_like(mean)
-    mean_defect = None
-    if with_defect:
-        mean_defect = np.concatenate([r[1] for r in results], axis=0).mean(axis=0)
-    return PassageEnsemble(
-        grid=grid,
-        mean_magnitude=mean,
-        stderr=stderr,
-        n_traj=n_traj,
-        mean_defect=mean_defect,
-    )
+    trajectory = PassageTrajectory(sweep, family, master_seed, grid)
+    mean, stderr = ensemble_mean(trajectory, n_traj, map_fn)
+    return PassageEnsemble(grid, mean[0], stderr[0], n_traj, mean[1] if with_defect else None)

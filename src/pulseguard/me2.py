@@ -15,24 +15,27 @@ implements.  For a pure initial state mu|1> + nu|0> the kernel collapses to
     A(t, s) = |mu|^4 * exp(i(Phi(t) - Phi(s))),   Phi(t) = int_0^t E,
 
 a closed form that the tests re-derive from brute-force 2x2 operator
-algebra before it is trusted here.
+algebra (me2_oracle holds the kernel they check) before it is trusted here.
+The state enters the fidelity only through the prefactor |mu|^4 of that
+kernel, so the one O(n) recursion runs once per signal and a uniform average
+over states adds only vectorised work per state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .bath import BathSpec
 from .numerics import TimeGrid, running_trapezoid
-from .qsd import FidelityCurve, InitialState
+from .qsd import FidelityCurve, InitialState, MemoryTrajectory
 
 __all__ = [
-    "LeakageKernel",
+    "BornTrajectory",
     "accumulated_phase",
-    "leakage_kernel",
     "me2_fidelity",
+    "me2_mean_fidelity",
 ]
 
 
@@ -56,49 +59,6 @@ def accumulated_phase(E: np.ndarray, grid: TimeGrid) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class LeakageKernel:
-    """Connected two-time kernel A(t, s) for s <= t.
-
-    Stored in factored form (one amplitude, one phase array) because the
-    kernel of this model is rank one; `triangle` materialises the dense
-    lower-triangular block when a small grid makes that affordable.
-    K(t, t) = amplitude is real and nonnegative.
-    """
-
-    grid: TimeGrid
-    amplitude: float  # |mu|^4
-    phase: np.ndarray  # Phi on the grid nodes
-
-    def value(self, t_index: int, s_index: int) -> complex:
-        if s_index > t_index:
-            raise ValueError("kernel is defined for s <= t only")
-        return self.amplitude * np.exp(1j * (self.phase[t_index] - self.phase[s_index]))
-
-    def row(self, t_index: int) -> np.ndarray:
-        """K(t_i, s_j) for all j <= t_index."""
-        return self.amplitude * np.exp(
-            1j * (self.phase[t_index] - self.phase[: t_index + 1])
-        )
-
-    def triangle(self) -> np.ndarray:
-        """Dense (n+1, n+1) array with zeros above the diagonal."""
-        diff = self.phase[:, None] - self.phase[None, :]
-        return np.tril(self.amplitude * np.exp(1j * diff))
-
-
-def leakage_kernel(state: InitialState, E: np.ndarray, grid: TimeGrid) -> LeakageKernel:
-    """Build A(t, s) for the surviving zero-temperature channel.
-
-    The closed form |mu|^4 e^{i(Phi(t)-Phi(s))} follows from
-    <sig+(t) sig-(s)> = |mu|^2 e^{i(Phi(t)-Phi(s))} and
-    <sig+(t)><sig-(s)> = |mu|^2 |nu|^2 e^{i(Phi(t)-Phi(s))}; the modulus is
-    phase-independent and vanishes when the excited amplitude does.
-    """
-    p = state.p_excited
-    return LeakageKernel(grid, p * p, accumulated_phase(E, grid))
-
-
 def me2_fidelity(
     state: InitialState,
     E: np.ndarray,
@@ -116,16 +76,34 @@ def me2_fidelity(
     O(n).  Stable for any cutoff because the growing exponential is never
     formed.
     """
+    return me2_mean_fidelity([state], E, bath, grid)
+
+
+def me2_mean_fidelity(
+    states: Sequence[InitialState],
+    E: np.ndarray,
+    bath: BathSpec,
+    grid: TimeGrid,
+) -> FidelityCurve:
+    """Uniform average of me2_fidelity over `states`; the j(u) recursion runs once."""
     dt = grid.dt
     phase = accumulated_phase(E, grid)
-    amp = state.p_excited**2
-
     decay = np.exp(-bath.cutoff * dt)
     emi = np.exp(-1j * phase)
     j = np.empty(grid.n_steps + 1, dtype=complex)
     j[0] = 0.0
     for k in range(grid.n_steps):
         j[k + 1] = decay * j[k] + 0.5 * dt * (decay * emi[k] + emi[k + 1])
-    inner = amp * bath.weight * np.exp(1j * phase) * j
+    amp = np.array([state.p_excited**2 for state in states])
+    # one row per state; |mu|^4 multiplies before the quadrature, as in the
+    # one-state formula, so each row is bitwise that state's curve
+    inner = (amp[:, None] * bath.weight) * np.exp(1j * phase) * j
     exponent = 2.0 * running_trapezoid(np.real(inner), dt)
-    return FidelityCurve(grid, np.exp(-exponent))
+    return FidelityCurve(grid, np.mean(np.exp(-exponent), axis=0))
+
+
+class BornTrajectory(MemoryTrajectory):
+    """MemoryTrajectory with the Born fidelity in place of the exact one."""
+
+    def fidelity(self, E: np.ndarray) -> FidelityCurve:
+        return me2_mean_fidelity(self.states, E, self.bath, self.grid)

@@ -19,7 +19,9 @@ closed form from the running integrals of F:
     F_fid(t) = 1 - p - (p - 2 p^2) e^{-2 Re INT(t)}
                + 2 (p - p^2) Re e^{-INT(t)},      p = |mu|^2,
 
-with INT(t) = int_0^t F(s) ds.  At t = 0 this is identically 1.
+with INT(t) = int_0^t F(s) ds.  At t = 0 this is identically 1.  The form
+is affine in (1 - p, p - 2 p^2, 2 (p - p^2)), so an average over states
+averages those three coefficients and evaluates the curve once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .bath import BathSpec
+from .ensemble import ensemble_mean
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from .signals import SignalFamily, effective_frequency, substream
 
@@ -42,6 +45,8 @@ __all__ = [
     "solve_kernel_riccati",
     "solve_kernel_quadrature",
     "qsd_fidelity",
+    "qsd_mean_fidelity",
+    "MemoryTrajectory",
     "ensemble_fidelity",
 ]
 
@@ -235,7 +240,12 @@ def qsd_fidelity(state: InitialState, kernel: KernelCurve) -> FidelityCurve:
     running integral is physically admissible for strongly non-Markovian
     baths, so it is reported as a warning rather than an error.
     """
-    p = state.p_excited
+    return qsd_mean_fidelity([state], kernel)
+
+
+def qsd_mean_fidelity(states: Sequence[InitialState], kernel: KernelCurve) -> FidelityCurve:
+    """Uniform average of qsd_fidelity over `states`, at the cost of one state."""
+    p = np.array([state.p_excited for state in states])
     integral = running_trapezoid(kernel.values, kernel.grid.dt)
     re_int = integral.real
     if np.min(re_int) < 0.0:
@@ -244,26 +254,22 @@ def qsd_fidelity(state: InitialState, kernel: KernelCurve) -> FidelityCurve:
             RuntimeWarning,
             stacklevel=2,
         )
+    # the per-state formula's evaluation order, so one state reproduces it bit for bit
     values = (
-        1.0
-        - p
-        - (p - 2.0 * p * p) * np.exp(-2.0 * re_int)
-        + 2.0 * (p - p * p) * np.real(np.exp(-integral))
+        np.mean(1.0 - p)
+        - np.mean(p - 2.0 * p * p) * np.exp(-2.0 * re_int)
+        + np.mean(2.0 * (p - p * p)) * np.real(np.exp(-integral))
     )
     return FidelityCurve(kernel.grid, values)
 
 
-def _state_average(states: Sequence[InitialState], kernel: KernelCurve) -> np.ndarray:
-    """Uniform average of the fidelity over a list of initial states."""
-    acc = np.zeros(kernel.grid.n_steps + 1)
-    for state in states:
-        acc += qsd_fidelity(state, kernel).values
-    return acc / len(states)
-
-
 @dataclass(frozen=True)
-class _TrajectoryBlock:
-    """One picklable unit of ensemble work: a contiguous index range."""
+class MemoryTrajectory:
+    """Trajectory k of a memory experiment, as a picklable unit of ensemble work.
+
+    The control comes from substream (master_seed, k); returns the fidelity
+    averaged over `states`.
+    """
 
     family: SignalFamily
     bath: BathSpec
@@ -271,26 +277,13 @@ class _TrajectoryBlock:
     master_seed: int
     grid: TimeGrid
     omega: float
-    start: int
-    stop: int
 
+    def __call__(self, k: int) -> np.ndarray:
+        signal = self.family.sample(substream(self.master_seed, k), self.grid)
+        return self.fidelity(effective_frequency(signal, self.omega)).values
 
-def _run_block(block: _TrajectoryBlock) -> np.ndarray:
-    out = np.empty((block.stop - block.start, block.grid.n_steps + 1))
-    for row, k in enumerate(range(block.start, block.stop)):
-        signal = block.family.sample(substream(block.master_seed, k), block.grid)
-        freq = effective_frequency(signal, block.omega)
-        try:
-            kernel = solve_kernel_riccati(freq, block.bath, block.grid)
-        except NumericOverflowError as exc:
-            raise NumericOverflowError(f"trajectory {k}: {exc}") from exc
-        out[row] = _state_average(block.states, kernel)
-    return out
-
-
-# block length for ensemble work units; fixed so the decomposition (and
-# therefore every floating-point reduction) never depends on worker count
-_BLOCK = 32
+    def fidelity(self, E: np.ndarray) -> FidelityCurve:
+        return qsd_mean_fidelity(self.states, solve_kernel_riccati(E, self.bath, self.grid))
 
 
 def ensemble_fidelity(
@@ -305,27 +298,11 @@ def ensemble_fidelity(
 ) -> FidelityCurve:
     """Trajectory-averaged fidelity over signal realisations.
 
-    Trajectory k draws its signal from substream (master_seed, k), the
-    fidelity is first averaged uniformly over `states`, then over
-    trajectories in index order.  map_fn may be an executor map; work
-    arrives in fixed blocks and is reduced sequentially, so the result is
-    bitwise independent of the degree of parallelism.  The quoted stderr is
-    the per-node sample standard error over trajectories.
+    Trajectory k (a MemoryTrajectory) is first averaged uniformly over
+    `states`; blocking, map_fn and the stderr are those of ensemble_mean.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if len(states) == 0:
         raise ValueError("states must be non-empty")
-    blocks = [
-        _TrajectoryBlock(
-            family, bath, tuple(states), master_seed, grid, omega, lo, min(lo + _BLOCK, n_traj)
-        )
-        for lo in range(0, n_traj, _BLOCK)
-    ]
-    curves = np.concatenate(list(map_fn(_run_block, blocks)), axis=0)
-    mean = curves.mean(axis=0)
-    if n_traj > 1:
-        stderr = curves.std(axis=0, ddof=1) / np.sqrt(n_traj)
-    else:
-        stderr = np.zeros_like(mean)
+    trajectory = MemoryTrajectory(family, bath, tuple(states), master_seed, grid, omega)
+    mean, stderr = ensemble_mean(trajectory, n_traj, map_fn)
     return FidelityCurve(grid, mean, stderr=stderr, n_traj=n_traj)

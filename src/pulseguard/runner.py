@@ -22,27 +22,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .adiabatic import SweepSpec, ensemble_passage, solve_psi0
+from .adiabatic import PassageTrajectory, SweepSpec, ensemble_passage
 from .bath import BathSpec
 from .numerics import NumericOverflowError, TimeGrid
-from .qsd import (
-    FidelityCurve,
-    InitialState,
-    default_state_grid,
-    ensemble_fidelity,
-    qsd_fidelity,
-    solve_kernel_riccati,
-)
-from .me2 import me2_fidelity
-from .signals import (
-    ChaoticSpec,
-    JitterSpec,
-    PulseTrainSpec,
-    ShotNoiseSpec,
-    SignalFamily,
-    effective_frequency,
-    substream,
-)
+from .qsd import InitialState, MemoryTrajectory, default_state_grid, ensemble_fidelity
+from .me2 import BornTrajectory
+from .signals import ChaoticSpec, JitterSpec, PulseTrainSpec, ShotNoiseSpec, SignalFamily
 
 __all__ = [
     "ConfigError",
@@ -160,6 +145,15 @@ class ExperimentConfig:
     workers: int = 1
     output: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # here, not in from_dict, so that dataclasses.replace (--seed) is checked too
+        for name, low in (("n_traj", 1), ("master_seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"config: {name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.with_defect, bool):
+            raise ConfigError(f"config: with_defect must be a boolean, got {self.with_defect!r}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
@@ -193,8 +187,6 @@ class ExperimentConfig:
         states: tuple = ()
         sweep = None
         omega = 1.0
-        with_defect = False
-        n_traj = int(raw.get("n_traj", 1))
         if memory:
             bath_raw = _require(raw, "bath", "config")
             _reject_unknown(bath_raw, ["coupling", "cutoff"], "bath")
@@ -214,8 +206,6 @@ class ExperimentConfig:
                     states = tuple(InitialState.from_excited_prob(float(p)) for p in probs)
             except ValueError as exc:
                 raise ConfigError(f"states: {exc}") from exc
-            if kind == "memory-ensemble" and n_traj < 1:
-                raise ConfigError(f"config: n_traj must be >= 1, got {n_traj}")
         else:
             sweep_raw = _require(raw, "sweep", "config")
             _reject_unknown(sweep_raw, ["passage_time", "base_freq"], "sweep")
@@ -233,13 +223,7 @@ class ExperimentConfig:
                     f"grid.t_max = {grid.t_max!r} runs past sweep.passage_time = "
                     f"{sweep.passage_time!r}; the sweep ends at s = 1"
                 )
-            with_defect = bool(raw.get("with_defect", False))
-            if n_traj < 1:
-                raise ConfigError(f"config: n_traj must be >= 1, got {n_traj}")
 
-        workers = int(raw.get("workers", 1))
-        if workers < 1:
-            raise ConfigError(f"config: workers must be >= 1, got {workers}")
         return cls(
             kind=kind,
             grid=grid,
@@ -248,10 +232,10 @@ class ExperimentConfig:
             omega=omega,
             states=states,
             sweep=sweep,
-            n_traj=n_traj,
-            master_seed=int(raw.get("master_seed", 0)),
-            with_defect=with_defect,
-            workers=workers,
+            n_traj=raw.get("n_traj", 1),
+            master_seed=raw.get("master_seed", 0),
+            with_defect=raw.get("with_defect", False),
+            workers=raw.get("workers", 1),
             output=raw.get("output"),
         )
 
@@ -330,19 +314,6 @@ class ResultTable:
         return len(self.t)
 
 
-def _memory_curve(config: ExperimentConfig) -> FidelityCurve:
-    signal = config.signal.sample(substream(config.master_seed, 0), config.grid)
-    E = effective_frequency(signal, config.omega)
-    if config.kind == "memory-qsd":
-        kernel = solve_kernel_riccati(E, config.bath, config.grid)
-        curves = [qsd_fidelity(s, kernel).values for s in config.states]
-    else:
-        curves = [
-            me2_fidelity(s, E, config.bath, config.grid).values for s in config.states
-        ]
-    return FidelityCurve(config.grid, np.mean(curves, axis=0))
-
-
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ResultTable:
     """Dispatch one experiment; deterministic for a fixed (config, seed).
 
@@ -370,11 +341,13 @@ def _dispatch(config: ExperimentConfig, n_workers: int, metadata: dict, t) -> Re
             return fn(pool.map)
 
     if config.kind in ("memory-qsd", "memory-me2"):
-        curve = _memory_curve(config)
-        name = "qsd" if config.kind == "memory-qsd" else "me2"
-        return ResultTable(t, (name,), {name: curve.values}, metadata)
-
-    if config.kind == "memory-ensemble":
+        born = config.kind == "memory-me2"
+        trajectory = (BornTrajectory if born else MemoryTrajectory)(
+            config.signal, config.bath, config.states, config.master_seed, config.grid,
+            config.omega,
+        )
+        data = {"me2" if born else "qsd": trajectory(0)}
+    elif config.kind == "memory-ensemble":
         curve = run_pooled(
             lambda m: ensemble_fidelity(
                 config.signal,
@@ -387,15 +360,8 @@ def _dispatch(config: ExperimentConfig, n_workers: int, metadata: dict, t) -> Re
                 map_fn=m,
             )
         )
-        return ResultTable(
-            t,
-            ("mean", "stderr"),
-            {"mean": curve.values, "stderr": curve.stderr},
-            metadata,
-        )
-
-    # adiabatic
-    if config.signal.stochastic and config.n_traj > 1:
+        data = {"mean": curve.values, "stderr": curve.stderr}
+    elif config.signal.stochastic and config.n_traj > 1:  # adiabatic from here on
         result = run_pooled(
             lambda m: ensemble_passage(
                 config.sweep,
@@ -407,21 +373,14 @@ def _dispatch(config: ExperimentConfig, n_workers: int, metadata: dict, t) -> Re
                 with_defect=config.with_defect,
             )
         )
-        columns = ["mean", "stderr"]
-        data = {"mean": result.mean_magnitude, "stderr": result.stderr}
-        if config.with_defect:
-            columns.append("defect")
-            data["defect"] = result.mean_defect
-        return ResultTable(t, tuple(columns), data, metadata)
-
-    control = config.signal.sample(substream(config.master_seed, 0), config.grid)
-    curve = solve_psi0(config.sweep, control, config.grid)
-    columns = ["psi0"]
-    data = {"psi0": curve.magnitudes}
-    if config.with_defect:
-        columns.append("defect")
-        data["defect"] = curve.defect
-    return ResultTable(t, tuple(columns), data, metadata)
+        data = {"mean": result.mean_magnitude, "stderr": result.stderr,
+                "defect": result.mean_defect}
+    else:
+        trajectory = PassageTrajectory(config.sweep, config.signal, config.master_seed, config.grid)
+        data = dict(zip(("psi0", "defect"), trajectory(0)))
+    if not config.with_defect:
+        data.pop("defect", None)
+    return ResultTable(t, tuple(data), data, metadata)
 
 
 def _canonical_json(obj) -> str:

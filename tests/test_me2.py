@@ -12,15 +12,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pulseguard.bath import BathSpec
-from pulseguard.me2 import (
-    LeakageKernel,
-    accumulated_phase,
-    leakage_kernel,
-    me2_fidelity,
-)
+from pulseguard.me2 import accumulated_phase, me2_fidelity, me2_mean_fidelity
+from pulseguard.me2_oracle import LeakageKernel, leakage_kernel
 from pulseguard.numerics import TimeGrid, running_trapezoid
-from pulseguard.qsd import InitialState, qsd_fidelity, solve_kernel_riccati
-from pulseguard.signals import PulseTrainSpec, SignalFamily, effective_frequency
+from pulseguard.qsd import (
+    InitialState,
+    default_state_grid,
+    qsd_fidelity,
+    solve_kernel_riccati,
+)
+from pulseguard.signals import (
+    ChaoticSpec,
+    PulseTrainSpec,
+    SignalFamily,
+    effective_frequency,
+    substream,
+)
 
 PULSE = PulseTrainSpec(period=0.02, duration=0.01, area=0.2)
 BATH = BathSpec(coupling=1.0, cutoff=0.5)
@@ -198,3 +205,38 @@ class TestMe2Fidelity:
         born = me2_fidelity(state, E, BATH, self.GRID)
         exact = qsd_fidelity(state, solve_kernel_riccati(E, BATH, self.GRID))
         assert np.max(np.abs(born.values - exact.values)) < 0.02
+
+
+def born_per_state(state, E, bath, grid):
+    """One state's Born curve with its own recursion: the loop the state average replaces."""
+    dt = grid.dt
+    phase = accumulated_phase(E, grid)
+    decay = np.exp(-bath.cutoff * dt)
+    emi = np.exp(-1j * phase)
+    j = np.zeros(grid.n_steps + 1, dtype=complex)
+    for k in range(grid.n_steps):
+        j[k + 1] = decay * j[k] + 0.5 * dt * (decay * emi[k] + emi[k + 1])
+    inner = state.p_excited**2 * bath.weight * np.exp(1j * phase) * j
+    return np.exp(-2.0 * running_trapezoid(np.real(inner), dt))
+
+
+class TestStateAverage:
+    GRID = TimeGrid(t_max=10.0, n_steps=10000)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            SignalFamily(kind="none"),
+            SignalFamily(kind="chaotic", pulse=PULSE, chaos=ChaoticSpec()),
+        ],
+        ids=["free", "chaotic"],
+    )
+    def test_equals_per_state_loop(self, family):
+        """One shared recursion gives every state's curve and their mean."""
+        states = default_state_grid()
+        E = effective_frequency(family.sample(substream(7, 0), self.GRID), 1.0)
+        curves = [born_per_state(state, E, BATH, self.GRID) for state in states]
+        for state, curve in zip(states, curves):
+            np.testing.assert_array_equal(me2_fidelity(state, E, BATH, self.GRID).values, curve)
+        averaged = me2_mean_fidelity(states, E, BATH, self.GRID).values
+        np.testing.assert_allclose(averaged, np.mean(curves, axis=0), rtol=0, atol=1e-15)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pulseguard.bath import BathSpec
-from pulseguard.numerics import NumericOverflowError, TimeGrid
+from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from pulseguard.qsd import (
     FidelityCurve,
     InitialState,
@@ -23,10 +23,12 @@ from pulseguard.qsd import (
     default_state_grid,
     ensemble_fidelity,
     qsd_fidelity,
+    qsd_mean_fidelity,
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
 from pulseguard.signals import (
+    ChaoticSpec,
     JitterSpec,
     PulseTrainSpec,
     SignalFamily,
@@ -208,6 +210,38 @@ class TestFidelity:
         assert max(finals) - min(finals) < 1e-3
         assert finals[0] > finals[1] > finals[2]
         assert min(finals) > 0.98
+
+    def test_one_state_is_the_written_out_formula(self):
+        """qsd_fidelity keeps the module docstring's evaluation order, bit for bit."""
+        signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, GRID)
+        kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, GRID)
+        integral = running_trapezoid(kernel.values, GRID.dt)
+        for state in default_state_grid():
+            p = state.p_excited
+            reference = (
+                1.0
+                - p
+                - (p - 2.0 * p * p) * np.exp(-2.0 * integral.real)
+                + 2.0 * (p - p * p) * np.real(np.exp(-integral))
+            )
+            np.testing.assert_array_equal(qsd_fidelity(state, kernel).values, reference)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            SignalFamily(kind="none"),
+            SignalFamily(kind="chaotic", pulse=PULSE, chaos=ChaoticSpec()),
+        ],
+        ids=["free", "chaotic"],
+    )
+    def test_state_average_equals_per_state_loop(self, family):
+        """Averaging the three coefficients first changes only rounding."""
+        states = default_state_grid()
+        signal = family.sample(substream(7, 0), GRID)
+        kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, GRID)
+        loop = np.mean([qsd_fidelity(state, kernel).values for state in states], axis=0)
+        averaged = qsd_mean_fidelity(states, kernel).values
+        np.testing.assert_allclose(averaged, loop, rtol=0, atol=1e-15)
 
     def test_fidelity_curve_validation(self):
         grid = TimeGrid(1.0, 4)

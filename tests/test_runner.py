@@ -207,6 +207,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="workers"):
             ExperimentConfig.from_dict(raw(MEMORY_RAW, workers=0))
 
+    @pytest.mark.parametrize("value", ["abc", "3", 2.7, 2.0, True, None])
+    def test_n_traj_must_be_an_integer(self, value):
+        for base in (ENSEMBLE_RAW, ADIABATIC_RAW):
+            with pytest.raises(ConfigError, match="n_traj"):
+                ExperimentConfig.from_dict(raw(base, n_traj=value))
+
+    @pytest.mark.parametrize("value", ["x", "0", 1.5, 0.0, False, -1])
+    def test_master_seed_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(ConfigError, match="master_seed"):
+            ExperimentConfig.from_dict(raw(MEMORY_RAW, master_seed=value))
+
+    @pytest.mark.parametrize("value", ["x", "2", 2.7, 2.0, True])
+    def test_workers_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match="workers"):
+            ExperimentConfig.from_dict(raw(MEMORY_RAW, workers=value))
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_with_defect_must_be_a_boolean(self, value):
+        with pytest.raises(ConfigError, match="with_defect"):
+            ExperimentConfig.from_dict(raw(ADIABATIC_RAW, with_defect=value))
+
 
 class TestResolvedConfig:
     def test_round_trip_is_idempotent(self):
@@ -312,6 +333,30 @@ class TestRunExperiment:
         pooled = run_experiment(config, workers=2)
         np.testing.assert_array_equal(serial.data["mean"], pooled.data["mean"])
         np.testing.assert_array_equal(serial.data["stderr"], pooled.data["stderr"])
+
+    def test_memory_qsd_is_the_first_ensemble_trajectory(self):
+        """Both kinds run the same trajectory function; n_traj = 1 is bitwise one curve."""
+        single = raw(ENSEMBLE_RAW, kind="memory-qsd", states=[0.2, 0.5, 0.9])
+        del single["n_traj"]
+        ensemble = raw(ENSEMBLE_RAW, n_traj=1, states=[0.2, 0.5, 0.9])
+        qsd = run_experiment(ExperimentConfig.from_dict(single)).data["qsd"]
+        mean = run_experiment(ExperimentConfig.from_dict(ensemble)).data["mean"]
+        np.testing.assert_array_equal(qsd, mean)
+
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    def test_adiabatic_defect_csv_identical_in_a_process_pool(self, tmp_path):
+        # ten trajectories: two blocks, so both workers get one
+        config = ExperimentConfig.from_dict(
+            raw(
+                ADIABATIC_RAW,
+                signal={"family": "shot", "strength": 0.1, "rate": 20.0},
+                n_traj=10,
+                with_defect=True,
+            )
+        )
+        emit_csv(run_experiment(config, workers=1), tmp_path / "w1.csv")
+        emit_csv(run_experiment(config, workers=2), tmp_path / "w2.csv")
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     def test_divergent_kernel_reported_with_context(self):
         config = ExperimentConfig.from_dict(
@@ -454,6 +499,25 @@ class TestCli:
         out = tmp_path / "res.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "grid.t_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_traj", "abc"), ("n_traj", 2.7), ("master_seed", "x"), ("master_seed", -1),
+         ("workers", "x"), ("workers", True), ("with_defect", "false")],
+    )
+    def test_run_mistyped_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg = self.write(tmp_path, raw(ADIABATIC_RAW, **{field: value}))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, MEMORY_RAW)
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "master_seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_validate_missing_file_exits_2(self, tmp_path):
