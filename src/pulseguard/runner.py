@@ -5,17 +5,17 @@ them, or an adiabatic sweep).  The runner validates it, dispatches to the
 physics modules, and serialises the result with the fully resolved config
 embedded, so any output file can be reproduced from its own header.
 
-Runtime-only settings (worker count, output paths) are deliberately kept
-out of the embedded config: the same experiment must produce byte-identical
-files no matter how it was scheduled.
+The worker count is deliberately kept out of the embedded config: the same
+experiment must produce byte-identical files no matter how it was scheduled.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,7 +27,7 @@ from .bath import BathSpec
 from .numerics import NumericOverflowError, TimeGrid
 from .qsd import InitialState, MemoryTrajectory, default_state_grid, ensemble_fidelity
 from .me2 import BornTrajectory
-from .signals import ChaoticSpec, JitterSpec, PulseTrainSpec, ShotNoiseSpec, SignalFamily
+from .signals import FAMILY_SPECS, SignalFamily
 
 __all__ = [
     "ConfigError",
@@ -40,8 +40,17 @@ __all__ = [
     "read_embedded_config",
 ]
 
-KINDS = ("memory-me2", "memory-qsd", "memory-ensemble", "adiabatic")
 _SWEEP_END_SLACK = 1.0e-12  # relative
+
+# top-level keys that resolved() echoes for every kind, then those of each kind;
+# workers is accepted as well but never echoed
+_ECHOED_KEYS = ("kind", "grid", "signal", "master_seed")
+_KIND_KEYS = {
+    "memory-qsd": ("bath", "omega", "states"),
+    "memory-me2": ("bath", "omega", "states"),
+    "memory-ensemble": ("bath", "omega", "states", "n_traj"),
+    "adiabatic": ("sweep", "n_traj", "with_defect"),
+}
 
 
 class ConfigError(ValueError):
@@ -60,76 +69,77 @@ def _reject_unknown(mapping: dict, allowed: Sequence[str], context: str) -> None
         raise ConfigError(f"{context}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
-def _build_signal(spec: dict) -> SignalFamily:
-    kind = _require(spec, "family", "signal")
-    common = ["family"]
+def _expect_object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, annotation: str, name: str):
+    """A JSON number for a field annotated float (finite) or int (integer only).
+
+    The spec modules use postponed annotations, so `annotation` is a string.
+    """
+    if annotation == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return value
+    if annotation != "float":
+        raise TypeError(f"{name}: no JSON rule for fields annotated {annotation!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _build(cls, raw, context: str):
+    """Make the spec dataclass `cls` from a JSON object, naming `context` in errors."""
+    spec_fields = fields(cls)
+    _reject_unknown(_expect_object(raw, context), [f.name for f in spec_fields], context)
+    kwargs = {}
+    for f in spec_fields:
+        if f.name in raw:
+            kwargs[f.name] = _number(raw[f.name], f.type, f"{context}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{context}: missing required key {f.name!r}")
     try:
-        if kind == "none":
-            _reject_unknown(spec, common, "signal")
-            return SignalFamily(kind="none")
-        if kind == "regular":
-            _reject_unknown(spec, common + ["period", "duration", "area"], "signal")
-            pulse = PulseTrainSpec(
-                period=_require(spec, "period", "signal"),
-                duration=_require(spec, "duration", "signal"),
-                area=_require(spec, "area", "signal"),
-            )
-            return SignalFamily(kind="regular", pulse=pulse)
-        if kind == "jittered":
-            _reject_unknown(
-                spec,
-                common
-                + ["period", "duration", "area", "period_dev", "duration_dev", "area_dev"],
-                "signal",
-            )
-            pulse = PulseTrainSpec(
-                period=_require(spec, "period", "signal"),
-                duration=_require(spec, "duration", "signal"),
-                area=_require(spec, "area", "signal"),
-            )
-            jitter = JitterSpec(
-                period_dev=spec.get("period_dev", 0.0),
-                duration_dev=spec.get("duration_dev", 0.0),
-                area_dev=spec.get("area_dev", 0.0),
-            )
-            return SignalFamily(kind="jittered", pulse=pulse, jitter=jitter)
-        if kind == "chaotic":
-            _reject_unknown(
-                spec,
-                common + ["period", "duration", "area", "logistic_r", "seed_intensity"],
-                "signal",
-            )
-            pulse = PulseTrainSpec(
-                period=_require(spec, "period", "signal"),
-                duration=_require(spec, "duration", "signal"),
-                area=_require(spec, "area", "signal"),
-            )
-            chaos = ChaoticSpec(
-                logistic_r=spec.get("logistic_r", 3.9),
-                seed_intensity=spec.get("seed_intensity", 0.5),
-            )
-            return SignalFamily(kind="chaotic", pulse=pulse, chaos=chaos)
-        if kind == "shot":
-            _reject_unknown(spec, common + ["strength", "rate"], "signal")
-            shot = ShotNoiseSpec(
-                strength=_require(spec, "strength", "signal"),
-                rate=_require(spec, "rate", "signal"),
-            )
-            return SignalFamily(kind="shot", shot=shot)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"signal: {exc}") from exc
-    raise ConfigError(f"signal: unknown family {kind!r}; expected none/regular/jittered/chaotic/shot")
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _build_signal(raw) -> SignalFamily:
+    family = _require(_expect_object(raw, "signal"), "family", "signal")
+    if not isinstance(family, str) or family not in FAMILY_SPECS:
+        raise ConfigError(
+            f"signal: unknown family {family!r}; expected one of {tuple(FAMILY_SPECS)}"
+        )
+    specs = FAMILY_SPECS[family]
+    _reject_unknown(raw, ["family"] + [f.name for cls in specs.values() for f in fields(cls)],
+                    "signal")
+    return SignalFamily(kind=family, **{
+        attr: _build(cls, {f.name: raw[f.name] for f in fields(cls) if f.name in raw}, "signal")
+        for attr, cls in specs.items()
+    })
+
+
+def _build_states(raw) -> tuple:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"states must be a non-empty list of numbers, got {raw!r}")
+    probs = [_number(p, "float", f"states[{i}]") for i, p in enumerate(raw)]
+    try:
+        return tuple(InitialState.from_excited_prob(p) for p in probs)
+    except ValueError as exc:
+        raise ConfigError(f"states: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
 
-    `workers` and `output` are runtime conveniences; they are accepted here
-    but excluded from `resolved()` so that result files do not depend on
-    scheduling details.
+    `workers` only schedules the run, so `resolved()` leaves it out: result
+    files do not depend on it.
     """
 
     kind: str
@@ -143,7 +153,6 @@ class ExperimentConfig:
     master_seed: int = 0
     with_defect: bool = False
     workers: int = 1
-    output: Optional[str] = None
 
     def __post_init__(self) -> None:
         # here, not in from_dict, so that dataclasses.replace (--seed) is checked too
@@ -159,63 +168,25 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         kind = _require(raw, "kind", "config")
-        if kind not in KINDS:
-            raise ConfigError(f"config: unknown kind {kind!r}; expected one of {KINDS}")
-        memory = kind.startswith("memory-")
-        allowed = ["kind", "grid", "signal", "master_seed", "workers", "output"]
-        if memory:
-            allowed += ["bath", "omega", "states"]
-            if kind == "memory-ensemble":
-                allowed += ["n_traj"]
-        else:
-            allowed += ["sweep", "n_traj", "with_defect"]
-        _reject_unknown(raw, allowed, "config")
-
-        grid_raw = _require(raw, "grid", "config")
-        _reject_unknown(grid_raw, ["t_max", "n_steps"], "grid")
-        try:
-            grid = TimeGrid(
-                t_max=float(_require(grid_raw, "t_max", "grid")),
-                n_steps=int(_require(grid_raw, "n_steps", "grid")),
+        if not isinstance(kind, str) or kind not in _KIND_KEYS:
+            raise ConfigError(
+                f"config: unknown kind {kind!r}; expected one of {tuple(_KIND_KEYS)}"
             )
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        _reject_unknown(raw, _ECHOED_KEYS + ("workers",) + _KIND_KEYS[kind], "config")
 
+        grid = _build(TimeGrid, _require(raw, "grid", "config"), "grid")
         signal = _build_signal(_require(raw, "signal", "config"))
+        # a pulse shorter than a cell is sampled at most once, or skipped: it aliases
+        if signal.pulse is not None and signal.pulse.duration < grid.dt:
+            raise ConfigError(
+                f"signal.duration = {signal.pulse.duration!r} is shorter than the grid "
+                f"step dt = {grid.dt!r}; the pulses would alias"
+            )
+        scalars = {key: raw[key] for key in ("n_traj", "master_seed", "with_defect", "workers")
+                   if key in raw}
 
-        bath = None
-        states: tuple = ()
-        sweep = None
-        omega = 1.0
-        if memory:
-            bath_raw = _require(raw, "bath", "config")
-            _reject_unknown(bath_raw, ["coupling", "cutoff"], "bath")
-            try:
-                bath = BathSpec(
-                    coupling=float(_require(bath_raw, "coupling", "bath")),
-                    cutoff=float(_require(bath_raw, "cutoff", "bath")),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"bath: {exc}") from exc
-            omega = float(raw.get("omega", 1.0))
-            probs = raw.get("states")
-            try:
-                if probs is None:
-                    states = tuple(default_state_grid())
-                else:
-                    states = tuple(InitialState.from_excited_prob(float(p)) for p in probs)
-            except ValueError as exc:
-                raise ConfigError(f"states: {exc}") from exc
-        else:
-            sweep_raw = _require(raw, "sweep", "config")
-            _reject_unknown(sweep_raw, ["passage_time", "base_freq"], "sweep")
-            try:
-                sweep = SweepSpec(
-                    passage_time=float(_require(sweep_raw, "passage_time", "sweep")),
-                    base_freq=float(sweep_raw.get("base_freq", 1.0)),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"sweep: {exc}") from exc
+        if kind == "adiabatic":
+            sweep = _build(SweepSpec, _require(raw, "sweep", "config"), "sweep")
             # the schedule a(s) = s, b(s) = 1 - s means nothing past s = 1;
             # the slack only forgives float round-off in equal values
             if grid.t_max > sweep.passage_time * (1.0 + _SWEEP_END_SLACK):
@@ -223,63 +194,33 @@ class ExperimentConfig:
                     f"grid.t_max = {grid.t_max!r} runs past sweep.passage_time = "
                     f"{sweep.passage_time!r}; the sweep ends at s = 1"
                 )
+            return cls(kind=kind, grid=grid, signal=signal, sweep=sweep, **scalars)
 
         return cls(
             kind=kind,
             grid=grid,
             signal=signal,
-            bath=bath,
-            omega=omega,
-            states=states,
-            sweep=sweep,
-            n_traj=raw.get("n_traj", 1),
-            master_seed=raw.get("master_seed", 0),
-            with_defect=raw.get("with_defect", False),
-            workers=raw.get("workers", 1),
-            output=raw.get("output"),
+            bath=_build(BathSpec, _require(raw, "bath", "config"), "bath"),
+            omega=_number(raw.get("omega", 1.0), "float", "omega"),
+            states=(_build_states(raw["states"]) if "states" in raw
+                    else tuple(default_state_grid())),
+            **scalars,
         )
 
     def resolved(self) -> dict:
         """Canonical dict of everything that determines the result."""
-        signal: dict = {"family": self.signal.kind}
-        if self.signal.pulse is not None:
-            signal.update(
-                period=self.signal.pulse.period,
-                duration=self.signal.pulse.duration,
-                area=self.signal.pulse.area,
-            )
-        if self.signal.jitter is not None:
-            signal.update(
-                period_dev=self.signal.jitter.period_dev,
-                duration_dev=self.signal.jitter.duration_dev,
-                area_dev=self.signal.jitter.area_dev,
-            )
-        if self.signal.chaos is not None:
-            signal.update(
-                logistic_r=self.signal.chaos.logistic_r,
-                seed_intensity=self.signal.chaos.seed_intensity,
-            )
-        if self.signal.shot is not None:
-            signal.update(strength=self.signal.shot.strength, rate=self.signal.shot.rate)
-        out = {
-            "kind": self.kind,
-            "grid": {"t_max": self.grid.t_max, "n_steps": self.grid.n_steps},
-            "signal": signal,
-            "master_seed": self.master_seed,
-        }
-        if self.kind.startswith("memory-"):
-            out["bath"] = {"coupling": self.bath.coupling, "cutoff": self.bath.cutoff}
-            out["omega"] = self.omega
-            out["states"] = [s.p_excited for s in self.states]
-            if self.kind == "memory-ensemble":
-                out["n_traj"] = self.n_traj
-        else:
-            out["sweep"] = {
-                "passage_time": self.sweep.passage_time,
-                "base_freq": self.sweep.base_freq,
-            }
-            out["n_traj"] = self.n_traj
-            out["with_defect"] = self.with_defect
+        out = {}
+        for key in _ECHOED_KEYS + _KIND_KEYS[self.kind]:
+            value = getattr(self, key)
+            if key == "signal":
+                value = {"family": self.signal.kind}
+                for attr in FAMILY_SPECS[self.signal.kind]:
+                    value.update(asdict(getattr(self.signal, attr)))
+            elif key == "states":
+                value = [s.p_excited for s in value]
+            elif is_dataclass(value):
+                value = asdict(value)
+            out[key] = value
         return out
 
 

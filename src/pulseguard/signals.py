@@ -13,7 +13,7 @@ distributed over workers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "ShotNoiseSpec",
     "SampledSignal",
     "SignalFamily",
+    "FAMILY_SPECS",
     "substream",
     "regular_pulse_value",
     "sample_regular",
@@ -143,10 +144,10 @@ class ShotNoiseSpec:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.strength >= 0.0):
-            raise ValueError(f"strength must be >= 0, got {self.strength}")
-        if not (self.rate >= 0.0):
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        for name in ("strength", "rate"):
+            v = getattr(self, name)
+            if not (v >= 0.0 and np.isfinite(v)):
+                raise ValueError(f"{name} must be a finite value >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -292,14 +293,23 @@ def sample_shot_noise(
     return SampledSignal(grid, counts * (spec.strength / grid.dt))
 
 
+# family -> {SignalFamily attribute: spec class}; the one place the families are listed
+FAMILY_SPECS = {
+    "none": {},
+    "regular": {"pulse": PulseTrainSpec},
+    "jittered": {"pulse": PulseTrainSpec, "jitter": JitterSpec},
+    "chaotic": {"pulse": PulseTrainSpec, "chaos": ChaoticSpec},
+    "shot": {"shot": ShotNoiseSpec},
+}
+
+
 @dataclass(frozen=True)
 class SignalFamily:
     """Config-level description of one control family.
 
-    kind is one of "none", "regular", "jittered", "chaotic", "shot".  The
-    relevant spec fields must be present for the chosen kind.  sample() is
-    the single entry point used by ensembles and the experiment runner;
-    deterministic kinds ignore the seed.
+    kind is a key of FAMILY_SPECS, and exactly the spec attributes listed
+    there for it are set.  sample() is the single entry point used by
+    ensembles and the experiment runner; deterministic kinds ignore the seed.
     """
 
     kind: str
@@ -308,21 +318,18 @@ class SignalFamily:
     chaos: Optional[ChaoticSpec] = None
     shot: Optional[ShotNoiseSpec] = None
 
-    _KINDS = ("none", "regular", "jittered", "chaotic", "shot")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}; expected one of {self._KINDS}")
-        needs = {
-            "none": (),
-            "regular": ("pulse",),
-            "jittered": ("pulse", "jitter"),
-            "chaotic": ("pulse", "chaos"),
-            "shot": ("shot",),
-        }[self.kind]
-        for attr in needs:
-            if getattr(self, attr) is None:
-                raise ValueError(f"signal kind {self.kind!r} requires field {attr!r}")
+        if self.kind not in FAMILY_SPECS:
+            raise ValueError(
+                f"unknown signal kind {self.kind!r}; expected one of {tuple(FAMILY_SPECS)}"
+            )
+        specs = FAMILY_SPECS[self.kind]
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            if field.name not in specs and value is not None:
+                raise ValueError(f"signal kind {self.kind!r} takes no field {field.name!r}")
+            if field.name in specs and not isinstance(value, specs[field.name]):
+                raise ValueError(f"signal kind {self.kind!r} requires field {field.name!r}")
 
     @property
     def stochastic(self) -> bool:
@@ -333,8 +340,6 @@ class SignalFamily:
 
 
 def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSignal:
-    if family.kind == "none":
-        return SampledSignal(grid, np.zeros(grid.n_steps))
     if family.kind == "regular":
         return sample_regular(family.pulse, grid)
     if family.kind == "jittered":
@@ -343,7 +348,7 @@ def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSi
         return sample_chaotic(family.pulse, family.chaos, grid)
     if family.kind == "shot":
         return sample_shot_noise(family.shot, seed, grid)
-    raise ValueError(f"unknown signal kind {family.kind!r}")
+    return SampledSignal(grid, np.zeros(grid.n_steps))  # "none"
 
 
 def effective_frequency(signal: SampledSignal, omega: float = 1.0) -> np.ndarray:

@@ -7,7 +7,10 @@ itself.
 
 import copy
 import json
+import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +70,30 @@ def raw(base, **overrides):
     out = copy.deepcopy(base)
     out.update(overrides)
     return out
+
+
+def _with(base, section, **values):
+    return {section: dict(base[section], **values)}
+
+
+# inputs that once crashed with a traceback or ran without a message;
+# each is (base config, top-level overrides, field the ConfigError names)
+MISTYPED = [
+    (MEMORY_RAW, {"states": []}, "states"),
+    (MEMORY_RAW, {"states": 0.5}, "states"),
+    (MEMORY_RAW, {"states": [True]}, "states[0]"),
+    (MEMORY_RAW, _with(MEMORY_RAW, "grid", n_steps=100.7), "grid.n_steps"),
+    (MEMORY_RAW, _with(MEMORY_RAW, "grid", n_steps=True), "grid.n_steps"),
+    (MEMORY_RAW, _with(MEMORY_RAW, "grid", t_max="1.0"), "grid.t_max"),
+    (MEMORY_RAW, _with(MEMORY_RAW, "signal", period="0.02"), "signal.period"),
+    (MEMORY_RAW, _with(MEMORY_RAW, "signal", area=True), "signal.area"),
+    (MEMORY_RAW, {"omega": "abc"}, "omega"),
+    (MEMORY_RAW, {"omega": None}, "omega"),
+    (MEMORY_RAW, {"signal": 5}, "signal"),
+    (MEMORY_RAW, {"grid": []}, "grid"),
+    (MEMORY_RAW, _with(MEMORY_RAW, "bath", coupling=True), "bath.coupling"),
+    (ADIABATIC_RAW, {"signal": {"family": "shot", "strength": 0.1, "rate": "5"}}, "signal.rate"),
+]
 
 
 class TestConfigValidation:
@@ -228,6 +255,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="with_defect"):
             ExperimentConfig.from_dict(raw(ADIABATIC_RAW, with_defect=value))
 
+    @pytest.mark.parametrize("base, overrides, field", MISTYPED, ids=[c[2] for c in MISTYPED])
+    def test_mistyped_value_names_the_field(self, base, overrides, field):
+        with pytest.raises(ConfigError, match=re.escape(field)) as info:
+            ExperimentConfig.from_dict(raw(base, **overrides))
+        message = str(info.value)
+        assert "grid: grid" not in message and "signal: signal" not in message
+
+    @pytest.mark.parametrize("family", ["regular", "jittered", "chaotic"])
+    def test_pulse_narrower_than_a_cell_rejected(self, family):
+        signal = {"family": family, "period": 0.02, "duration": 0.01, "area": 0.2}
+        with pytest.raises(ConfigError, match=r"signal\.duration.*dt"):
+            ExperimentConfig.from_dict(
+                raw(MEMORY_RAW, grid={"t_max": 10.0, "n_steps": 100}, signal=signal)
+            )
+
+    def test_pulse_of_one_cell_accepted(self):
+        signal = {"family": "regular", "period": 0.02, "duration": 0.01, "area": 0.2}
+        config = ExperimentConfig.from_dict(
+            raw(MEMORY_RAW, grid={"t_max": 1.0, "n_steps": 100}, signal=signal)
+        )
+        assert config.signal.pulse.duration == config.grid.dt
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"signal": {"family": "shot", "strength": 0.1, "rate": math.inf}}, "signal.rate"),
+         ({"signal": {"family": "shot", "strength": -math.inf, "rate": 5.0}}, "signal.strength"),
+         ({"signal": {"family": "shot", "strength": 0.1, "rate": math.nan}}, "signal.rate"),
+         ({"omega": math.inf}, "omega"),
+         ({"omega": -math.inf}, "omega")],
+    )
+    def test_non_finite_values_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            ExperimentConfig.from_dict(raw(MEMORY_RAW, **overrides))
+
 
 class TestResolvedConfig:
     def test_round_trip_is_idempotent(self):
@@ -238,12 +299,25 @@ class TestResolvedConfig:
             assert once == twice
 
     def test_scheduling_fields_excluded(self):
-        config = ExperimentConfig.from_dict(
-            raw(MEMORY_RAW, workers=4, output="somewhere.csv")
-        )
+        config = ExperimentConfig.from_dict(raw(MEMORY_RAW, workers=4))
         resolved = config.resolved()
         assert "workers" not in resolved
-        assert "output" not in resolved
+        with pytest.raises(ConfigError, match="output"):
+            ExperimentConfig.from_dict(raw(MEMORY_RAW, output="somewhere.csv"))
+
+    def test_float_fields_echo_as_floats(self):
+        signal = {"family": "shot", "strength": 1, "rate": 100}
+        resolved = ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=signal)).resolved()
+        assert resolved["signal"] == {"family": "shot", "strength": 1.0, "rate": 100.0}
+        assert type(resolved["signal"]["rate"]) is float
+        assert type(resolved["grid"]["n_steps"]) is int
+
+    def test_defaults_are_echoed(self):
+        signal = {"family": "chaotic", "period": 0.02, "duration": 0.01, "area": 0.2}
+        resolved = ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=signal)).resolved()
+        assert resolved["signal"] == dict(signal, logistic_r=3.9, seed_intensity=0.5)
+        resolved = ExperimentConfig.from_dict(copy.deepcopy(ADIABATIC_RAW)).resolved()
+        assert resolved["n_traj"] == 1 and resolved["with_defect"] is False
 
 
 class TestLoadConfig:
@@ -513,6 +587,28 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base, overrides, field", MISTYPED, ids=[c[2] for c in MISTYPED])
+    def test_run_mistyped_input_exits_2(self, tmp_path, capsys, base, overrides, field):
+        cfg = self.write(tmp_path, raw(base, **overrides))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"signal": {"family": "shot", "strength": 0.1, "rate": math.inf}}, "signal.rate"),
+         ({"omega": math.inf}, "omega"),
+         ({"signal": {"family": "regular", "period": 0.02, "duration": 0.01, "area": 0.2},
+           "grid": {"t_max": 10.0, "n_steps": 100}}, "signal.duration")],
+    )
+    def test_run_unphysical_value_exits_2(self, tmp_path, capsys, overrides, field):
+        cfg = self.write(tmp_path, raw(MEMORY_RAW, **overrides))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MEMORY_RAW)
         out = tmp_path / "res.csv"
@@ -566,6 +662,9 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
 
+PRESETS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
 class TestBundledPresets:
     EXPECTED = {
         "fig1.json": ("memory-qsd", "regular"),
@@ -575,8 +674,6 @@ class TestBundledPresets:
     }
 
     def test_all_presets_validate(self):
-        from pathlib import Path
-
         preset_dir = Path(__file__).resolve().parents[1] / "configs"
         for name, (kind, family) in self.EXPECTED.items():
             config = load_config(preset_dir / name)
@@ -585,3 +682,20 @@ class TestBundledPresets:
             assert config.resolved() == ExperimentConfig.from_dict(
                 config.resolved()
             ).resolved(), name
+
+    @pytest.mark.parametrize("path", PRESETS, ids=[p.name for p in PRESETS])
+    def test_preset_validates_and_echoes_every_key(self, path, capsys):
+        assert main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
+        self.assert_echoed(json.loads(path.read_text()), load_config(path).resolved(), "")
+
+    def assert_echoed(self, given, resolved, where):
+        for key, value in given.items():
+            assert key in resolved, f"{where}{key} is not echoed"
+            echo = resolved[key]
+            if isinstance(value, dict):
+                self.assert_echoed(value, echo, f"{where}{key}.")
+            elif key == "states":  # echoed as |mu|^2 of the built state
+                assert echo == pytest.approx(value, rel=1e-15), f"{where}{key}"
+            else:
+                assert echo == value and type(echo) is type(value), f"{where}{key}"

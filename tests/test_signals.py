@@ -5,12 +5,15 @@ n*period] with height area/duration; signals are sampled at grid cell
 midpoints; every stochastic family is a pure function of its seed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pulseguard.numerics import TimeGrid
 from pulseguard.signals import (
+    FAMILY_SPECS,
     ChaoticSpec,
     JitterSpec,
     PulseTrainSpec,
@@ -62,6 +65,23 @@ class TestSpecs:
     def test_shot_validation(self):
         with pytest.raises(ValueError):
             ShotNoiseSpec(strength=-0.1, rate=1.0)
+
+    @pytest.mark.parametrize("strength, rate", [(np.inf, 1.0), (0.1, np.inf), (np.nan, 1.0),
+                                                (0.1, np.nan)])
+    def test_shot_rejects_non_finite(self, strength, rate):
+        bad = "strength" if not np.isfinite(strength) else "rate"
+        with pytest.raises(ValueError, match=f"{bad} must be a finite value"):
+            ShotNoiseSpec(strength=strength, rate=rate)
+
+    def test_family_rejects_foreign_spec(self):
+        with pytest.raises(ValueError, match="takes no field 'shot'"):
+            SignalFamily(kind="regular", pulse=BASE, shot=ShotNoiseSpec(1.0, 2.0))
+        with pytest.raises(ValueError, match="requires field 'pulse'"):
+            SignalFamily(kind="regular", pulse=JitterSpec())
+
+    def test_family_specs_cover_every_spec_attribute(self):
+        attrs = {attr for specs in FAMILY_SPECS.values() for attr in specs}
+        assert attrs == {f.name for f in dataclasses.fields(SignalFamily)} - {"kind"}
 
     def test_family_requires_fields(self):
         with pytest.raises(ValueError, match="requires"):
