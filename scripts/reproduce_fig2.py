@@ -8,6 +8,7 @@ almost all of the protection of the ideal train.
 """
 
 import argparse
+import dataclasses
 import json
 import pathlib
 
@@ -35,7 +36,7 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     config = ExperimentConfig.from_dict(json.loads(args.config.read_text()))
-    table = run_experiment(config, workers=args.workers)
+    table = run_experiment(dataclasses.replace(config, workers=args.workers))
 
     # Free-decay reference averaged over the same state grid.
     grid = config.grid

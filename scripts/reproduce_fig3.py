@@ -10,17 +10,19 @@ protection needs only enough fast spectral weight, not a periodic drive.
 
 import argparse
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 
 from pulseguard import (
     BathSpec,
     ChaoticSpec,
     JitterSpec,
+    MemoryTrajectory,
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
     TimeGrid,
-    ensemble_fidelity,
     default_state_grid,
+    ensemble_mean,
     ResultTable,
     emit_csv,
     emit_plot,
@@ -65,12 +67,12 @@ def main() -> None:
         "shot": (shot_family, 13, args.n_traj),
     }
     columns = {}
-    for name, (family, seed, n_traj) in runs.items():
-        curve = ensemble_fidelity(
-            family, bath, states, n_traj=n_traj, master_seed=seed, grid=grid, omega=OMEGA
-        )
-        columns[name] = curve.values
-        print(f"{name}: F(t_max) = {curve.values[-1]:.6f}")
+    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        for name, (family, seed, n_traj) in runs.items():
+            trajectory = MemoryTrajectory(family, bath, states, seed, grid, OMEGA)
+            mean, _ = ensemble_mean(trajectory, n_traj, pool.map)
+            columns[name] = mean[0]
+            print(f"{name}: F(t_max) = {mean[0][-1]:.6f}")
 
     table = ResultTable(
         t=grid.times,

@@ -13,11 +13,12 @@ import argparse
 import itertools
 
 from pulseguard import (
+    PassageTrajectory,
     ShotNoiseSpec,
     SignalFamily,
     SweepSpec,
     TimeGrid,
-    ensemble_passage,
+    ensemble_mean,
 )
 
 BASE_FREQ = 0.3
@@ -41,10 +42,8 @@ def main() -> None:
         family = SignalFamily(
             kind="shot", shot=ShotNoiseSpec(strength=strength, rate=rate)
         )
-        ensemble = ensemble_passage(
-            sweep, family, n_traj=args.n_traj, master_seed=2026, grid=grid
-        )
-        final = ensemble.mean_magnitude[-1]
+        mean, _ = ensemble_mean(PassageTrajectory(sweep, family, 2026, grid), args.n_traj)
+        final = mean[0][-1]
         print(f"{strength:8.3f} {rate:8.1f} {strength * rate:8.2f} {final:16.6f}")
 
 

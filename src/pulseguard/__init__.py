@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .numerics import NumericOverflowError, TimeGrid, volterra_solve
 from .bath import BathSpec, ou_correlation
+from .ensemble import ensemble_mean
 from .signals import (
     ChaoticSpec,
     JitterSpec,
@@ -26,19 +27,18 @@ from .qsd import (
     FidelityCurve,
     InitialState,
     KernelCurve,
+    MemoryTrajectory,
     default_state_grid,
-    ensemble_fidelity,
     qsd_fidelity,
     qsd_mean_fidelity,
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
-from .me2 import accumulated_phase, me2_fidelity, me2_mean_fidelity
+from .me2 import BornTrajectory, accumulated_phase, me2_fidelity, me2_mean_fidelity
 from .adiabatic import (
-    PassageEnsemble,
+    PassageTrajectory,
     Psi0Curve,
     SweepSpec,
-    ensemble_passage,
     solve_psi0,
     tdse_oracle,
 )
@@ -60,6 +60,7 @@ __all__ = [
     "volterra_solve",
     "BathSpec",
     "ou_correlation",
+    "ensemble_mean",
     "ChaoticSpec",
     "JitterSpec",
     "PulseTrainSpec",
@@ -72,19 +73,19 @@ __all__ = [
     "FidelityCurve",
     "InitialState",
     "KernelCurve",
+    "MemoryTrajectory",
     "default_state_grid",
-    "ensemble_fidelity",
     "qsd_fidelity",
     "qsd_mean_fidelity",
     "solve_kernel_quadrature",
     "solve_kernel_riccati",
+    "BornTrajectory",
     "accumulated_phase",
     "me2_fidelity",
     "me2_mean_fidelity",
-    "PassageEnsemble",
+    "PassageTrajectory",
     "Psi0Curve",
     "SweepSpec",
-    "ensemble_passage",
     "solve_psi0",
     "tdse_oracle",
     "ConfigError",

@@ -28,11 +28,10 @@ eigenframe cross-checks live in sweep_oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .ensemble import ensemble_mean
 from .numerics import TimeGrid, rk4_step, volterra_solve
 from .signals import SampledSignal, SignalFamily, substream
 
@@ -40,13 +39,11 @@ __all__ = [
     "SweepSpec",
     "PhaseTable",
     "Psi0Curve",
-    "PassageEnsemble",
     "PassageTrajectory",
     "dynamical_phases",
     "solve_psi0",
     "tdse_oracle",
     "tdse_components",
-    "ensemble_passage",
 ]
 
 # the control may not close the gap or flip the sweep's sign
@@ -242,21 +239,11 @@ def tdse_oracle(
 
 
 @dataclass(frozen=True)
-class PassageEnsemble:
-    """Noise-averaged sweep outcome: mean |psi_0|, its stderr, mean defect."""
-
-    grid: TimeGrid
-    mean_magnitude: np.ndarray
-    stderr: np.ndarray
-    n_traj: int
-    mean_defect: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class PassageTrajectory:
     """Trajectory k of a sweep, as a picklable unit of ensemble work.
 
-    The control comes from substream (master_seed, k); returns (|psi_0|, defect).
+    The control comes from substream (master_seed, k); returns the rows
+    (|psi_0|, defect), named by `rows`.
     """
 
     sweep: SweepSpec
@@ -264,24 +251,10 @@ class PassageTrajectory:
     master_seed: int
     grid: TimeGrid
 
+    rows = ("psi0", "defect")
+
     def __call__(self, k: int) -> np.ndarray:
         control = self.family.sample(substream(self.master_seed, k), self.grid)
         curve = solve_psi0(self.sweep, control, self.grid)
         return np.stack([curve.magnitudes, curve.defect])
 
-
-def ensemble_passage(
-    sweep: SweepSpec,
-    family: SignalFamily,
-    n_traj: int,
-    master_seed: int,
-    grid: TimeGrid,
-    map_fn: Callable[..., Iterable] = map,
-    with_defect: bool = False,
-) -> PassageEnsemble:
-    """Average the sweep (a PassageTrajectory per k) over control-noise
-    realisations; blocking, map_fn and the stderr are those of ensemble_mean.
-    """
-    trajectory = PassageTrajectory(sweep, family, master_seed, grid)
-    mean, stderr = ensemble_mean(trajectory, n_traj, map_fn)
-    return PassageEnsemble(grid, mean[0], stderr[0], n_traj, mean[1] if with_defect else None)

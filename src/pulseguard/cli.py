@@ -49,7 +49,9 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    table = run_experiment(config, workers=args.workers)
+    if args.workers is not None:
+        config = dataclasses.replace(config, workers=args.workers)
+    table = run_experiment(config)
     emit_csv(table, args.out)
     if args.plot is not None:
         emit_plot(table, args.plot)

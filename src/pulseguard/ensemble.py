@@ -1,9 +1,11 @@
-"""The one block/reduce engine behind every trajectory ensemble.
+"""The one block/reduce engine behind every run, single trajectory or ensemble.
 
 trajectory(k) is a picklable function whose only randomness is substream
-(master_seed, k).  The indices are cut into fixed blocks of _BLOCK, each one
-unit of work for map_fn (map or an executor's map), and the rows are reduced
-in index order, so no bit of the result depends on the worker count.
+(master_seed, k); it returns an array of rows, which the trajectory classes
+name in their `rows` attribute.  The indices are cut into fixed blocks of
+_BLOCK, each one unit of work for map_fn (map or an executor's map), and the
+rows are reduced in index order, so no bit of the result depends on the
+worker count.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ def ensemble_mean(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of trajectory(k) over k = 0 .. n_traj - 1.
 
-    Both are taken over the trajectory axis only, so a trajectory may return
-    several stacked rows; the stderr is the sample standard error (ddof=1)
-    and zero for a single trajectory.
+    Both are taken over the trajectory axis only, so each keeps the shape of
+    one trajectory's rows; the stderr is the sample standard error (ddof=1)
+    and zero for a single trajectory, whose mean is its rows bit for bit.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")

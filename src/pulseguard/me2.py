@@ -105,5 +105,7 @@ def me2_mean_fidelity(
 class BornTrajectory(MemoryTrajectory):
     """MemoryTrajectory with the Born fidelity in place of the exact one."""
 
+    rows = ("me2",)
+
     def fidelity(self, E: np.ndarray) -> FidelityCurve:
         return me2_mean_fidelity(self.states, E, self.bath, self.grid)

@@ -20,7 +20,6 @@ __all__ = [
     "NumericOverflowError",
     "TimeGrid",
     "rk4_step",
-    "trapezoid_integral",
     "running_trapezoid",
     "volterra_solve",
 ]
@@ -79,16 +78,6 @@ def rk4_step(derivative: Callable, t: float, y, dt: float):
         raise NumericOverflowError(f"non-finite value in RK4 step at t = {t!r}")
     return out
 
-
-def trapezoid_integral(values: np.ndarray, dt: float) -> complex:
-    """Composite trapezoid integral of uniformly sampled values.
-
-    A single sample spans no interval, so it integrates to zero.
-    """
-    values = np.asarray(values)
-    if values.ndim == 0 or values.shape[-1] < 2:
-        return values.dtype.type(0.0)
-    return np.trapezoid(values, dx=dt, axis=-1)
 
 def running_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative trapezoid integral along the last axis; output[..., 0] = 0."""

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bath import BathSpec
-from .ensemble import ensemble_mean
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from .signals import SignalFamily, effective_frequency, substream
 
@@ -47,7 +46,6 @@ __all__ = [
     "qsd_fidelity",
     "qsd_mean_fidelity",
     "MemoryTrajectory",
-    "ensemble_fidelity",
 ]
 
 _KERNEL_BOUND = 1.0e6
@@ -108,12 +106,10 @@ class KernelCurve:
 
 @dataclass(frozen=True)
 class FidelityCurve:
-    """Fidelity on the grid nodes; optionally an ensemble mean with stderr."""
+    """Fidelity on the grid nodes."""
 
     grid: TimeGrid
     values: np.ndarray
-    stderr: Optional[np.ndarray] = None
-    n_traj: int = 1
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -126,11 +122,6 @@ class FidelityCurve:
         if abs(values[0] - 1.0) > 1.0e-9:
             raise ValueError(f"fidelity must start at 1, got {values[0]!r}")
         object.__setattr__(self, "values", values)
-        if self.stderr is not None:
-            err = np.asarray(self.stderr, dtype=float)
-            if err.shape != values.shape:
-                raise ValueError("stderr must match the fidelity shape")
-            object.__setattr__(self, "stderr", err)
 
     @property
     def final(self) -> float:
@@ -267,8 +258,8 @@ def qsd_mean_fidelity(states: Sequence[InitialState], kernel: KernelCurve) -> Fi
 class MemoryTrajectory:
     """Trajectory k of a memory experiment, as a picklable unit of ensemble work.
 
-    The control comes from substream (master_seed, k); returns the fidelity
-    averaged over `states`.
+    The control comes from substream (master_seed, k); returns one row, the
+    fidelity averaged over `states`, named by `rows`.
     """
 
     family: SignalFamily
@@ -278,31 +269,17 @@ class MemoryTrajectory:
     grid: TimeGrid
     omega: float
 
+    rows = ("qsd",)
+
+    def __post_init__(self) -> None:
+        if len(self.states) == 0:
+            raise ValueError("states must be non-empty")
+        object.__setattr__(self, "states", tuple(self.states))
+
     def __call__(self, k: int) -> np.ndarray:
         signal = self.family.sample(substream(self.master_seed, k), self.grid)
-        return self.fidelity(effective_frequency(signal, self.omega)).values
+        return self.fidelity(effective_frequency(signal, self.omega)).values[np.newaxis]
 
     def fidelity(self, E: np.ndarray) -> FidelityCurve:
         return qsd_mean_fidelity(self.states, solve_kernel_riccati(E, self.bath, self.grid))
 
-
-def ensemble_fidelity(
-    family: SignalFamily,
-    bath: BathSpec,
-    states: Sequence[InitialState],
-    n_traj: int,
-    master_seed: int,
-    grid: TimeGrid,
-    omega: float = 1.0,
-    map_fn: Callable[..., Iterable] = map,
-) -> FidelityCurve:
-    """Trajectory-averaged fidelity over signal realisations.
-
-    Trajectory k (a MemoryTrajectory) is first averaged uniformly over
-    `states`; blocking, map_fn and the stderr are those of ensemble_mean.
-    """
-    if len(states) == 0:
-        raise ValueError("states must be non-empty")
-    trajectory = MemoryTrajectory(family, bath, tuple(states), master_seed, grid, omega)
-    mean, stderr = ensemble_mean(trajectory, n_traj, map_fn)
-    return FidelityCurve(grid, mean, stderr=stderr, n_traj=n_traj)

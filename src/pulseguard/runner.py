@@ -15,6 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,12 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .adiabatic import PassageTrajectory, SweepSpec, ensemble_passage
+from .adiabatic import PassageTrajectory, SweepSpec
 from .bath import BathSpec
-from .numerics import NumericOverflowError, TimeGrid
-from .qsd import InitialState, MemoryTrajectory, default_state_grid, ensemble_fidelity
+from .ensemble import ensemble_mean
 from .me2 import BornTrajectory
-from .signals import FAMILY_SPECS, SignalFamily
+from .numerics import NumericOverflowError, TimeGrid
+from .qsd import InitialState, MemoryTrajectory, default_state_grid
+from .signals import FAMILY_SPECS, SignalFamily, jittered_height_bound
 
 __all__ = [
     "ConfigError",
@@ -134,6 +136,39 @@ def _build_states(raw) -> tuple:
         raise ConfigError(f"states: {exc}") from exc
 
 
+def _check_sampling(signal: SignalFamily, grid: TimeGrid) -> None:
+    """Reject a signal that the sampler cannot resolve or represent on `grid`."""
+    pulse, jitter, shot = signal.pulse, signal.jitter, signal.shot
+    # a pulse shorter than a cell is sampled at most once, or skipped: it aliases
+    if pulse is not None and pulse.duration < grid.dt:
+        raise ConfigError(
+            f"signal.duration = {pulse.duration!r} is shorter than the grid "
+            f"step dt = {grid.dt!r}; the pulses would alias"
+        )
+    # the uniform draw reaches -1, so period - period_dev itself must stay positive
+    if jitter is not None and jitter.period_dev >= pulse.period:
+        raise ConfigError(
+            f"signal.period_dev = {jitter.period_dev!r} is not below signal.period = "
+            f"{pulse.period!r}; a drawn pulse period must stay positive"
+        )
+    # the largest height each sampler can produce must be a float
+    if pulse is not None and not math.isfinite(pulse.height):
+        raise ConfigError(
+            f"signal.area = {pulse.area!r} over signal.duration = {pulse.duration!r} "
+            "gives a pulse height beyond the float range"
+        )
+    if jitter is not None and not math.isfinite(jittered_height_bound(pulse, jitter)):
+        raise ConfigError(
+            f"signal.area_dev = {jitter.area_dev!r} lets a drawn pulse height, area + "
+            "area_dev over the shortest drawn duration, exceed the float range"
+        )
+    if shot is not None and not math.isfinite(shot.strength / grid.dt):
+        raise ConfigError(
+            f"signal.strength = {shot.strength!r} over the grid step dt = {grid.dt!r} "
+            "gives a shot height beyond the float range"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
@@ -176,12 +211,7 @@ class ExperimentConfig:
 
         grid = _build(TimeGrid, _require(raw, "grid", "config"), "grid")
         signal = _build_signal(_require(raw, "signal", "config"))
-        # a pulse shorter than a cell is sampled at most once, or skipped: it aliases
-        if signal.pulse is not None and signal.pulse.duration < grid.dt:
-            raise ConfigError(
-                f"signal.duration = {signal.pulse.duration!r} is shorter than the grid "
-                f"step dt = {grid.dt!r}; the pulses would alias"
-            )
+        _check_sampling(signal, grid)
         scalars = {key: raw[key] for key in ("n_traj", "master_seed", "with_defect", "workers")
                    if key in raw}
 
@@ -255,73 +285,53 @@ class ResultTable:
         return len(self.t)
 
 
-def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ResultTable:
-    """Dispatch one experiment; deterministic for a fixed (config, seed).
+def run_experiment(config: ExperimentConfig) -> ResultTable:
+    """Run one experiment; deterministic for a fixed (config, seed).
 
-    workers overrides config.workers; parallelism only ever distributes
-    whole trajectory blocks, so the numbers cannot depend on it.
+    config.workers only spreads whole trajectory blocks over processes, so
+    the numbers cannot depend on it.
     """
-    n_workers = config.workers if workers is None else workers
-    if n_workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {n_workers}")
     metadata = {"config": config.resolved(), "version": __version__}
-    t = config.grid.times
-
     try:
-        return _dispatch(config, n_workers, metadata, t)
+        return _dispatch(config, metadata)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"{config.kind} experiment: {exc}") from exc
 
 
-def _dispatch(config: ExperimentConfig, n_workers: int, metadata: dict, t) -> ResultTable:
+def _trajectory(config: ExperimentConfig):
+    """The per-trajectory function of the config's kind."""
+    if config.kind == "adiabatic":
+        return PassageTrajectory(config.sweep, config.signal, config.master_seed, config.grid)
+    cls = BornTrajectory if config.kind == "memory-me2" else MemoryTrajectory
+    return cls(config.signal, config.bath, config.states, config.master_seed, config.grid,
+               config.omega)
 
-    def run_pooled(fn):
-        if n_workers == 1:
-            return fn(map)
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return fn(pool.map)
 
-    if config.kind in ("memory-qsd", "memory-me2"):
-        born = config.kind == "memory-me2"
-        trajectory = (BornTrajectory if born else MemoryTrajectory)(
-            config.signal, config.bath, config.states, config.master_seed, config.grid,
-            config.omega,
-        )
-        data = {"me2" if born else "qsd": trajectory(0)}
-    elif config.kind == "memory-ensemble":
-        curve = run_pooled(
-            lambda m: ensemble_fidelity(
-                config.signal,
-                config.bath,
-                config.states,
-                config.n_traj,
-                config.master_seed,
-                config.grid,
-                omega=config.omega,
-                map_fn=m,
-            )
-        )
-        data = {"mean": curve.values, "stderr": curve.stderr}
-    elif config.signal.stochastic and config.n_traj > 1:  # adiabatic from here on
-        result = run_pooled(
-            lambda m: ensemble_passage(
-                config.sweep,
-                config.signal,
-                config.n_traj,
-                config.master_seed,
-                config.grid,
-                map_fn=m,
-                with_defect=config.with_defect,
-            )
-        )
-        data = {"mean": result.mean_magnitude, "stderr": result.stderr,
-                "defect": result.mean_defect}
+@contextmanager
+def _map_fn(workers: int):
+    if workers == 1:
+        yield map
     else:
-        trajectory = PassageTrajectory(config.sweep, config.signal, config.master_seed, config.grid)
-        data = dict(zip(("psi0", "defect"), trajectory(0)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+
+
+def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
+    trajectory = _trajectory(config)
+    # a deterministic control gives every trajectory the same sweep, so it runs once
+    ensemble = config.kind == "memory-ensemble" or (
+        config.kind == "adiabatic" and config.signal.stochastic and config.n_traj > 1
+    )
+    with _map_fn(config.workers if ensemble else 1) as map_fn:
+        mean, stderr = ensemble_mean(trajectory, config.n_traj if ensemble else 1, map_fn)
+    rows = trajectory.rows
+    if ensemble:
+        data = {"mean": mean[0], "stderr": stderr[0], **dict(zip(rows[1:], mean[1:]))}
+    else:
+        data = dict(zip(rows, mean))
     if not config.with_defect:
         data.pop("defect", None)
-    return ResultTable(t, tuple(data), data, metadata)
+    return ResultTable(config.grid.times, tuple(data), data, metadata)
 
 
 def _canonical_json(obj) -> str:

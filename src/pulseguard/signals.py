@@ -32,6 +32,7 @@ __all__ = [
     "regular_pulse_value",
     "sample_regular",
     "draw_jittered_pulses",
+    "jittered_height_bound",
     "sample_jittered",
     "logistic_intensities",
     "sample_chaotic",
@@ -225,6 +226,20 @@ def draw_jittered_pulses(
         if end - duration > t_max:
             break
     return np.asarray(ends), np.asarray(durations), np.asarray(heights)
+
+
+def jittered_height_bound(spec: PulseTrainSpec, jitter: JitterSpec) -> float:
+    """Upper bound on the heights draw_jittered_pulses can draw.
+
+    The largest area over the shortest duration the clamp lets through;
+    meaningful only for period_dev < period.  A shortest duration that
+    underflows to zero gives an infinite bound, as the sampler's own
+    division would.
+    """
+    shortest_period = spec.period - jitter.period_dev
+    shortest = min(max(spec.duration - jitter.duration_dev, _MIN_DUTY * shortest_period),
+                   shortest_period)
+    return (spec.area + jitter.area_dev) / shortest if shortest > 0.0 else np.inf
 
 
 def sample_jittered(

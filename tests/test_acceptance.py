@@ -18,6 +18,7 @@ summary) carrying the measured numbers.  Criteria:
 """
 
 import copy
+import dataclasses
 import json
 import pathlib
 
@@ -30,13 +31,14 @@ from pulseguard import (
     ChaoticSpec,
     InitialState,
     JitterSpec,
+    MemoryTrajectory,
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
     TimeGrid,
     default_state_grid,
     effective_frequency,
-    ensemble_fidelity,
+    ensemble_mean,
     me2_fidelity,
     qsd_fidelity,
     solve_kernel_quadrature,
@@ -44,8 +46,8 @@ from pulseguard import (
     substream,
 )
 from pulseguard.adiabatic import (
+    PassageTrajectory,
     SweepSpec,
-    ensemble_passage,
     solve_psi0,
     tdse_components,
     tdse_oracle,
@@ -119,7 +121,8 @@ def test_criterion_01_identities_and_norms():
                     starts = (
                         qsd_fidelity(state, kernel).values[0],
                         me2_fidelity(state, E, bath, grid).values[0],
-                        ensemble_fidelity(family, bath, [state], 2, 0, grid).values[0],
+                        ensemble_mean(MemoryTrajectory(family, bath, [state], 0, grid, 1.0),
+                                      2)[0][0, 0],
                     )
                     worst = max(worst, max(abs(s - 1.0) for s in starts))
                     n_curves += 3
@@ -230,9 +233,9 @@ def test_criterion_07_disordered_controls_agree():
         "shot": (SignalFamily(kind="shot", shot=ShotNoiseSpec(0.1, 100.0)), 13, 200),
     }
     curves = {
-        name: ensemble_fidelity(
-            fam, BENCH_BATH, states, n_traj, seed, BENCH_GRID
-        ).values
+        name: ensemble_mean(
+            MemoryTrajectory(fam, BENCH_BATH, states, seed, BENCH_GRID, 1.0), n_traj
+        )[0][0]
         for name, (fam, seed, n_traj) in runs.items()
     }
     floor = min(float(c.min()) for c in curves.values())
@@ -286,10 +289,8 @@ def test_criterion_10_shot_noise_induces_adiabaticity(passage_curves):
     _, _, slow = passage_curves["slow"]
     fast_sweep, fast_grid, fast = passage_curves["fast"]
     family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0))
-    ensemble = ensemble_passage(
-        fast_sweep, family, n_traj=16, master_seed=2026, grid=fast_grid
-    )
-    rescued = float(ensemble.mean_magnitude[-1])
+    mean, _ = ensemble_mean(PassageTrajectory(fast_sweep, family, 2026, fast_grid), 16)
+    rescued = float(mean[0, -1])
     ok = (
         slow.final_magnitude >= 0.99
         and float(fast.magnitudes.min()) < 0.9
@@ -326,7 +327,7 @@ def test_criterion_11_worker_count_invariance(tmp_path):
     for workers in (1, 2, 8):
         config = ExperimentConfig.from_dict(copy.deepcopy(raw))
         path = tmp_path / f"w{workers}.csv"
-        emit_csv(run_experiment(config, workers=workers), path)
+        emit_csv(run_experiment(dataclasses.replace(config, workers=workers)), path)
         payloads[workers] = path.read_bytes()
     ok = payloads[1] == payloads[2] == payloads[8]
     verdict(

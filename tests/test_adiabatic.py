@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from pulseguard.adiabatic import (
-    PassageEnsemble,
+    PassageTrajectory,
     Psi0Curve,
     SweepSpec,
     _kernel_factors,
     dynamical_phases,
-    ensemble_passage,
     solve_psi0,
     tdse_components,
     tdse_oracle,
 )
+from pulseguard.ensemble import ensemble_mean
 from pulseguard.numerics import TimeGrid, volterra_solve
 from pulseguard.signals import SampledSignal, ShotNoiseSpec, SignalFamily, substream
 from pulseguard.sweep_oracle import (
@@ -296,13 +296,11 @@ class TestDefect:
     def test_shot_control_reduces_defect_between_kicks(self):
         """Checked at every multiple of the mean arrival spacing."""
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0))
-        driven = ensemble_passage(
-            FAST, family, n_traj=8, master_seed=7, grid=GRID_FAST, with_defect=True
-        )
+        mean, _ = ensemble_mean(PassageTrajectory(FAST, family, 7, GRID_FAST), 8)
         free_defect = solve_psi0(FAST, None, GRID_FAST).defect
         spacing = int(round(0.01 / GRID_FAST.dt))
         idx = np.arange(spacing, GRID_FAST.n_steps + 1, spacing)
-        assert np.all(driven.mean_defect[idx] < free_defect[idx])
+        assert np.all(mean[1][idx] < free_defect[idx])
 
 
 class TestEnsemble:
@@ -312,10 +310,8 @@ class TestEnsemble:
         finals = []
         for rate in (10.0, 30.0, 100.0):
             family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=rate))
-            ensemble = ensemble_passage(
-                FAST, family, n_traj=8, master_seed=7, grid=GRID_FAST
-            )
-            finals.append(ensemble.mean_magnitude[-1])
+            mean, _ = ensemble_mean(PassageTrajectory(FAST, family, 7, GRID_FAST), 8)
+            finals.append(mean[0, -1])
         assert finals[0] < finals[1] < finals[2]
         assert finals[0] > solve_psi0(FAST, None, GRID_FAST).final_magnitude
 
@@ -323,10 +319,10 @@ class TestEnsemble:
     def test_same_seed_bitwise(self):
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
         grid = TimeGrid(t_max=5.0, n_steps=500)
-        a = ensemble_passage(FAST, family, n_traj=4, master_seed=9, grid=grid)
-        b = ensemble_passage(FAST, family, n_traj=4, master_seed=9, grid=grid)
-        np.testing.assert_array_equal(a.mean_magnitude, b.mean_magnitude)
-        np.testing.assert_array_equal(a.stderr, b.stderr)
+        a_mean, a_stderr = ensemble_mean(PassageTrajectory(FAST, family, 9, grid), 4)
+        b_mean, b_stderr = ensemble_mean(PassageTrajectory(FAST, family, 9, grid), 4)
+        np.testing.assert_array_equal(a_mean[0], b_mean[0])
+        np.testing.assert_array_equal(a_stderr[0], b_stderr[0])
 
     @pytest.mark.filterwarnings("ignore:shot rate")
     def test_threaded_map_identical(self):
@@ -334,22 +330,19 @@ class TestEnsemble:
 
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
         grid = TimeGrid(t_max=5.0, n_steps=500)
-        serial = ensemble_passage(FAST, family, n_traj=20, master_seed=9, grid=grid)
+        trajectory = PassageTrajectory(FAST, family, 9, grid)
+        serial, _ = ensemble_mean(trajectory, 20)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = ensemble_passage(
-                FAST, family, n_traj=20, master_seed=9, grid=grid, map_fn=pool.map
-            )
-        np.testing.assert_array_equal(serial.mean_magnitude, threaded.mean_magnitude)
+            threaded, _ = ensemble_mean(trajectory, 20, pool.map)
+        np.testing.assert_array_equal(serial[0], threaded[0])
 
     def test_single_trajectory_stderr_zero(self):
         family = SignalFamily(kind="none")
         grid = TimeGrid(t_max=5.0, n_steps=500)
-        ensemble = ensemble_passage(FAST, family, n_traj=1, master_seed=0, grid=grid)
-        assert isinstance(ensemble, PassageEnsemble)
-        assert np.all(ensemble.stderr == 0.0)
-        assert ensemble.mean_defect is None
+        _, stderr = ensemble_mean(PassageTrajectory(FAST, family, 0, grid), 1)
+        assert np.all(stderr == 0.0)
 
     def test_validation(self):
         family = SignalFamily(kind="none")
         with pytest.raises(ValueError, match="n_traj"):
-            ensemble_passage(FAST, family, n_traj=0, master_seed=0, grid=GRID_FAST)
+            ensemble_mean(PassageTrajectory(FAST, family, 0, GRID_FAST), 0)

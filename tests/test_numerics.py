@@ -17,7 +17,6 @@ from pulseguard.numerics import (
     TimeGrid,
     rk4_step,
     running_trapezoid,
-    trapezoid_integral,
     volterra_solve,
 )
 
@@ -91,32 +90,6 @@ class TestRk4:
 
 
 class TestTrapezoid:
-    def test_linear_exact(self):
-        t = np.linspace(0.0, 3.0, 31)
-        values = 2.0 * t + 1.0
-        assert trapezoid_integral(values, t[1] - t[0]) == pytest.approx(12.0, rel=1e-14)
-
-    def test_single_sample_is_zero(self):
-        assert trapezoid_integral(np.array([4.2]), 0.1) == 0.0
-
-    def test_complex_values(self):
-        values = np.exp(1j * np.linspace(0.0, 1.0, 101))
-        out = trapezoid_integral(values, 0.01)
-        assert isinstance(complex(out), complex)
-        assert out.imag == pytest.approx(1.0 - np.cos(1.0), abs=1e-4)
-
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.integers(min_value=2, max_value=64),
-            elements=st.floats(min_value=-1e3, max_value=1e3),
-        )
-    )
-    def test_matches_numpy(self, values):
-        assert trapezoid_integral(values, 0.37) == pytest.approx(
-            np.trapezoid(values, dx=0.37), rel=1e-12, abs=1e-12
-        )
-
     def test_running_starts_at_zero(self):
         out = running_trapezoid(np.array([1.0, 2.0, 3.0]), 0.5)
         assert out[0] == 0.0
@@ -135,7 +108,7 @@ class TestTrapezoid:
     )
     def test_running_final_matches_total(self, values):
         out = running_trapezoid(values, 0.11)
-        assert out[-1] == pytest.approx(trapezoid_integral(values, 0.11), rel=1e-12, abs=1e-12)
+        assert out[-1] == pytest.approx(np.trapezoid(values, dx=0.11), rel=1e-12, abs=1e-12)
 
     def test_running_complex_dtype(self):
         out = running_trapezoid(np.array([1j, 2j, 3j]), 1.0)

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from pulseguard.bath import BathSpec
+from pulseguard.ensemble import ensemble_mean
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from pulseguard.qsd import (
     FidelityCurve,
     InitialState,
     KernelCurve,
+    MemoryTrajectory,
     default_state_grid,
-    ensemble_fidelity,
     qsd_fidelity,
     qsd_mean_fidelity,
     solve_kernel_quadrature,
@@ -247,20 +248,22 @@ class TestFidelity:
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError, match="start at 1"):
             FidelityCurve(grid, np.array([0.9, 0.9, 0.9, 0.9, 0.9]))
-        with pytest.raises(ValueError, match="stderr"):
-            FidelityCurve(grid, np.ones(5), stderr=np.zeros(3))
 
 
 class TestEnsemble:
     GRID = TimeGrid(t_max=2.0, n_steps=2000)
     STATES = (InitialState.from_excited_prob(0.3), InitialState.from_excited_prob(0.7))
 
+    def trajectory(self, family, master_seed, grid=None, states=None, omega=1.0):
+        return MemoryTrajectory(
+            family, BATH, self.STATES if states is None else states, master_seed,
+            self.GRID if grid is None else grid, omega,
+        )
+
     def test_degenerate_jitter_matches_single_curve(self):
         """Zero-width jitter: every trajectory equals the regular train."""
         family = SignalFamily(kind="jittered", pulse=PULSE, jitter=JitterSpec())
-        ensemble = ensemble_fidelity(
-            family, BATH, self.STATES, n_traj=3, master_seed=5, grid=self.GRID
-        )
+        mean, stderr = ensemble_mean(self.trajectory(family, 5), 3)
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, self.GRID)
         kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, self.GRID)
         reference = 0.5 * (
@@ -268,17 +271,17 @@ class TestEnsemble:
             + qsd_fidelity(self.STATES[1], kernel).values
         )
         # averaging three identical rows reproduces them to the ulp
-        np.testing.assert_allclose(ensemble.values, reference, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(ensemble.stderr, 0.0, atol=1e-15)
+        np.testing.assert_allclose(mean[0], reference, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stderr[0], 0.0, atol=1e-15)
 
     def test_same_seed_bitwise(self):
         family = SignalFamily(
             kind="jittered", pulse=PULSE, jitter=JitterSpec(period_dev=0.004)
         )
-        a = ensemble_fidelity(family, BATH, self.STATES, 8, 21, self.GRID)
-        b = ensemble_fidelity(family, BATH, self.STATES, 8, 21, self.GRID)
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.stderr, b.stderr)
+        a_mean, a_stderr = ensemble_mean(self.trajectory(family, 21), 8)
+        b_mean, b_stderr = ensemble_mean(self.trajectory(family, 21), 8)
+        np.testing.assert_array_equal(a_mean, b_mean)
+        np.testing.assert_array_equal(a_stderr, b_stderr)
 
     def test_threaded_map_identical(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -286,33 +289,32 @@ class TestEnsemble:
         family = SignalFamily(
             kind="jittered", pulse=PULSE, jitter=JitterSpec(area_dev=0.1)
         )
-        serial = ensemble_fidelity(family, BATH, self.STATES, 70, 3, self.GRID)
+        serial_mean, serial_stderr = ensemble_mean(self.trajectory(family, 3), 70)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = ensemble_fidelity(
-                family, BATH, self.STATES, 70, 3, self.GRID, map_fn=pool.map
+            threaded_mean, threaded_stderr = ensemble_mean(
+                self.trajectory(family, 3), 70, pool.map
             )
-        np.testing.assert_array_equal(serial.values, threaded.values)
-        np.testing.assert_array_equal(serial.stderr, threaded.stderr)
+        np.testing.assert_array_equal(serial_mean, threaded_mean)
+        np.testing.assert_array_equal(serial_stderr, threaded_stderr)
 
     def test_stderr_scale(self):
         family = SignalFamily(
             kind="jittered", pulse=PULSE, jitter=JitterSpec(area_dev=0.18)
         )
-        ensemble = ensemble_fidelity(family, BATH, self.STATES, 16, 2, self.GRID)
-        assert ensemble.n_traj == 16
-        assert ensemble.stderr[0] == 0.0
-        assert np.all(ensemble.stderr >= 0.0)
-        assert ensemble.stderr.max() < 0.05
+        _, stderr = ensemble_mean(self.trajectory(family, 2), 16)
+        assert stderr[0, 0] == 0.0
+        assert np.all(stderr >= 0.0)
+        assert stderr.max() < 0.05
 
     def test_validation(self):
         family = SignalFamily(kind="none")
         with pytest.raises(ValueError, match="n_traj"):
-            ensemble_fidelity(family, BATH, self.STATES, 0, 0, self.GRID)
+            ensemble_mean(self.trajectory(family, 0), 0)
         with pytest.raises(ValueError, match="states"):
-            ensemble_fidelity(family, BATH, (), 1, 0, self.GRID)
+            self.trajectory(family, 0, states=())
 
     def test_overflow_names_trajectory(self):
         grid = TimeGrid(t_max=20.0, n_steps=4000)
         family = SignalFamily(kind="none")
         with pytest.raises(NumericOverflowError, match="trajectory 0"):
-            ensemble_fidelity(family, BATH, self.STATES, 1, 0, grid, omega=0.0)
+            ensemble_mean(self.trajectory(family, 0, grid=grid, omega=0.0), 1)

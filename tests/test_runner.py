@@ -6,6 +6,7 @@ itself.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -93,6 +94,22 @@ MISTYPED = [
     (MEMORY_RAW, {"grid": []}, "grid"),
     (MEMORY_RAW, _with(MEMORY_RAW, "bath", coupling=True), "bath.coupling"),
     (ADIABATIC_RAW, {"signal": {"family": "shot", "strength": 0.1, "rate": "5"}}, "signal.rate"),
+]
+
+
+# signals the sampler cannot draw: a period that may reach zero, or a pulse
+# height past the float range; each is (base, overrides, field named, test id)
+UNSAMPLEABLE = [
+    (ENSEMBLE_RAW, _with(ENSEMBLE_RAW, "signal", period_dev=0.05), "signal.period_dev",
+     "period_dev-above-period"),
+    (ENSEMBLE_RAW, _with(ENSEMBLE_RAW, "signal", period_dev=0.02), "signal.period_dev",
+     "period_dev-equals-period"),
+    (MEMORY_RAW, _with(MEMORY_RAW, "signal", area=1e308), "signal.area", "regular-area"),
+    (ENSEMBLE_RAW, _with(ENSEMBLE_RAW, "signal", area_dev=1e308), "signal.area_dev",
+     "jittered-area_dev"),
+    (MEMORY_RAW, {"grid": {"t_max": 1.0, "n_steps": 1000},
+                  "signal": {"family": "shot", "strength": 1e308, "rate": 5.0}},
+     "signal.strength", "shot-strength"),
 ]
 
 
@@ -270,6 +287,20 @@ class TestConfigValidation:
                 raw(MEMORY_RAW, grid={"t_max": 10.0, "n_steps": 100}, signal=signal)
             )
 
+    @pytest.mark.parametrize("base, overrides, field",
+                             [c[:3] for c in UNSAMPLEABLE], ids=[c[3] for c in UNSAMPLEABLE])
+    def test_unsampleable_signal_rejected(self, base, overrides, field):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            ExperimentConfig.from_dict(raw(base, **overrides))
+
+    def test_period_dev_just_below_period_accepted(self):
+        period_dev = math.nextafter(0.02, 0.0)
+        config = ExperimentConfig.from_dict(
+            raw(ENSEMBLE_RAW, **_with(ENSEMBLE_RAW, "signal", period_dev=period_dev))
+        )
+        assert config.signal.jitter.period_dev == period_dev
+        assert run_experiment(config).columns == ("mean", "stderr")
+
     def test_pulse_of_one_cell_accepted(self):
         signal = {"family": "regular", "period": 0.02, "duration": 0.01, "area": 0.2}
         config = ExperimentConfig.from_dict(
@@ -347,6 +378,30 @@ class TestResultTable:
             ResultTable(np.array([0.0, 1.0]), ("a",), {"a": np.zeros(3)}, {})
 
 
+DISPATCH_SIGNALS = {
+    "none": {"family": "none"},
+    "regular": MEMORY_RAW["signal"],
+    "jittered": ENSEMBLE_RAW["signal"],
+    "shot": {"family": "shot", "strength": 0.1, "rate": 20.0},
+}
+
+# (kind, family, n_traj, with_defect) -> CSV columns; an ensemble is
+# memory-ensemble, or a stochastic adiabatic family with n_traj > 1
+DISPATCH = [
+    ("memory-qsd", "regular", 1, False, ("qsd",)),
+    ("memory-me2", "regular", 1, False, ("me2",)),
+    ("memory-ensemble", "jittered", 3, False, ("mean", "stderr")),
+    ("memory-ensemble", "jittered", 1, False, ("mean", "stderr")),
+    ("adiabatic", "none", 1, False, ("psi0",)),
+    ("adiabatic", "none", 1, True, ("psi0", "defect")),
+    ("adiabatic", "regular", 4, False, ("psi0",)),
+    ("adiabatic", "regular", 4, True, ("psi0", "defect")),
+    ("adiabatic", "shot", 1, True, ("psi0", "defect")),
+    ("adiabatic", "shot", 3, False, ("mean", "stderr")),
+    ("adiabatic", "shot", 3, True, ("mean", "stderr", "defect")),
+]
+
+
 class TestRunExperiment:
     def test_decoupled_bath_gives_flat_unity(self):
         config = ExperimentConfig.from_dict(
@@ -390,6 +445,22 @@ class TestRunExperiment:
         table = run_experiment(config)
         assert table.columns == ("mean", "stderr", "defect")
 
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    @pytest.mark.parametrize("kind, family, n_traj, with_defect, columns", DISPATCH,
+                             ids=["-".join(map(str, case[:4])) for case in DISPATCH])
+    def test_dispatch_columns(self, kind, family, n_traj, with_defect, columns):
+        if kind == "adiabatic":
+            config = raw(ADIABATIC_RAW, signal=DISPATCH_SIGNALS[family], n_traj=n_traj,
+                         with_defect=with_defect)
+        else:
+            config = raw(MEMORY_RAW, kind=kind, signal=DISPATCH_SIGNALS[family])
+            if kind == "memory-ensemble":
+                config["n_traj"] = n_traj
+        table = run_experiment(ExperimentConfig.from_dict(config))
+        assert table.columns == columns
+        if "stderr" in columns and n_traj == 1:
+            assert np.all(table.data["stderr"] == 0.0)
+
     def test_metadata_carries_config_and_version(self):
         config = ExperimentConfig.from_dict(copy.deepcopy(MEMORY_RAW))
         table = run_experiment(config)
@@ -399,12 +470,12 @@ class TestRunExperiment:
     def test_workers_argument_validated(self):
         config = ExperimentConfig.from_dict(copy.deepcopy(MEMORY_RAW))
         with pytest.raises(ConfigError, match="workers"):
-            run_experiment(config, workers=0)
+            dataclasses.replace(config, workers=0)
 
     def test_worker_count_does_not_change_numbers(self):
         config = ExperimentConfig.from_dict(copy.deepcopy(ENSEMBLE_RAW))
-        serial = run_experiment(config, workers=1)
-        pooled = run_experiment(config, workers=2)
+        serial = run_experiment(dataclasses.replace(config, workers=1))
+        pooled = run_experiment(dataclasses.replace(config, workers=2))
         np.testing.assert_array_equal(serial.data["mean"], pooled.data["mean"])
         np.testing.assert_array_equal(serial.data["stderr"], pooled.data["stderr"])
 
@@ -428,8 +499,8 @@ class TestRunExperiment:
                 with_defect=True,
             )
         )
-        emit_csv(run_experiment(config, workers=1), tmp_path / "w1.csv")
-        emit_csv(run_experiment(config, workers=2), tmp_path / "w2.csv")
+        emit_csv(run_experiment(dataclasses.replace(config, workers=1)), tmp_path / "w1.csv")
+        emit_csv(run_experiment(dataclasses.replace(config, workers=2)), tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     def test_divergent_kernel_reported_with_context(self):
@@ -607,6 +678,22 @@ class TestCli:
         out = tmp_path / "res.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, overrides, field",
+                             [c[:3] for c in UNSAMPLEABLE], ids=[c[3] for c in UNSAMPLEABLE])
+    def test_run_unsampleable_signal_exits_2(self, tmp_path, capsys, base, overrides, field):
+        cfg = self.write(tmp_path, raw(base, **overrides))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_zero_workers_flag_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, ENSEMBLE_RAW)
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_negative_seed_flag_exits_2(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from pulseguard.signals import (
     SignalFamily,
     draw_jittered_pulses,
     effective_frequency,
+    jittered_height_bound,
     logistic_intensities,
     regular_pulse_value,
     sample_chaotic,
@@ -187,6 +188,21 @@ class TestJittered:
         jit = JitterSpec(period_dev=0.05)
         with pytest.raises(ValueError, match="period"):
             draw_jittered_pulses(BASE, jit, substream(3, 0), 5.0)
+
+    @pytest.mark.parametrize(
+        "jit",
+        [JitterSpec(period_dev=0.004, duration_dev=0.004, area_dev=0.18),
+         JitterSpec(duration_dev=0.01, area_dev=0.5),  # lower duration clamp engages
+         JitterSpec(period_dev=0.019, duration_dev=0.02)],  # upper clamp, short periods
+    )
+    def test_height_bound_holds(self, jit):
+        ends, durations, heights = draw_jittered_pulses(BASE, jit, substream(4, 0), 20.0)
+        assert heights.max() <= jittered_height_bound(BASE, jit)
+
+    def test_height_bound_infinite_when_duration_underflows(self):
+        spec = PulseTrainSpec(period=1e-300, duration=1e-300, area=1.0)
+        jit = JitterSpec(period_dev=np.nextafter(1e-300, 0.0), duration_dev=1e-300)
+        assert jittered_height_bound(spec, jit) == np.inf
 
     def test_pulse_edges_follow_period_draws(self):
         jit = JitterSpec(period_dev=0.004)
