@@ -11,6 +11,7 @@ protection needs only enough fast spectral weight, not a periodic drive.
 import argparse
 import pathlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 from pulseguard import (
     BathSpec,
@@ -67,10 +68,13 @@ def main() -> None:
         "shot": (shot_family, 13, args.n_traj),
     }
     columns = {}
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ExitStack() as stack:
+        map_fn = map
+        if args.workers > 1:
+            map_fn = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers)).map
         for name, (family, seed, n_traj) in runs.items():
             trajectory = MemoryTrajectory(family, bath, states, seed, grid, OMEGA)
-            mean, _ = ensemble_mean(trajectory, n_traj, pool.map)
+            mean, _ = ensemble_mean(trajectory, n_traj, map_fn)
             columns[name] = mean[0]
             print(f"{name}: F(t_max) = {mean[0][-1]:.6f}")
 

@@ -10,6 +10,7 @@ near-unit ground-state population at one tenth the passage time.
 import argparse
 import pathlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -51,8 +52,11 @@ def main() -> None:
     fast = solve_psi0(fast_sweep, None, fast_grid)
     family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=STRENGTH, rate=RATE))
     trajectory = PassageTrajectory(fast_sweep, family, 2026, fast_grid)
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        mean, _ = ensemble_mean(trajectory, args.n_traj, pool.map)
+    with ExitStack() as stack:
+        map_fn = map
+        if args.workers > 1:
+            map_fn = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers)).map
+        mean, _ = ensemble_mean(trajectory, args.n_traj, map_fn)
     driven = mean[0]  # mean |psi_0|
 
     # Slow-passage curve resampled onto the fast grid's fractional time s = t / T.

@@ -88,12 +88,16 @@ def me2_mean_fidelity(
     """Uniform average of me2_fidelity over `states`; the j(u) recursion runs once."""
     dt = grid.dt
     phase = accumulated_phase(E, grid)
-    decay = np.exp(-bath.cutoff * dt)
-    emi = np.exp(-1j * phase)
-    j = np.empty(grid.n_steps + 1, dtype=complex)
-    j[0] = 0.0
-    for k in range(grid.n_steps):
-        j[k + 1] = decay * j[k] + 0.5 * dt * (decay * emi[k] + emi[k + 1])
+    decay = float(np.exp(-bath.cutoff * dt))
+    emi = np.exp(-1j * phase).tolist()
+    half = 0.5 * dt
+    # scalar recursion on Python complex: numpy's arithmetic, without its per-scalar cost
+    j_k = 0j
+    j = [j_k]
+    for emi_k, emi_next in zip(emi, emi[1:]):
+        j_k = decay * j_k + half * (decay * emi_k + emi_next)
+        j.append(j_k)
+    j = np.array(j)
     amp = np.array([state.p_excited**2 for state in states])
     # one row per state; |mu|^4 multiplies before the quadrature, as in the
     # one-state formula, so each row is bitwise that state's curve

@@ -46,6 +46,10 @@ class TimeGrid:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not self.dt > 0.0:
+            raise ValueError(
+                f"t_max / n_steps underflows to dt = {self.dt!r}; the nodes would coincide"
+            )
 
     @property
     def dt(self) -> float:

@@ -146,18 +146,19 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     inside each grid cell (midpoint sample), so each RK4 step integrates a
     smooth autonomous equation; discontinuities of E(t) sit exactly on step
     boundaries and never degrade the order.
+
+    The loop is all scalar work, so it runs on Python complex over a list,
+    2-3 times faster per step than on numpy scalars and bit for bit the
+    same arithmetic.  Raises NumericOverflowError at the first node where
+    |F| exceeds the kernel bound or F is not finite.
     """
     dt = grid.dt
-    drive = _cell_drive(E, grid)
     w = bath.weight
-    cutoff = bath.cutoff
-    values = np.empty(grid.n_steps + 1, dtype=complex)
-    values[0] = 0.0
-    f = 0.0 + 0.0j
     sixth = dt / 6.0
     half = 0.5 * dt
-    for k in range(grid.n_steps):
-        rate = drive[k] - cutoff
+    f = 0j
+    values = [f]
+    for rate in (_cell_drive(E, grid) - bath.cutoff).tolist():
         k1 = w + (rate + f) * f
         y = f + half * k1
         k2 = w + (rate + y) * y
@@ -166,12 +167,13 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
         y = f + dt * k3
         k4 = w + (rate + y) * y
         f = f + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(f) or abs(f) > _KERNEL_BOUND:
+        # the negated comparison also catches nan
+        if not abs(f) <= _KERNEL_BOUND:
             raise NumericOverflowError(
-                f"memory kernel diverged at t = {grid.times[k + 1]:.6g}"
+                f"memory kernel diverged at t = {grid.times[len(values)]:.6g}"
             )
-        values[k + 1] = f
-    return KernelCurve(grid, values)
+        values.append(f)
+    return KernelCurve(grid, np.array(values))
 
 
 def solve_kernel_quadrature(

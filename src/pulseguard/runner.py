@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .adiabatic import PassageTrajectory, SweepSpec
 from .bath import BathSpec
-from .ensemble import ensemble_mean
+from .ensemble import _BLOCK, ensemble_mean
 from .me2 import BornTrajectory
 from .numerics import NumericOverflowError, TimeGrid
 from .qsd import InitialState, MemoryTrajectory, default_state_grid
@@ -322,8 +322,10 @@ def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
     ensemble = config.kind == "memory-ensemble" or (
         config.kind == "adiabatic" and config.signal.stochastic and config.n_traj > 1
     )
-    with _map_fn(config.workers if ensemble else 1) as map_fn:
-        mean, stderr = ensemble_mean(trajectory, config.n_traj if ensemble else 1, map_fn)
+    n_traj = config.n_traj if ensemble else 1
+    # a single block runs in one process, so a pool would only add its start-up
+    with _map_fn(config.workers if n_traj > _BLOCK else 1) as map_fn:
+        mean, stderr = ensemble_mean(trajectory, n_traj, map_fn)
     rows = trajectory.rows
     if ensemble:
         data = {"mean": mean[0], "stderr": stderr[0], **dict(zip(rows[1:], mean[1:]))}

@@ -197,35 +197,40 @@ def draw_jittered_pulses(
     Pulse n ends at T_n = n*period + sum of period deviations so far; for
     zero deviations the edges reduce to exact multiples of the base period.
     Per pulse the draws happen in a fixed order (period, duration, area) so
-    a given seed always yields the same train.
+    a given seed always yields the same train.  The uniforms are drawn in
+    chunks of the expected pulse count, which consumes the stream exactly as
+    one draw of three per pulse would, and the deviations are summed in the
+    same sequential order, so the train does not depend on the chunking.
     """
     rng = _rng(seed)
-    ends = []
-    durations = []
-    heights = []
+    chunk = int(t_max / spec.period) + 2
+    parts = []
     dev_sum = 0.0
     n = 0
     while True:
-        n += 1
-        u = rng.uniform(-1.0, 1.0, size=3)
-        period = spec.period + jitter.period_dev * u[0]
-        if not period > 0.0:
+        u = rng.uniform(-1.0, 1.0, size=(chunk, 3))
+        period_devs = jitter.period_dev * u[:, 0]
+        periods = spec.period + period_devs
+        dev_sums = np.cumsum(np.concatenate(([dev_sum], period_devs)))[1:]
+        ends = np.arange(n + 1, n + chunk + 1) * spec.period + dev_sums
+        # clamp, never redraw: duration into (0, period'], area into [0, inf)
+        durations = np.minimum(
+            np.maximum(spec.duration + jitter.duration_dev * u[:, 1], _MIN_DUTY * periods),
+            periods,
+        )
+        areas = np.maximum(spec.area + jitter.area_dev * u[:, 2], 0.0)
+        # the train ends with the first pulse that starts past t_max
+        past = np.flatnonzero(ends - durations > t_max)
+        count = past[0] + 1 if past.size else chunk
+        if not np.all(periods[:count] > 0.0):
             raise ValueError(
                 "period_dev admits non-positive pulse periods; reduce it below the base period"
             )
-        duration = spec.duration + jitter.duration_dev * u[1]
-        area = spec.area + jitter.area_dev * u[2]
-        dev_sum += jitter.period_dev * u[0]
-        end = n * spec.period + dev_sum
-        # clamp, never redraw: duration into (0, period'], area into [0, inf)
-        duration = min(max(duration, _MIN_DUTY * period), period)
-        area = max(area, 0.0)
-        ends.append(end)
-        durations.append(duration)
-        heights.append(area / duration)
-        if end - duration > t_max:
-            break
-    return np.asarray(ends), np.asarray(durations), np.asarray(heights)
+        parts.append((ends[:count], durations[:count], areas[:count] / durations[:count]))
+        if past.size:
+            return tuple(np.concatenate(column) for column in zip(*parts))
+        dev_sum = dev_sums[-1]
+        n += chunk
 
 
 def jittered_height_bound(spec: PulseTrainSpec, jitter: JitterSpec) -> float:

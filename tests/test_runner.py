@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pulseguard import runner
 from pulseguard.cli import main
 from pulseguard.numerics import NumericOverflowError, TimeGrid
 from pulseguard.runner import (
@@ -95,6 +96,10 @@ MISTYPED = [
     (MEMORY_RAW, _with(MEMORY_RAW, "bath", coupling=True), "bath.coupling"),
     (ADIABATIC_RAW, {"signal": {"family": "shot", "strength": 0.1, "rate": "5"}}, "signal.rate"),
 ]
+
+
+# a positive t_max whose step t_max / n_steps rounds to zero
+UNDERFLOWING_GRID = {"t_max": 5e-324, "n_steps": 2}
 
 
 # signals the sampler cannot draw: a period that may reach zero, or a pulse
@@ -186,6 +191,10 @@ class TestConfigValidation:
     def test_invalid_grid_values(self):
         with pytest.raises(ConfigError, match="grid"):
             ExperimentConfig.from_dict(raw(MEMORY_RAW, grid={"t_max": 1.0, "n_steps": 0}))
+
+    def test_grid_step_underflow_rejected(self):
+        with pytest.raises(ConfigError, match="grid: t_max / n_steps underflows"):
+            ExperimentConfig.from_dict(raw(MEMORY_RAW, grid=UNDERFLOWING_GRID))
 
     def test_invalid_bath_values(self):
         with pytest.raises(ConfigError, match="bath"):
@@ -479,6 +488,17 @@ class TestRunExperiment:
         np.testing.assert_array_equal(serial.data["mean"], pooled.data["mean"])
         np.testing.assert_array_equal(serial.data["stderr"], pooled.data["stderr"])
 
+    def test_single_block_ensemble_starts_no_pool(self, tmp_path, monkeypatch):
+        config = ExperimentConfig.from_dict(copy.deepcopy(ENSEMBLE_RAW))
+        emit_csv(run_experiment(config), tmp_path / "w1.csv")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("three trajectories make one block; no pool is needed")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        emit_csv(run_experiment(dataclasses.replace(config, workers=2)), tmp_path / "w2.csv")
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
     def test_memory_qsd_is_the_first_ensemble_trajectory(self):
         """Both kinds run the same trajectory function; n_traj = 1 is bitwise one curve."""
         single = raw(ENSEMBLE_RAW, kind="memory-qsd", states=[0.2, 0.5, 0.9])
@@ -687,6 +707,13 @@ class TestCli:
         out = tmp_path / "res.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_grid_step_underflow_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, raw(MEMORY_RAW, grid=UNDERFLOWING_GRID))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "grid: t_max / n_steps underflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_zero_workers_flag_exits_2(self, tmp_path, capsys):
