@@ -28,10 +28,11 @@ eigenframe cross-checks live in sweep_oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .ensemble import stack_trajectories
 from .numerics import TimeGrid, rk4_step, volterra_solve
 from .signals import SampledSignal, SignalFamily, substream
 
@@ -257,4 +258,8 @@ class PassageTrajectory:
         control = self.family.sample(substream(self.master_seed, k), self.grid)
         curve = solve_psi0(self.sweep, control, self.grid)
         return np.stack([curve.magnitudes, curve.defect])
+
+    def block(self, ks: Sequence[int]) -> np.ndarray:
+        # one Volterra solve per sweep: batching a few of them gains nothing
+        return stack_trajectories(self, ks)
 

@@ -1,45 +1,58 @@
 """The one block/reduce engine behind every run, single trajectory or ensemble.
 
-trajectory(k) is a picklable function whose only randomness is substream
-(master_seed, k); it returns an array of rows, which the trajectory classes
-name in their `rows` attribute.  The indices are cut into fixed blocks of
-_BLOCK, each one unit of work for map_fn (map or an executor's map), and the
-rows are reduced in index order, so no bit of the result depends on the
-worker count.
+A trajectory object is picklable, and trajectory k's only randomness is
+substream (master_seed, k).  Its block(ks) returns the rows of the
+trajectories ks as one (len(ks), rows, n_steps + 1) array; the trajectory
+classes name the rows in their `rows` attribute.  The indices are cut into
+fixed blocks of _BLOCK, each one unit of work for map_fn (map or an
+executor's map), and the rows are reduced in index order.  A block may batch
+its trajectories in numpy, whose rounding can depend on the batch length, so
+_BLOCK is part of the numbers; the blocks never depend on the worker count,
+so neither does any bit of the result.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .numerics import NumericOverflowError
 
-__all__ = ["ensemble_mean"]
+__all__ = ["ensemble_mean", "stack_trajectories"]
 
-# trajectories per unit of work: fig4's 32 trajectories still give two workers
-# four blocks, and fig3-sized ensembles at two workers ran no slower than with 32
-_BLOCK = 8
+# trajectories per unit of work, measured: fig3's 64 trajectories make one
+# batched block per worker at two workers, and a block of 32 runs the
+# batched Riccati kernel at ~1/3 the per-trajectory cost of a block of 8;
+# fig4's 32 sweeps are then a single block, which runs in one process
+_BLOCK = 32
 
 
-def _run_block(trajectory: Callable[[int], np.ndarray], ks: range) -> np.ndarray:
+def _run_block(trajectory, ks: range) -> np.ndarray:
+    try:
+        return trajectory.block(ks)
+    except NumericOverflowError as exc:
+        raise NumericOverflowError(f"trajectory {ks[exc.row]}: {exc}") from exc
+
+
+def stack_trajectories(trajectory: Callable[[int], np.ndarray], ks: Sequence[int]) -> np.ndarray:
+    """block(ks) for trajectories run one at a time: trajectory(k) for each k, stacked."""
     rows = []
-    for k in ks:
+    for row, k in enumerate(ks):
         try:
             rows.append(trajectory(k))
         except NumericOverflowError as exc:
-            raise NumericOverflowError(f"trajectory {k}: {exc}") from exc
+            raise NumericOverflowError(str(exc), row) from exc
     return np.stack(rows)
 
 
 def ensemble_mean(
-    trajectory: Callable[[int], np.ndarray],
+    trajectory,
     n_traj: int,
     map_fn: Callable[..., Iterable] = map,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of trajectory(k) over k = 0 .. n_traj - 1.
+    """Mean and standard error of the rows of trajectory k over k = 0 .. n_traj - 1.
 
     Both are taken over the trajectory axis only, so each keeps the shape of
     one trajectory's rows; the stderr is the sample standard error (ddof=1)

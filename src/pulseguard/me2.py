@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bath import BathSpec
+from .ensemble import stack_trajectories
 from .numerics import TimeGrid, running_trapezoid
 from .qsd import FidelityCurve, InitialState, MemoryTrajectory
 
@@ -107,9 +108,17 @@ def me2_mean_fidelity(
 
 
 class BornTrajectory(MemoryTrajectory):
-    """MemoryTrajectory with the Born fidelity in place of the exact one."""
+    """MemoryTrajectory with the Born fidelity in place of the exact one.
+
+    A memory-me2 run is one trajectory, so block(ks) runs the trajectories
+    one at a time.
+    """
 
     rows = ("me2",)
 
-    def fidelity(self, E: np.ndarray) -> FidelityCurve:
-        return me2_mean_fidelity(self.states, E, self.bath, self.grid)
+    def __call__(self, k: int) -> np.ndarray:
+        curve = me2_mean_fidelity(self.states, self.splitting(k), self.bath, self.grid)
+        return curve.values[np.newaxis]
+
+    def block(self, ks: Sequence[int]) -> np.ndarray:
+        return stack_trajectories(self, ks)

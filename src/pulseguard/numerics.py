@@ -26,7 +26,14 @@ __all__ = [
 
 
 class NumericOverflowError(RuntimeError):
-    """Raised when an integration produces non-finite or runaway values."""
+    """Raised when an integration produces non-finite or runaway values.
+
+    `row` is the failing row of a batched integration, 0 for a single one.
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .ensemble import _BLOCK, ensemble_mean
 from .me2 import BornTrajectory
 from .numerics import NumericOverflowError, TimeGrid
 from .qsd import InitialState, MemoryTrajectory, default_state_grid
-from .signals import FAMILY_SPECS, SignalFamily, jittered_height_bound
+from .signals import _SHOT_RATE_DT_MAX, FAMILY_SPECS, SignalFamily, jittered_height_bound
 
 __all__ = [
     "ConfigError",
@@ -137,7 +137,10 @@ def _build_states(raw) -> tuple:
 
 
 def _check_sampling(signal: SignalFamily, grid: TimeGrid) -> None:
-    """Reject a signal that the sampler cannot resolve or represent on `grid`."""
+    """Reject a signal that the sampler cannot resolve or represent on `grid`.
+
+    Shot noise too coarse for the grid is still sampled, with a warning.
+    """
     pulse, jitter, shot = signal.pulse, signal.jitter, signal.shot
     # a pulse shorter than a cell is sampled at most once, or skipped: it aliases
     if pulse is not None and pulse.duration < grid.dt:
@@ -166,6 +169,15 @@ def _check_sampling(signal: SignalFamily, grid: TimeGrid) -> None:
         raise ConfigError(
             f"signal.strength = {shot.strength!r} over the grid step dt = {grid.dt!r} "
             "gives a shot height beyond the float range"
+        )
+    # the sampler's own criterion, reported before any trajectory runs
+    if shot is not None and shot.rate * grid.dt > _SHOT_RATE_DT_MAX:
+        warnings.warn(
+            f"shot rate * dt = {shot.rate * grid.dt:.3g} > {_SHOT_RATE_DT_MAX}: "
+            f"signal.rate = {shot.rate!r} is not resolved by the grid step "
+            f"dt = {grid.dt!r}; raise grid.n_steps or lower signal.rate",
+            RuntimeWarning,
+            stacklevel=2,
         )
 
 
@@ -352,10 +364,12 @@ def emit_csv(table: ResultTable, path) -> None:
         lines.append(f"# {key} = {_canonical_json(table.metadata[key])}")
     lines.append(",".join(("t",) + tuple(table.columns)))
     if table.columns:
-        cols = [np.asarray(table.data[name]) for name in table.columns]
-        for i, t in enumerate(table.t):
-            row = [f"{t:.12g}"] + [f"{c[i]:.12g}" for c in cols]
-            lines.append(",".join(row))
+        # Python floats through one %-format per row: the bytes of formatting
+        # each numpy scalar with f"{x:.12g}", at under half the cost
+        cols = [np.asarray(table.t).tolist()]
+        cols += [np.asarray(table.data[name]).tolist() for name in table.columns]
+        row_format = ",".join(["%.12g"] * len(cols))
+        lines.extend(row_format % row for row in zip(*cols))
     payload = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="\n") as fh:

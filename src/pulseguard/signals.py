@@ -45,6 +45,8 @@ Seed = Union[int, np.random.SeedSequence]
 
 # duration clamp floor, as a fraction of the drawn period
 _MIN_DUTY = 1.0e-9
+# largest shot rate * dt whose arrivals the grid still resolves
+_SHOT_RATE_DT_MAX = 0.1
 
 
 def substream(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -302,9 +304,10 @@ def sample_shot_noise(
     below one, so a warning is raised above 0.1.
     """
     lam = spec.rate * grid.dt
-    if lam > 0.1:
+    if lam > _SHOT_RATE_DT_MAX:
         warnings.warn(
-            f"shot rate * dt = {lam:.3g} > 0.1: arrivals are not resolved by the grid",
+            f"shot rate * dt = {lam:.3g} > {_SHOT_RATE_DT_MAX}: arrivals are not resolved "
+            "by the grid",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pulseguard.bath import BathSpec
-from pulseguard.ensemble import ensemble_mean
+from pulseguard.ensemble import _BLOCK, ensemble_mean
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from pulseguard.qsd import (
     FidelityCurve,
@@ -318,3 +318,41 @@ class TestEnsemble:
         family = SignalFamily(kind="none")
         with pytest.raises(NumericOverflowError, match="trajectory 0"):
             ensemble_mean(self.trajectory(family, 0, grid=grid, omega=0.0), 1)
+
+    def test_overflow_names_the_first_diverging_trajectory(self):
+        grid = TimeGrid(t_max=20.0, n_steps=4000)
+
+        class Diverging(MemoryTrajectory):
+            # omega = 0 without control diverges, omega = 1 does not
+            def splitting(self, k):
+                return np.full(self.grid.n_steps, 0.0 if k in (37, 40) else 1.0)
+
+        with pytest.raises(NumericOverflowError) as scalar:
+            solve_kernel_riccati(np.zeros(grid.n_steps), BATH, grid)
+        trajectory = Diverging(SignalFamily(kind="none"), BATH, self.STATES, 0, grid, 1.0)
+        with pytest.raises(NumericOverflowError) as batched:
+            ensemble_mean(trajectory, _BLOCK + 13)
+        assert str(batched.value) == f"trajectory 37: {scalar.value}"
+
+    def test_blocks_are_fixed_whatever_the_map(self):
+        """The block decomposition is part of the numbers, so it is pinned here."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        class Recorder:
+            rows = ("x",)
+
+            def __init__(self):
+                self.blocks = []
+
+            def block(self, ks):
+                self.blocks.append(ks)
+                return np.zeros((len(ks), 1, 2))
+
+        expected = [range(0, 32), range(32, 64), range(64, 67)]
+        serial = Recorder()
+        ensemble_mean(serial, 67)
+        threaded = Recorder()
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            ensemble_mean(threaded, 67, pool.map)
+        assert serial.blocks == expected
+        assert sorted(threaded.blocks, key=lambda ks: ks.start) == expected

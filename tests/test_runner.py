@@ -9,7 +9,11 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,6 +22,7 @@ import pytest
 
 from pulseguard import runner
 from pulseguard.cli import main
+from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
 from pulseguard.runner import (
     ConfigError,
@@ -74,6 +79,26 @@ def raw(base, **overrides):
     return out
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# fig3's shot noise on MEMORY_RAW's grid: rate * dt = 100 * 0.005 = 0.5
+COARSE_SHOT = {"family": "shot", "strength": 0.1, "rate": 100.0}
+
+
+def legacy_csv(table) -> bytes:
+    """emit_csv's payload as first written: every cell a numpy scalar through f"{x:.12g}"."""
+    lines = ["# metadata"]
+    for key in sorted(table.metadata):
+        echo = json.dumps(table.metadata[key], sort_keys=True, separators=(",", ":"))
+        lines.append(f"# {key} = {echo}")
+    lines.append(",".join(("t",) + tuple(table.columns)))
+    if table.columns:
+        cols = [np.asarray(table.data[name]) for name in table.columns]
+        for i, t in enumerate(table.t):
+            row = [f"{t:.12g}"] + [f"{c[i]:.12g}" for c in cols]
+            lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
 def _with(base, section, **values):
     return {section: dict(base[section], **values)}
 
@@ -126,6 +151,17 @@ class TestConfigValidation:
         assert config.omega == 1.0
         assert len(config.states) == 1
         assert config.states[0].p_excited == pytest.approx(0.5)
+
+    def test_unresolved_shot_noise_warns_at_config_time(self):
+        with pytest.warns(RuntimeWarning, match=r"signal\.rate = 100\.0 .* grid step"):
+            ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=COARSE_SHOT))
+
+    def test_shot_noise_at_the_limit_is_silent(self):
+        config = load_config(ROOT / "configs" / "fig3.json")
+        assert config.signal.shot.rate * config.grid.dt == 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_config(ROOT / "configs" / "fig3.json")
 
     def test_default_state_grid_when_states_omitted(self):
         base = copy.deepcopy(MEMORY_RAW)
@@ -510,15 +546,22 @@ class TestRunExperiment:
 
     @pytest.mark.filterwarnings("ignore:shot rate")
     def test_adiabatic_defect_csv_identical_in_a_process_pool(self, tmp_path):
-        # ten trajectories: two blocks, so both workers get one
+        # two blocks, so both workers get one
         config = ExperimentConfig.from_dict(
             raw(
                 ADIABATIC_RAW,
                 signal={"family": "shot", "strength": 0.1, "rate": 20.0},
-                n_traj=10,
+                n_traj=_BLOCK + 2,
                 with_defect=True,
             )
         )
+        emit_csv(run_experiment(dataclasses.replace(config, workers=1)), tmp_path / "w1.csv")
+        emit_csv(run_experiment(dataclasses.replace(config, workers=2)), tmp_path / "w2.csv")
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+    def test_memory_ensemble_csv_identical_in_a_process_pool(self, tmp_path):
+        # two batched blocks and a remainder block of three
+        config = ExperimentConfig.from_dict(raw(ENSEMBLE_RAW, n_traj=2 * _BLOCK + 3))
         emit_csv(run_experiment(dataclasses.replace(config, workers=1)), tmp_path / "w1.csv")
         emit_csv(run_experiment(dataclasses.replace(config, workers=2)), tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
@@ -593,6 +636,12 @@ class TestCsvFormat:
         second = tmp_path / "second.csv"
         emit_csv(run_experiment(config), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_special_values_keep_the_numpy_scalar_bytes(self, tmp_path):
+        values = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e16, 0.1 + 0.2])
+        table = ResultTable(np.arange(7.0), ("x",), {"x": values}, {"config": {}})
+        emit_csv(table, tmp_path / "special.csv")
+        assert (tmp_path / "special.csv").read_bytes() == legacy_csv(table)
 
     def test_missing_embedded_config_rejected(self, tmp_path):
         path = tmp_path / "plain.csv"
@@ -761,6 +810,20 @@ class TestCli:
         )
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unresolved_shot_noise_warning_reaches_stderr(self, tmp_path, command):
+        cfg = self.write(tmp_path, raw(MEMORY_RAW, signal=COARSE_SHOT))
+        args = [command, "--config", str(cfg)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "res.csv")]
+        env = dict(os.environ)
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+        done = subprocess.run([sys.executable, "-m", "pulseguard", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "signal.rate = 100.0 is not resolved by the grid step" in done.stderr
+
     def test_run_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,
@@ -802,6 +865,13 @@ class TestBundledPresets:
         assert main(["validate", "--config", str(path)]) == 0
         assert capsys.readouterr().out.startswith("ok:")
         self.assert_echoed(json.loads(path.read_text()), load_config(path).resolved(), "")
+
+    @pytest.mark.parametrize("path", PRESETS, ids=[p.name for p in PRESETS])
+    def test_preset_csv_keeps_the_numpy_scalar_bytes(self, path, tmp_path):
+        config = load_config(path)
+        table = run_experiment(dataclasses.replace(config, n_traj=min(config.n_traj, 2)))
+        emit_csv(table, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == legacy_csv(table)
 
     def assert_echoed(self, given, resolved, where):
         for key, value in given.items():

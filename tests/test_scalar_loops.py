@@ -5,6 +5,11 @@ on Python floats/complex over lists (or on chunked numpy draws) for speed.
 The references below are the loops as first written, on numpy scalars and
 one size-3 draw per pulse; every output must equal them exactly, not to a
 tolerance, because the arithmetic is the same operations in the same order.
+
+The batched Riccati kernel runs those operations over (B,) rows.  At B = 1
+it is the scalar loop bit for bit; at B > 1 numpy's vectorised complex
+product may round differently, so each row is held to 1e-15 of its own
+scalar kernel.
 """
 
 import numpy as np
@@ -16,6 +21,7 @@ from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoi
 from pulseguard.qsd import (
     _KERNEL_BOUND,
     _cell_drive,
+    _riccati_rows,
     default_state_grid,
     solve_kernel_riccati,
 )
@@ -158,6 +164,45 @@ class TestRiccatiKernel:
         E[0] = np.nan
         with pytest.raises(NumericOverflowError, match=f"t = {GRID.dt:.6g}$"):
             solve_kernel_riccati(E, FIG1_BATH, GRID)
+
+
+def drives(name, count):
+    """Splittings of `count` trajectories of control `name`, stacked, and the bath."""
+    bath = FIG2_BATH if name == "jittered" else FIG1_BATH
+    return np.stack([splitting(CONTROLS[name], substream(11, k)) for k in range(count)]), bath
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("name", sorted(CONTROLS))
+    def test_one_row_is_the_scalar_loop_bit_for_bit(self, name):
+        E, bath = drives(name, 1)
+        assert_bitwise(_riccati_rows(E, bath, GRID),
+                       solve_kernel_riccati(E[0], bath, GRID).values[np.newaxis])
+
+    @pytest.mark.parametrize("name", sorted(CONTROLS))
+    def test_rows_match_their_scalar_kernels(self, name):
+        E, bath = drives(name, 32)
+        scalar = np.stack([solve_kernel_riccati(row, bath, GRID).values for row in E])
+        for size in (2, 3, 8, 17, 32):
+            batched = solve_kernel_riccati(E[:size], bath, GRID).values
+            assert batched.shape == (size, GRID.n_steps + 1)
+            assert np.max(np.abs(batched - scalar[:size])) <= 1e-15, size
+
+    def test_a_batch_of_one_is_the_single_drive_bit_for_bit(self):
+        E, bath = drives("shot", 1)
+        assert_bitwise(solve_kernel_riccati(E, bath, GRID).values,
+                       solve_kernel_riccati(E[0], bath, GRID).values[np.newaxis])
+
+    def test_diverging_row_reported_with_the_scalar_time(self):
+        grid = TimeGrid(t_max=20.0, n_steps=4000)
+        E = np.ones((5, grid.n_steps))
+        E[[2, 4]] = 0.0  # omega = 0 without control diverges; omega = 1 does not
+        with pytest.raises(NumericOverflowError) as expected:
+            solve_kernel_riccati(E[2], FIG1_BATH, grid)
+        with pytest.raises(NumericOverflowError) as actual:
+            solve_kernel_riccati(E, FIG1_BATH, grid)
+        assert actual.value.row == 2
+        assert str(actual.value) == str(expected.value)
 
 
 class TestBornRecursion:
