@@ -181,6 +181,15 @@ def _check_sampling(signal: SignalFamily, grid: TimeGrid) -> None:
         )
 
 
+def _silence_sampler_shot_warning() -> None:
+    """Mute sample_shot_noise's warning, which _check_sampling has already
+    given once; a run would repeat it in every process that samples."""
+    warnings.filterwarnings(
+        "ignore", message=r"shot rate \* dt = .*: arrivals are not resolved",
+        category=RuntimeWarning,
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
@@ -305,7 +314,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """
     metadata = {"config": config.resolved(), "version": __version__}
     try:
-        return _dispatch(config, metadata)
+        with warnings.catch_warnings():
+            _silence_sampler_shot_warning()
+            return _dispatch(config, metadata)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"{config.kind} experiment: {exc}") from exc
 
@@ -324,7 +335,8 @@ def _map_fn(workers: int):
     if workers == 1:
         yield map
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_silence_sampler_shot_warning) as pool:
             yield pool.map
 
 

@@ -4,8 +4,12 @@ The Volterra scheme is checked against closed-form solutions of the
 equivalent second-order ODEs (a memory kernel g constant in s turns the
 integro-differential equation into y'' = a y' - y), which exercises the
 history quadrature and the predictor-corrector independently of any
-physics module.
+physics module.  The prefix scan that solves it is also held against the
+step-by-step loop it replaced, kept below as a reference, and against that
+loop run in extended precision.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from pulseguard.numerics import (
     running_trapezoid,
     volterra_solve,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestTimeGrid:
@@ -170,6 +176,72 @@ def _quadratic_memory_reference(y, kernel, grid):
     return out
 
 
+def _step_loop_reference(u, v, grid, y0, local_rate=None, overflow_limit=1.0e6,
+                         dtype=complex):
+    """The O(n) step loop the prefix scan replaced, kept verbatim as a
+    reference: one Heun step per node on Python complex, carrying the
+    running sum S_i.  dtype=np.clongdouble runs the same loop on extended
+    precision numpy scalars, which measures the rounding of both solvers."""
+
+    def _node_values(values, grid, name):
+        values = np.asarray(values, dtype=complex)
+        assert values.shape == (grid.n_steps + 1,), name
+        return values.tolist() if dtype is complex else list(values.astype(dtype))
+
+    n = grid.n_steps
+    dt = grid.dt
+    u = _node_values(u, grid, "u")
+    v = _node_values(v, grid, "v")
+    if local_rate is None:
+        a = [0.0] * (n + 1)
+    else:
+        a = _node_values(local_rate, grid, "local_rate")
+
+    y = [0j] * (n + 1)
+    memory = [0j] * (n + 1)
+    y_i = complex(y0)
+    y[0] = y_i
+    head = 0.5 * v[0] * y_i
+    total = v[0] * y_i  # S_i
+    for i in range(n):
+        # mem_0 is an empty integral; the formula gives it exactly
+        mem_i = u[i] * dt * (total - head - 0.5 * v[i] * y_i)
+        memory[i] = mem_i
+        f_i = a[i] * y_i - mem_i
+
+        y_pred = y_i + dt * f_i
+        # history keeps full weight on the last known point; the new
+        # endpoint enters with the predictor value and trapezoid weight 1/2
+        mem_next = u[i + 1] * dt * (total - head + 0.5 * v[i + 1] * y_pred)
+        f_next = a[i + 1] * y_pred - mem_next
+        y_i = y_i + 0.5 * dt * (f_i + f_next)
+
+        # the negated comparison also catches nan
+        if not abs(y_i) <= overflow_limit:
+            raise NumericOverflowError(
+                f"Volterra solution exceeded {overflow_limit:g} at t = {(i + 1) * dt:.6g}"
+            )
+        y[i + 1] = y_i
+        total += v[i + 1] * y_i
+    memory[n] = u[n] * dt * (total - head - 0.5 * v[n] * y_i)
+    return np.array(y, dtype=dtype), np.array(memory, dtype=dtype)
+
+
+def _fig4_factors(n_steps):
+    """u, v of fig4's free sweep (None) and of its shot sweeps 0, 1, 2."""
+    from pulseguard.adiabatic import _kernel_factors
+    from pulseguard.runner import load_config
+    from pulseguard.signals import substream
+
+    config = load_config(ROOT / "configs" / "fig4.json")
+    grid = TimeGrid(config.grid.t_max, n_steps)
+    out = {None: _kernel_factors(config.sweep, None, grid)}
+    for k in range(3):
+        control = config.signal.sample(substream(config.master_seed, k), grid)
+        out[k] = _kernel_factors(config.sweep, control, grid)
+    return grid, out
+
+
 def _node_kernel(u, v, grid):
     """g(t, s) = u(t) v(s) as the callable the reference solver takes."""
     dt = grid.dt
@@ -183,8 +255,11 @@ def _node_kernel(u, v, grid):
 
 
 class TestVolterra:
-    def test_zero_kernel_matches_heun_bitwise(self):
-        """With no memory the scheme must collapse to plain Heun."""
+    def test_zero_kernel_matches_heun(self):
+        """With no memory the scheme must collapse to plain Heun.
+
+        The scan multiplies the same Heun factors in tree order, so y agrees
+        to rounding rather than bit for bit; the memory stays exactly 0."""
         grid = TimeGrid(t_max=2.0, n_steps=200)
 
         def rate(t):
@@ -207,7 +282,7 @@ class TestVolterra:
             y_pred = ref[i] + dt * f_i
             f_next = rate(grid.times[i + 1]) * y_pred
             ref[i + 1] = ref[i] + 0.5 * dt * (f_i + f_next)
-        np.testing.assert_array_equal(y, ref)
+        np.testing.assert_allclose(y, ref, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(memory, 0.0)
 
     def test_cosine_oracle(self):
@@ -242,8 +317,23 @@ class TestVolterra:
         # g = -1 gives y'' = +y, growing like cosh until the limit trips
         grid = TimeGrid(t_max=20.0, n_steps=2000)
         ones = np.ones(grid.n_steps + 1)
-        with pytest.raises(NumericOverflowError, match="exceeded"):
+        message = r"exceeded 10 at t = 3$"
+        with pytest.raises(NumericOverflowError, match=message):
             volterra_solve(-ones, ones, grid, 1.0 + 0j, overflow_limit=10.0)
+        with pytest.raises(NumericOverflowError, match=message):
+            _step_loop_reference(-ones, ones, grid, 1.0 + 0j, overflow_limit=10.0)
+
+    def test_nan_reports_the_first_node_it_reaches(self):
+        # u[700] enters the corrector of the step onto node 700, t = 7
+        grid = TimeGrid(t_max=20.0, n_steps=2000)
+        ones = np.ones(grid.n_steps + 1)
+        u = ones.copy()
+        u[700] = np.nan
+        message = r"exceeded 1e\+06 at t = 7$"
+        with pytest.raises(NumericOverflowError, match=message):
+            volterra_solve(u, ones, grid, 1.0 + 0j)
+        with pytest.raises(NumericOverflowError, match=message):
+            _step_loop_reference(u, ones, grid, 1.0 + 0j)
 
     def test_factor_shape_checked(self):
         grid = TimeGrid(t_max=1.0, n_steps=10)
@@ -274,3 +364,47 @@ class TestVolterra:
             rng.normal(size=nodes) + 1j * rng.normal(size=nodes) for _ in range(3)
         )
         self._assert_matches_reference(u, v, grid, local_rate=-0.5 + 0.2 * rate)
+
+
+class TestVolterraScan:
+    """The prefix scan against the step loop it replaced."""
+
+    @pytest.mark.parametrize("shot", [None, 0, 1, 2])
+    def test_matches_step_loop_on_fig4_sweeps(self, shot):
+        grid, factors = _fig4_factors(5000)
+        u, v = factors[shot]
+        y, memory = volterra_solve(u, v, grid, 1.0 + 0j)
+        ref_y, ref_memory = _step_loop_reference(u, v, grid, 1.0 + 0j)
+        assert np.max(np.abs(y - ref_y)) <= 1e-14
+        assert np.max(np.abs(memory - ref_memory)) <= 1e-14
+
+    # the edges of the doubling rounds: 1 map, powers of two and one past
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 1000, 4097])
+    def test_matches_step_loop_on_random_factors(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        grid = TimeGrid(t_max=3.0, n_steps=n_steps)
+        nodes = n_steps + 1
+        u, v, rate = (
+            rng.normal(size=nodes) + 1j * rng.normal(size=nodes) for _ in range(3)
+        )
+        rate = -0.5 + 0.2 * rate
+        y, memory = volterra_solve(u, v, grid, 0.6 - 0.8j, local_rate=rate)
+        ref_y, ref_memory = _step_loop_reference(u, v, grid, 0.6 - 0.8j, local_rate=rate)
+        assert np.max(np.abs(y - ref_y)) <= 1e-13
+        assert np.max(np.abs(memory - ref_memory)) <= 1e-13
+        assert memory[0] == 0.0
+
+    @pytest.mark.skipif(
+        not np.finfo(np.longdouble).eps < np.finfo(float).eps,
+        reason="long double is no wider than float64 here",
+    )
+    @pytest.mark.parametrize("shot", [None, 2])
+    def test_at_least_as_accurate_as_step_loop(self, shot):
+        grid, factors = _fig4_factors(5000)
+        u, v = factors[shot]
+        exact, _ = _step_loop_reference(u, v, grid, 1.0 + 0j, dtype=np.clongdouble)
+        y, _ = volterra_solve(u, v, grid, 1.0 + 0j)
+        loop_y, _ = _step_loop_reference(u, v, grid, 1.0 + 0j)
+        scan_error = np.max(np.abs(y - exact))
+        loop_error = np.max(np.abs(loop_y - exact))
+        assert scan_error <= loop_error

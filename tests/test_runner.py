@@ -824,6 +824,22 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert "signal.rate = 100.0 is not resolved by the grid step" in done.stderr
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unresolved_shot_noise_warns_once_per_run(self, tmp_path, workers):
+        # 70 trajectories are three blocks, so at two workers both processes sample
+        cfg = self.write(tmp_path, raw(ENSEMBLE_RAW, signal=COARSE_SHOT, n_traj=70))
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "res.csv"),
+                "--workers", workers]
+        env = dict(os.environ)
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+        done = subprocess.run([sys.executable, "-m", "pulseguard", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = [line for line in done.stderr.splitlines() if "shot rate" in line]
+        assert len(lines) == 1, done.stderr
+        assert "signal.rate = 100.0 is not resolved by the grid step" in lines[0]
+
     def test_run_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,
