@@ -15,7 +15,6 @@ import numpy as np
 
 from pulseguard import (
     BathSpec,
-    InitialState,
     SignalFamily,
     PulseTrainSpec,
     TimeGrid,
@@ -44,21 +43,21 @@ def main() -> None:
 
     grid = TimeGrid(t_max=args.t_max, n_steps=args.n_steps)
     bath = BathSpec(coupling=1.0, cutoff=0.5)
-    state = InitialState.from_excited_prob(0.5)
+    states = (0.5,)
 
     columns = {}
     free = SignalFamily(kind="none").sample(0, grid)
     kernel = solve_kernel_riccati(effective_frequency(free, OMEGA), bath, grid)
-    columns["free"] = qsd_fidelity(state, kernel).values
+    columns["free"] = qsd_fidelity(states, kernel).values
 
     for duty in DUTIES:
         pulse = PulseTrainSpec(period=PERIOD, duration=duty * PERIOD, area=AREA)
         signal = SignalFamily(kind="regular", pulse=pulse).sample(0, grid)
         freq = effective_frequency(signal, OMEGA)
         kernel = solve_kernel_riccati(freq, bath, grid)
-        columns[f"qsd duty {duty:g}"] = qsd_fidelity(state, kernel).values
+        columns[f"qsd duty {duty:g}"] = qsd_fidelity(states, kernel).values
         if duty == 0.5:
-            columns["me2 duty 0.5"] = me2_fidelity(state, freq, bath, grid).values
+            columns["me2 duty 0.5"] = me2_fidelity(states, freq, bath, grid).values
 
     table = ResultTable(
         t=grid.times,

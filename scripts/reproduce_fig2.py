@@ -16,7 +16,7 @@ from pulseguard import (
     ExperimentConfig,
     SignalFamily,
     effective_frequency,
-    qsd_mean_fidelity,
+    qsd_fidelity,
     solve_kernel_riccati,
     run_experiment,
     ResultTable,
@@ -43,7 +43,7 @@ def main() -> None:
     free = SignalFamily(kind="none").sample(0, grid)
     freq = effective_frequency(free, config.omega)
     kernel = solve_kernel_riccati(freq, config.bath, grid)
-    free_mean = qsd_mean_fidelity(config.states, kernel).values
+    free_mean = qsd_fidelity(config.states, kernel).values
 
     merged = ResultTable(
         t=table.t,

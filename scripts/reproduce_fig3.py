@@ -16,13 +16,13 @@ from contextlib import ExitStack
 from pulseguard import (
     BathSpec,
     ChaoticSpec,
+    DEFAULT_STATES,
     JitterSpec,
     MemoryTrajectory,
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
     TimeGrid,
-    default_state_grid,
     ensemble_mean,
     ResultTable,
     emit_csv,
@@ -46,7 +46,6 @@ def main() -> None:
 
     grid = TimeGrid(t_max=10.0, n_steps=10000)
     bath = BathSpec(coupling=1.0, cutoff=0.5)
-    states = default_state_grid()
     duration = DUTY * PERIOD
 
     # Uniform strengths in [0, psi]: jitter only the area, centred at psi / 2.
@@ -73,7 +72,7 @@ def main() -> None:
         if args.workers > 1:
             map_fn = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers)).map
         for name, (family, seed, n_traj) in runs.items():
-            trajectory = MemoryTrajectory(family, bath, states, seed, grid, OMEGA)
+            trajectory = MemoryTrajectory(family, bath, DEFAULT_STATES, seed, grid, OMEGA)
             mean, _ = ensemble_mean(trajectory, n_traj, map_fn)
             columns[name] = mean[0]
             print(f"{name}: F(t_max) = {mean[0][-1]:.6f}")

@@ -10,7 +10,7 @@ through an equivalent Volterra equation for the adiabatic amplitude.
 __version__ = "0.1.0"
 
 from .numerics import NumericOverflowError, TimeGrid, volterra_solve
-from .bath import BathSpec, ou_correlation
+from .bath import BathSpec
 from .ensemble import ensemble_mean
 from .signals import (
     ChaoticSpec,
@@ -24,17 +24,15 @@ from .signals import (
     substream,
 )
 from .qsd import (
+    DEFAULT_STATES,
     FidelityCurve,
-    InitialState,
     KernelCurve,
     MemoryTrajectory,
-    default_state_grid,
     qsd_fidelity,
-    qsd_mean_fidelity,
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
-from .me2 import BornTrajectory, accumulated_phase, me2_fidelity, me2_mean_fidelity
+from .me2 import BornTrajectory, accumulated_phase, me2_fidelity
 from .adiabatic import (
     PassageTrajectory,
     Psi0Curve,
@@ -59,7 +57,6 @@ __all__ = [
     "TimeGrid",
     "volterra_solve",
     "BathSpec",
-    "ou_correlation",
     "ensemble_mean",
     "ChaoticSpec",
     "JitterSpec",
@@ -70,19 +67,16 @@ __all__ = [
     "effective_frequency",
     "sample_family",
     "substream",
+    "DEFAULT_STATES",
     "FidelityCurve",
-    "InitialState",
     "KernelCurve",
     "MemoryTrajectory",
-    "default_state_grid",
     "qsd_fidelity",
-    "qsd_mean_fidelity",
     "solve_kernel_quadrature",
     "solve_kernel_riccati",
     "BornTrajectory",
     "accumulated_phase",
     "me2_fidelity",
-    "me2_mean_fidelity",
     "PassageTrajectory",
     "Psi0Curve",
     "SweepSpec",

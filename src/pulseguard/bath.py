@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BathSpec", "ou_correlation"]
+__all__ = ["BathSpec"]
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,7 @@ class BathSpec:
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
 
     @property
-    def memory_time(self) -> float:
-        return 1.0 / self.cutoff
-
-    @property
     def weight(self) -> float:
         """Prefactor of the correlation, coupling * cutoff / 2."""
         return 0.5 * self.coupling * self.cutoff
 
-
-def ou_correlation(bath: BathSpec, t, s):
-    """Bath correlation alpha(t, s); returns complex (zero imaginary part)."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    out = bath.weight * np.exp(-bath.cutoff * np.abs(t - s)) + 0.0j
-    return out if out.ndim else complex(out)

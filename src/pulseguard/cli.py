@@ -6,7 +6,8 @@ Two subcommands:
                  [--seed N] [--workers N]
   pulseguard validate --config cfg.json
 
-Exit codes: 0 success, 2 invalid config, 3 numerical failure.
+Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 cannot write
+output.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .runner import ConfigError, emit_csv, emit_plot, load_config, run_experimen
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_WRITE = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,9 +54,13 @@ def _cmd_run(args) -> int:
     if args.workers is not None:
         config = dataclasses.replace(config, workers=args.workers)
     table = run_experiment(config)
-    emit_csv(table, args.out)
-    if args.plot is not None:
-        emit_plot(table, args.plot)
+    try:
+        emit_csv(table, args.out)
+        if args.plot is not None:
+            emit_plot(table, args.plot)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WRITE
     print(f"wrote {table.n_rows} rows to {args.out}")
     return EXIT_OK
 

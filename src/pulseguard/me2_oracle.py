@@ -1,7 +1,8 @@
 """The Born leakage kernel A(t, s) as an object, for verification only.
 
 me2 integrates its factored form directly; the tests check this form against
-brute-force 2x2 operator algebra and against me2's integrals.
+brute-force 2x2 operator algebra and against me2's integrals.  As in me2,
+the initial state mu|1> + nu|0> enters only through p = |mu|^2.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 
 from .me2 import accumulated_phase
 from .numerics import TimeGrid
-from .qsd import InitialState
 
 __all__ = ["LeakageKernel", "leakage_kernel"]
 
@@ -28,7 +28,7 @@ class LeakageKernel:
     """
 
     grid: TimeGrid
-    amplitude: float  # |mu|^4
+    amplitude: float  # p^2
     phase: np.ndarray  # Phi on the grid nodes
 
     def value(self, t_index: int, s_index: int) -> complex:
@@ -48,13 +48,13 @@ class LeakageKernel:
         return np.tril(self.amplitude * np.exp(1j * diff))
 
 
-def leakage_kernel(state: InitialState, E: np.ndarray, grid: TimeGrid) -> LeakageKernel:
-    """Build A(t, s) for the surviving zero-temperature channel.
+def leakage_kernel(p: float, E: np.ndarray, grid: TimeGrid) -> LeakageKernel:
+    """Build A(t, s) for the surviving zero-temperature channel, p = |mu|^2.
 
-    The closed form |mu|^4 e^{i(Phi(t)-Phi(s))} follows from
+    The closed form p^2 e^{i(Phi(t)-Phi(s))} follows from
     <sig+(t) sig-(s)> = |mu|^2 e^{i(Phi(t)-Phi(s))} and
-    <sig+(t)><sig-(s)> = |mu|^2 |nu|^2 e^{i(Phi(t)-Phi(s))}; the modulus is
-    phase-independent and vanishes when the excited amplitude does.
+    <sig+(t)><sig-(s)> = |mu|^2 |nu|^2 e^{i(Phi(t)-Phi(s))} with
+    |nu|^2 = 1 - p; the modulus is phase-independent and vanishes when the
+    excited amplitude does.
     """
-    p = state.p_excited
     return LeakageKernel(grid, p * p, accumulated_phase(E, grid))

@@ -19,9 +19,11 @@ closed form from the running integrals of F:
     F_fid(t) = 1 - p - (p - 2 p^2) e^{-2 Re INT(t)}
                + 2 (p - p^2) Re e^{-INT(t)},      p = |mu|^2,
 
-with INT(t) = int_0^t F(s) ds.  At t = 0 this is identically 1.  The form
-is affine in (1 - p, p - 2 p^2, 2 (p - p^2)), so an average over states
-averages those three coefficients and evaluates the curve once.
+with INT(t) = int_0^t F(s) ds.  At t = 0 this is identically 1.  The state
+enters only through its excited probability p, so a state is the float p
+in [0, 1].  The form is affine in (1 - p, p - 2 p^2, 2 (p - p^2)), so an
+average over states averages those three coefficients and evaluates the
+curve once.
 """
 
 from __future__ import annotations
@@ -37,51 +39,20 @@ from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from .signals import SignalFamily, effective_frequency, substream
 
 __all__ = [
-    "InitialState",
+    "DEFAULT_STATES",
     "KernelCurve",
     "FidelityCurve",
-    "default_state_grid",
     "solve_kernel_riccati",
     "solve_kernel_quadrature",
     "qsd_fidelity",
-    "qsd_mean_fidelity",
     "MemoryTrajectory",
 ]
 
 _KERNEL_BOUND = 1.0e6
 
-
-@dataclass(frozen=True)
-class InitialState:
-    """Pure qubit state mu|1> + nu|0>, normalised to 1e-12."""
-
-    excited_amp: complex
-    ground_amp: complex
-
-    def __post_init__(self) -> None:
-        norm = abs(self.excited_amp) ** 2 + abs(self.ground_amp) ** 2
-        if abs(norm - 1.0) > 1.0e-12:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-
-    @classmethod
-    def from_excited_prob(cls, p: float) -> "InitialState":
-        """Real-amplitude state with |mu|^2 = p."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"excited probability must lie in [0, 1], got {p}")
-        return cls(np.sqrt(p), np.sqrt(1.0 - p))
-
-    @property
-    def p_excited(self) -> float:
-        return abs(self.excited_amp) ** 2
-
-
-def default_state_grid() -> list[InitialState]:
-    """Nine real-amplitude states with |mu|^2 = 0.1 .. 0.9.
-
-    This is the averaging set used whenever results are quoted per signal
-    family rather than per state.
-    """
-    return [InitialState.from_excited_prob(p) for p in np.arange(1, 10) / 10.0]
+# the excited probabilities p = 0.1 .. 0.9, the averaging set used whenever
+# results are quoted per signal family rather than per state
+DEFAULT_STATES = tuple((np.arange(1, 10) / 10.0).tolist())
 
 
 @dataclass(frozen=True)
@@ -318,19 +289,16 @@ def solve_kernel_quadrature(
     return KernelCurve(grid, values)
 
 
-def qsd_fidelity(state: InitialState, kernel: KernelCurve) -> FidelityCurve:
-    """Closed-form noise-averaged fidelity from the kernel's running integrals.
+def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
+    """Closed-form noise-averaged fidelity, uniformly averaged over `states`.
 
-    Bounded inside [0, 1] whenever Re int F >= 0; a transiently negative
-    running integral is physically admissible for strongly non-Markovian
-    baths, so it is reported as a warning rather than an error.
+    Each state is its excited probability p; one state is (p,).  The curve
+    costs one evaluation whatever the number of states.  Bounded inside
+    [0, 1] whenever Re int F >= 0; a transiently negative running integral
+    is physically admissible for strongly non-Markovian baths, so it is
+    reported as a warning rather than an error.
     """
-    return qsd_mean_fidelity([state], kernel)
-
-
-def qsd_mean_fidelity(states: Sequence[InitialState], kernel: KernelCurve) -> FidelityCurve:
-    """Uniform average of qsd_fidelity over `states`, at the cost of one state."""
-    p = np.array([state.p_excited for state in states])
+    p = np.array(states, dtype=float)
     integral = running_trapezoid(kernel.values, kernel.grid.dt)
     re_int = integral.real
     if np.min(re_int) < 0.0:
@@ -339,7 +307,7 @@ def qsd_mean_fidelity(states: Sequence[InitialState], kernel: KernelCurve) -> Fi
             RuntimeWarning,
             stacklevel=2,
         )
-    # the per-state formula's evaluation order, so one state reproduces it bit for bit
+    # the written-out formula's evaluation order, so one state reproduces it bit for bit
     values = (
         np.mean(1.0 - p)
         - np.mean(p - 2.0 * p * p) * np.exp(-2.0 * re_int)
@@ -353,7 +321,8 @@ class MemoryTrajectory:
     """The trajectories of a memory experiment, as picklable units of ensemble work.
 
     Trajectory k's control comes from substream (master_seed, k); its one
-    row, named by `rows`, is the fidelity averaged over `states`.
+    row, named by `rows`, is the fidelity averaged over `states`, the
+    excited probabilities p of the initial states.
     """
 
     family: SignalFamily
@@ -368,6 +337,8 @@ class MemoryTrajectory:
     def __post_init__(self) -> None:
         if len(self.states) == 0:
             raise ValueError("states must be non-empty")
+        if not all(0.0 <= p <= 1.0 for p in self.states):
+            raise ValueError(f"states must be excited probabilities in [0, 1], got {self.states}")
         object.__setattr__(self, "states", tuple(self.states))
 
     def splitting(self, k: int) -> np.ndarray:
@@ -391,5 +362,5 @@ class MemoryTrajectory:
         kernels = solve_kernel_riccati(self._splittings(ks), self.bath, self.grid).values
         out = np.empty((len(ks), 1, self.grid.n_steps + 1))
         for row, F in zip(out, kernels):
-            row[0] = qsd_mean_fidelity(self.states, KernelCurve(self.grid, F)).values
+            row[0] = qsd_fidelity(self.states, KernelCurve(self.grid, F)).values
         return out

@@ -28,7 +28,7 @@ from .bath import BathSpec
 from .ensemble import _BLOCK, ensemble_mean
 from .me2 import BornTrajectory
 from .numerics import NumericOverflowError, TimeGrid
-from .qsd import InitialState, MemoryTrajectory, default_state_grid
+from .qsd import DEFAULT_STATES, MemoryTrajectory
 from .signals import _SHOT_RATE_DT_MAX, FAMILY_SPECS, SignalFamily, jittered_height_bound
 
 __all__ = [
@@ -129,11 +129,11 @@ def _build_signal(raw) -> SignalFamily:
 def _build_states(raw) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"states must be a non-empty list of numbers, got {raw!r}")
-    probs = [_number(p, "float", f"states[{i}]") for i, p in enumerate(raw)]
-    try:
-        return tuple(InitialState.from_excited_prob(p) for p in probs)
-    except ValueError as exc:
-        raise ConfigError(f"states: {exc}") from exc
+    states = tuple(_number(p, "float", f"states[{i}]") for i, p in enumerate(raw))
+    for i, p in enumerate(states):
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"states[{i}] must be an excited probability in [0, 1], got {p!r}")
+    return states
 
 
 def _check_sampling(signal: SignalFamily, grid: TimeGrid) -> None:
@@ -253,8 +253,7 @@ class ExperimentConfig:
             signal=signal,
             bath=_build(BathSpec, _require(raw, "bath", "config"), "bath"),
             omega=_number(raw.get("omega", 1.0), "float", "omega"),
-            states=(_build_states(raw["states"]) if "states" in raw
-                    else tuple(default_state_grid())),
+            states=_build_states(raw["states"]) if "states" in raw else DEFAULT_STATES,
             **scalars,
         )
 
@@ -268,7 +267,7 @@ class ExperimentConfig:
                 for attr in FAMILY_SPECS[self.signal.kind]:
                     value.update(asdict(getattr(self.signal, attr)))
             elif key == "states":
-                value = [s.p_excited for s in value]
+                value = list(value)
             elif is_dataclass(value):
                 value = asdict(value)
             out[key] = value
@@ -347,8 +346,9 @@ def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
         config.kind == "adiabatic" and config.signal.stochastic and config.n_traj > 1
     )
     n_traj = config.n_traj if ensemble else 1
-    # a single block runs in one process, so a pool would only add its start-up
-    with _map_fn(config.workers if n_traj > _BLOCK else 1) as map_fn:
+    # a block is one unit of work, so a worker past the number of blocks would
+    # sit idle, and a fork start method would still start it
+    with _map_fn(min(config.workers, math.ceil(n_traj / _BLOCK))) as map_fn:
         mean, stderr = ensemble_mean(trajectory, n_traj, map_fn)
     rows = trajectory.rows
     if ensemble:

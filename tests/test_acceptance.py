@@ -28,15 +28,14 @@ from conftest import record_verdict
 
 from pulseguard import (
     BathSpec,
+    DEFAULT_STATES,
     ChaoticSpec,
-    InitialState,
     JitterSpec,
     MemoryTrajectory,
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
     TimeGrid,
-    default_state_grid,
     effective_frequency,
     ensemble_mean,
     me2_fidelity,
@@ -59,7 +58,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_BATH = BathSpec(coupling=1.0, cutoff=0.5)
 BENCH_GRID = TimeGrid(t_max=10.0, n_steps=10000)
 BENCH_PULSE = PulseTrainSpec(period=0.02, duration=0.01, area=0.2)
-BALANCED = InitialState.from_excited_prob(0.5)
+BALANCED = (0.5,)
 
 # Free-decay baseline for criterion 5, recorded after the first verified run
 # of this artifact (exact-method F at t=10, benchmark bath, no control).
@@ -114,14 +113,13 @@ def test_criterion_01_identities_and_norms():
         for cutoff in (0.3, 0.5, 3.0):
             bath = BathSpec(coupling, cutoff)
             for p in (0.0, 0.5, 1.0):
-                state = InitialState.from_excited_prob(p)
                 for family in families.values():
                     E = effective_frequency(family.sample(substream(0, 0), grid), 1.0)
                     kernel = solve_kernel_riccati(E, bath, grid)
                     starts = (
-                        qsd_fidelity(state, kernel).values[0],
-                        me2_fidelity(state, E, bath, grid).values[0],
-                        ensemble_mean(MemoryTrajectory(family, bath, [state], 0, grid, 1.0),
+                        qsd_fidelity((p,), kernel).values[0],
+                        me2_fidelity((p,), E, bath, grid).values[0],
+                        ensemble_mean(MemoryTrajectory(family, bath, (p,), 0, grid, 1.0),
                                       2)[0][0, 0],
                     )
                     worst = max(worst, max(abs(s - 1.0) for s in starts))
@@ -210,7 +208,6 @@ def test_criterion_06_jittered_ensemble():
 def test_criterion_07_disordered_controls_agree():
     area, period = 0.4, 0.02
     duration = 0.75 * period
-    states = default_state_grid()
     runs = {
         "random": (
             SignalFamily(
@@ -234,7 +231,7 @@ def test_criterion_07_disordered_controls_agree():
     }
     curves = {
         name: ensemble_mean(
-            MemoryTrajectory(fam, BENCH_BATH, states, seed, BENCH_GRID, 1.0), n_traj
+            MemoryTrajectory(fam, BENCH_BATH, DEFAULT_STATES, seed, BENCH_GRID, 1.0), n_traj
         )[0][0]
         for name, (fam, seed, n_traj) in runs.items()
     }

@@ -1,55 +1,13 @@
-"""Environment correlation function and its limits."""
+"""Environment parameters and their validation."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from pulseguard.bath import BathSpec, ou_correlation
+from pulseguard.bath import BathSpec
 
 
-def test_weight_and_memory_time():
+def test_weight():
     bath = BathSpec(coupling=1.0, cutoff=0.5)
     assert bath.weight == pytest.approx(0.25)
-    assert bath.memory_time == pytest.approx(2.0)
-
-
-def test_equal_time_value():
-    bath = BathSpec(coupling=2.0, cutoff=3.0)
-    assert ou_correlation(bath, 1.3, 1.3) == pytest.approx(3.0)
-
-
-def test_exponential_decay_ratio():
-    bath = BathSpec(coupling=1.0, cutoff=0.5)
-    ratio = ou_correlation(bath, 2.0, 0.0) / ou_correlation(bath, 1.0, 0.0)
-    assert ratio.real == pytest.approx(np.exp(-0.5))
-
-
-@given(
-    t=st.floats(min_value=0.0, max_value=50.0),
-    s=st.floats(min_value=0.0, max_value=50.0),
-)
-def test_symmetric_in_time_arguments(t, s):
-    bath = BathSpec(coupling=1.0, cutoff=0.7)
-    assert ou_correlation(bath, t, s) == ou_correlation(bath, s, t)
-
-
-def test_vectorised_call():
-    bath = BathSpec(coupling=1.0, cutoff=0.5)
-    s = np.linspace(0.0, 5.0, 11)
-    out = ou_correlation(bath, 5.0, s)
-    assert out.shape == s.shape
-    assert np.iscomplexobj(out)
-    np.testing.assert_allclose(out.imag, 0.0)
-    assert np.all(np.diff(out.real) > 0.0)  # builds up towards equal times
-
-
-def test_markov_area_is_half_coupling():
-    """int_0^inf alpha dt -> coupling / 2, independent of the cutoff."""
-    for cutoff in (0.5, 5.0, 50.0):
-        bath = BathSpec(coupling=1.3, cutoff=cutoff)
-        tau = np.linspace(0.0, 80.0 / cutoff, 200001)
-        area = np.trapezoid(ou_correlation(bath, tau, 0.0).real, tau)
-        assert area == pytest.approx(1.3 / 2.0, rel=1e-6)
 
 
 def test_validation():

@@ -1,6 +1,6 @@
 """Second-order fidelity and the connected leakage kernel.
 
-The factored closed form A(t, s) = |mu|^4 e^{i(Phi(t) - Phi(s))} is
+The factored closed form A(t, s) = p^2 e^{i(Phi(t) - Phi(s))}, p = |mu|^2, is
 re-derived here by brute force: interaction-picture sigma+- operators are
 built as explicit 2x2 matrices from the free propagator
 U0(t) = diag(e^{-i Phi/2}, e^{+i Phi/2}) and the connected correlator is
@@ -12,15 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pulseguard.bath import BathSpec
-from pulseguard.me2 import accumulated_phase, me2_fidelity, me2_mean_fidelity
+from pulseguard.me2 import accumulated_phase, me2_fidelity
 from pulseguard.me2_oracle import LeakageKernel, leakage_kernel
 from pulseguard.numerics import TimeGrid, running_trapezoid
-from pulseguard.qsd import (
-    InitialState,
-    default_state_grid,
-    qsd_fidelity,
-    solve_kernel_riccati,
-)
+from pulseguard.qsd import DEFAULT_STATES, qsd_fidelity, solve_kernel_riccati
 from pulseguard.signals import (
     ChaoticSpec,
     PulseTrainSpec,
@@ -37,9 +32,9 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
-def connected_correlator(state, phase_t, phase_s):
-    """<sig+(t) sig-(s)> - <sig+(t)><sig-(s)> from explicit matrices."""
-    psi = np.array([state.excited_amp, state.ground_amp], dtype=complex)
+def connected_correlator(mu, nu, phase_t, phase_s):
+    """<sig+(t) sig-(s)> - <sig+(t)><sig-(s)> in mu|1> + nu|0>, from explicit matrices."""
+    psi = np.array([mu, nu], dtype=complex)
 
     def heisenberg(op, phi):
         u = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
@@ -63,10 +58,6 @@ class TestAccumulatedPhase:
         phase = accumulated_phase(np.ones(self.GRID.n_steps), self.GRID)
         np.testing.assert_allclose(phase, self.GRID.times, atol=1e-9)
 
-    def test_constant_drive_nodes(self):
-        phase = accumulated_phase(np.ones(self.GRID.n_steps + 1), self.GRID)
-        np.testing.assert_allclose(phase, self.GRID.times, atol=1e-9)
-
     def test_pulse_train_per_period_kick(self):
         """Each period adds omega*period + area to the phase."""
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, self.GRID)
@@ -77,8 +68,9 @@ class TestAccumulatedPhase:
             assert phase[cells_per_period * n] == pytest.approx(expected, abs=1e-9)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            accumulated_phase(np.ones(17), self.GRID)
+        for n in (17, self.GRID.n_steps + 1):
+            with pytest.raises(ValueError, match="length"):
+                accumulated_phase(np.ones(n), self.GRID)
 
 
 class TestLeakageKernel:
@@ -97,18 +89,17 @@ class TestLeakageKernel:
         if abs(mu) > 1.0:
             mu /= abs(mu) * 1.0001
         nu = np.sqrt(1.0 - abs(mu) ** 2)
-        state = InitialState(mu, nu)
-        kernel = LeakageKernel(self.GRID, state.p_excited**2, np.asarray(phases))
+        p = abs(mu) ** 2
+        kernel = LeakageKernel(self.GRID, p * p, np.asarray(phases))
         for s_index in range(t_index + 1):
-            brute = connected_correlator(state, phases[t_index], phases[s_index])
+            brute = connected_correlator(mu, nu, phases[t_index], phases[s_index])
             assert kernel.value(t_index, s_index) == pytest.approx(brute, abs=1e-12)
 
     def test_builder_uses_accumulated_phase(self):
         grid = TimeGrid(t_max=2.0, n_steps=200)
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, grid)
         E = effective_frequency(signal, 1.0)
-        state = InitialState.from_excited_prob(0.7)
-        kernel = leakage_kernel(state, E, grid)
+        kernel = leakage_kernel(0.7, E, grid)
         assert kernel.amplitude == pytest.approx(0.49)
         np.testing.assert_array_equal(kernel.phase, accumulated_phase(E, grid))
 
@@ -118,9 +109,7 @@ class TestLeakageKernel:
             assert kernel.value(i, i) == pytest.approx(0.25)
 
     def test_ground_state_silent(self):
-        kernel = leakage_kernel(
-            InitialState.from_excited_prob(0.0), np.ones(8), self.GRID
-        )
+        kernel = leakage_kernel(0.0, np.ones(8), self.GRID)
         assert kernel.amplitude == 0.0
         assert np.all(kernel.triangle() == 0.0)
 
@@ -151,22 +140,16 @@ class TestMe2Fidelity:
 
     def test_zero_coupling_flat(self):
         bath = BathSpec(coupling=0.0, cutoff=0.5)
-        curve = me2_fidelity(
-            InitialState.from_excited_prob(0.5), self.free_splitting(self.GRID), bath, self.GRID
-        )
+        curve = me2_fidelity((0.5,), self.free_splitting(self.GRID), bath, self.GRID)
         assert np.all(curve.values == 1.0)
 
     def test_ground_state_flat(self):
-        curve = me2_fidelity(
-            InitialState.from_excited_prob(0.0), self.free_splitting(self.GRID), BATH, self.GRID
-        )
+        curve = me2_fidelity((0.0,), self.free_splitting(self.GRID), BATH, self.GRID)
         assert np.all(curve.values == 1.0)
 
     def test_positive_everywhere(self):
         bath = BathSpec(coupling=30.0, cutoff=0.5)
-        curve = me2_fidelity(
-            InitialState.from_excited_prob(0.9), self.free_splitting(self.GRID), bath, self.GRID
-        )
+        curve = me2_fidelity((0.9,), self.free_splitting(self.GRID), bath, self.GRID)
         assert np.all(curve.values > 0.0)
 
     def test_matches_direct_double_integral(self):
@@ -174,10 +157,9 @@ class TestMe2Fidelity:
         grid = TimeGrid(t_max=2.0, n_steps=400)
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, grid)
         E = effective_frequency(signal, 1.0)
-        state = InitialState.from_excited_prob(0.5)
-        fast = me2_fidelity(state, E, BATH, grid)
+        fast = me2_fidelity((0.5,), E, BATH, grid)
 
-        kernel = leakage_kernel(state, E, grid)
+        kernel = leakage_kernel(0.5, E, grid)
         t = grid.times
         dt = grid.dt
         inner = np.zeros(grid.n_steps + 1, dtype=complex)
@@ -193,21 +175,19 @@ class TestMe2Fidelity:
         """Born error is O(coupling^2), negligible at coupling = 0.01."""
         bath = BathSpec(coupling=0.01, cutoff=0.5)
         E = self.free_splitting(self.GRID)
-        state = InitialState.from_excited_prob(0.5)
-        born = me2_fidelity(state, E, bath, self.GRID)
-        exact = qsd_fidelity(state, solve_kernel_riccati(E, bath, self.GRID))
+        born = me2_fidelity((0.5,), E, bath, self.GRID)
+        exact = qsd_fidelity((0.5,), solve_kernel_riccati(E, bath, self.GRID))
         assert np.max(np.abs(born.values - exact.values)) < 1e-3
 
     def test_tracks_exact_under_control(self):
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, self.GRID)
         E = effective_frequency(signal, 1.0)
-        state = InitialState.from_excited_prob(0.5)
-        born = me2_fidelity(state, E, BATH, self.GRID)
-        exact = qsd_fidelity(state, solve_kernel_riccati(E, BATH, self.GRID))
+        born = me2_fidelity((0.5,), E, BATH, self.GRID)
+        exact = qsd_fidelity((0.5,), solve_kernel_riccati(E, BATH, self.GRID))
         assert np.max(np.abs(born.values - exact.values)) < 0.02
 
 
-def born_per_state(state, E, bath, grid):
+def born_per_state(p, E, bath, grid):
     """One state's Born curve with its own recursion: the loop the state average replaces."""
     dt = grid.dt
     phase = accumulated_phase(E, grid)
@@ -216,7 +196,7 @@ def born_per_state(state, E, bath, grid):
     j = np.zeros(grid.n_steps + 1, dtype=complex)
     for k in range(grid.n_steps):
         j[k + 1] = decay * j[k] + 0.5 * dt * (decay * emi[k] + emi[k + 1])
-    inner = state.p_excited**2 * bath.weight * np.exp(1j * phase) * j
+    inner = p**2 * bath.weight * np.exp(1j * phase) * j
     return np.exp(-2.0 * running_trapezoid(np.real(inner), dt))
 
 
@@ -233,10 +213,9 @@ class TestStateAverage:
     )
     def test_equals_per_state_loop(self, family):
         """One shared recursion gives every state's curve and their mean."""
-        states = default_state_grid()
         E = effective_frequency(family.sample(substream(7, 0), self.GRID), 1.0)
-        curves = [born_per_state(state, E, BATH, self.GRID) for state in states]
-        for state, curve in zip(states, curves):
-            np.testing.assert_array_equal(me2_fidelity(state, E, BATH, self.GRID).values, curve)
-        averaged = me2_mean_fidelity(states, E, BATH, self.GRID).values
+        curves = [born_per_state(p, E, BATH, self.GRID) for p in DEFAULT_STATES]
+        for p, curve in zip(DEFAULT_STATES, curves):
+            np.testing.assert_array_equal(me2_fidelity((p,), E, BATH, self.GRID).values, curve)
+        averaged = me2_fidelity(DEFAULT_STATES, E, BATH, self.GRID).values
         np.testing.assert_allclose(averaged, np.mean(curves, axis=0), rtol=0, atol=1e-15)

@@ -18,13 +18,11 @@ from pulseguard.bath import BathSpec
 from pulseguard.ensemble import _BLOCK, ensemble_mean
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from pulseguard.qsd import (
+    DEFAULT_STATES,
     FidelityCurve,
-    InitialState,
     KernelCurve,
     MemoryTrajectory,
-    default_state_grid,
     qsd_fidelity,
-    qsd_mean_fidelity,
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
@@ -60,30 +58,19 @@ def free_splitting(grid, omega=1.0):
 
 
 class TestInitialState:
-    def test_from_excited_prob(self):
-        state = InitialState.from_excited_prob(0.3)
-        assert state.p_excited == pytest.approx(0.3)
+    """An initial state mu|1> + nu|0> is its excited probability p = |mu|^2."""
 
     def test_prob_bounds(self):
-        with pytest.raises(ValueError):
-            InitialState.from_excited_prob(1.2)
-        with pytest.raises(ValueError):
-            InitialState.from_excited_prob(-0.1)
-
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError, match="norm"):
-            InitialState(0.9, 0.9)
-
-    def test_complex_amplitudes(self):
-        state = InitialState(0.6j, 0.8)
-        assert state.p_excited == pytest.approx(0.36)
+        family = SignalFamily(kind="none")
+        for states in ((0.5, 1.2), (-0.1,), (float("nan"),)):
+            with pytest.raises(ValueError, match="states"):
+                MemoryTrajectory(family, BATH, states, 0, GRID, 1.0)
+        trajectory = MemoryTrajectory(family, BATH, [0.0, 1.0], 0, GRID, 1.0)
+        assert trajectory.states == (0.0, 1.0)
 
     def test_default_grid(self):
-        states = default_state_grid()
-        assert len(states) == 9
-        np.testing.assert_allclose(
-            [s.p_excited for s in states], np.arange(1, 10) / 10.0
-        )
+        assert DEFAULT_STATES == tuple(np.arange(1, 10) / 10.0)
+        assert all(type(p) is float for p in DEFAULT_STATES)
 
 
 class TestKernelSolvers:
@@ -145,12 +132,12 @@ class TestFidelity:
     def test_starts_at_one_for_every_state(self):
         kernel = solve_kernel_riccati(free_splitting(GRID), BATH, GRID)
         for p in np.linspace(0.0, 1.0, 11):
-            curve = qsd_fidelity(InitialState.from_excited_prob(p), kernel)
+            curve = qsd_fidelity((p,), kernel)
             assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ground_state_immune(self):
         kernel = solve_kernel_riccati(free_splitting(GRID), BATH, GRID)
-        curve = qsd_fidelity(InitialState.from_excited_prob(0.0), kernel)
+        curve = qsd_fidelity((0.0,), kernel)
         assert np.all(curve.values == 1.0)
 
     def test_markov_closed_form(self):
@@ -158,28 +145,23 @@ class TestFidelity:
         grid = TimeGrid(t_max=10.0, n_steps=50000)
         bath = BathSpec(coupling=1.0, cutoff=200.0)
         kernel = solve_kernel_riccati(free_splitting(grid), bath, grid)
-        curve = qsd_fidelity(InitialState.from_excited_prob(0.5), kernel)
+        curve = qsd_fidelity((0.5,), kernel)
         reference = 0.5 + 0.5 * np.exp(-0.5 * grid.times)
         assert np.max(np.abs(curve.values - reference)) < 0.01
 
     def test_balanced_state_identity(self):
         """At p = 1/2 only the coherence term survives alongside 1/2."""
         kernel = solve_kernel_riccati(free_splitting(GRID), BATH, GRID)
-        curve = qsd_fidelity(InitialState.from_excited_prob(0.5), kernel)
-        from pulseguard.numerics import running_trapezoid
-
+        curve = qsd_fidelity((0.5,), kernel)
         integral = running_trapezoid(kernel.values, GRID.dt)
-        # p round-trips through sqrt, so the population coefficient is a
-        # subnormal rather than exactly zero; agreement is to the ulp
-        np.testing.assert_allclose(
-            curve.values, 0.5 + 0.5 * np.real(np.exp(-integral)), rtol=0, atol=1e-15
-        )
+        # p - 2 p^2 is exactly zero at p = 1/2, so the population term drops out
+        np.testing.assert_array_equal(curve.values, 0.5 + 0.5 * np.real(np.exp(-integral)))
 
     def test_bounded_on_standard_parameters(self):
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, GRID)
         kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, GRID)
         for p in (0.2, 0.5, 0.9):
-            curve = qsd_fidelity(InitialState.from_excited_prob(p), kernel)
+            curve = qsd_fidelity((p,), kernel)
             assert curve.values.min() >= -1e-12
             assert curve.values.max() <= 1.0 + 1e-12
 
@@ -188,12 +170,12 @@ class TestFidelity:
         values[0] = 0.0
         kernel = KernelCurve(TimeGrid(1.0, 100), values)
         with pytest.warns(RuntimeWarning, match="dipped below zero"):
-            qsd_fidelity(InitialState.from_excited_prob(0.5), kernel)
+            qsd_fidelity((0.5,), kernel)
 
     def test_free_decay_fixture(self):
         """Frozen uncontrolled baseline used by the protection-gap check."""
         kernel = solve_kernel_riccati(free_splitting(GRID), BATH, GRID)
-        curve = qsd_fidelity(InitialState.from_excited_prob(0.5), kernel)
+        curve = qsd_fidelity((0.5,), kernel)
         assert curve.final == pytest.approx(0.455385272224, abs=1e-9)
 
     def test_duty_ratio_near_insensitive(self):
@@ -207,7 +189,7 @@ class TestFidelity:
             pulse = PulseTrainSpec(period=0.02, duration=duty * 0.02, area=0.2)
             signal = SignalFamily(kind="regular", pulse=pulse).sample(0, GRID)
             kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, GRID)
-            finals.append(qsd_fidelity(InitialState.from_excited_prob(0.5), kernel).final)
+            finals.append(qsd_fidelity((0.5,), kernel).final)
         assert max(finals) - min(finals) < 1e-3
         assert finals[0] > finals[1] > finals[2]
         assert min(finals) > 0.98
@@ -217,15 +199,14 @@ class TestFidelity:
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, GRID)
         kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, GRID)
         integral = running_trapezoid(kernel.values, GRID.dt)
-        for state in default_state_grid():
-            p = state.p_excited
+        for p in DEFAULT_STATES:
             reference = (
                 1.0
                 - p
                 - (p - 2.0 * p * p) * np.exp(-2.0 * integral.real)
                 + 2.0 * (p - p * p) * np.real(np.exp(-integral))
             )
-            np.testing.assert_array_equal(qsd_fidelity(state, kernel).values, reference)
+            np.testing.assert_array_equal(qsd_fidelity((p,), kernel).values, reference)
 
     @pytest.mark.parametrize(
         "family",
@@ -237,11 +218,10 @@ class TestFidelity:
     )
     def test_state_average_equals_per_state_loop(self, family):
         """Averaging the three coefficients first changes only rounding."""
-        states = default_state_grid()
         signal = family.sample(substream(7, 0), GRID)
         kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, GRID)
-        loop = np.mean([qsd_fidelity(state, kernel).values for state in states], axis=0)
-        averaged = qsd_mean_fidelity(states, kernel).values
+        loop = np.mean([qsd_fidelity((p,), kernel).values for p in DEFAULT_STATES], axis=0)
+        averaged = qsd_fidelity(DEFAULT_STATES, kernel).values
         np.testing.assert_allclose(averaged, loop, rtol=0, atol=1e-15)
 
     def test_fidelity_curve_validation(self):
@@ -252,7 +232,7 @@ class TestFidelity:
 
 class TestEnsemble:
     GRID = TimeGrid(t_max=2.0, n_steps=2000)
-    STATES = (InitialState.from_excited_prob(0.3), InitialState.from_excited_prob(0.7))
+    STATES = (0.3, 0.7)
 
     def trajectory(self, family, master_seed, grid=None, states=None, omega=1.0):
         return MemoryTrajectory(
@@ -267,8 +247,8 @@ class TestEnsemble:
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, self.GRID)
         kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, self.GRID)
         reference = 0.5 * (
-            qsd_fidelity(self.STATES[0], kernel).values
-            + qsd_fidelity(self.STATES[1], kernel).values
+            qsd_fidelity(self.STATES[:1], kernel).values
+            + qsd_fidelity(self.STATES[1:], kernel).values
         )
         # averaging three identical rows reproduces them to the ulp
         np.testing.assert_allclose(mean[0], reference, rtol=0, atol=1e-15)

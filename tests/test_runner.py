@@ -24,6 +24,7 @@ from pulseguard import runner
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
+from pulseguard.qsd import DEFAULT_STATES
 from pulseguard.runner import (
     ConfigError,
     ExperimentConfig,
@@ -149,8 +150,7 @@ class TestConfigValidation:
         assert config.kind == "memory-qsd"
         assert config.grid == TimeGrid(2.0, 400)
         assert config.omega == 1.0
-        assert len(config.states) == 1
-        assert config.states[0].p_excited == pytest.approx(0.5)
+        assert config.states == (0.5,)
 
     def test_unresolved_shot_noise_warns_at_config_time(self):
         with pytest.warns(RuntimeWarning, match=r"signal\.rate = 100\.0 .* grid step"):
@@ -167,7 +167,8 @@ class TestConfigValidation:
         base = copy.deepcopy(MEMORY_RAW)
         del base["states"]
         config = ExperimentConfig.from_dict(base)
-        assert len(config.states) == 9
+        assert config.states == DEFAULT_STATES
+        assert config.resolved()["states"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
@@ -283,8 +284,12 @@ class TestConfigValidation:
             )
 
     def test_state_probability_bounds(self):
-        with pytest.raises(ConfigError, match="states"):
-            ExperimentConfig.from_dict(raw(MEMORY_RAW, states=[0.5, 1.5]))
+        for value in (1.5, -0.1):
+            with pytest.raises(ConfigError, match=r"states\[1\]"):
+                ExperimentConfig.from_dict(raw(MEMORY_RAW, states=[0.5, value]))
+        config = ExperimentConfig.from_dict(raw(MEMORY_RAW, states=[0, 1]))
+        assert config.states == (0.0, 1.0)
+        assert config.resolved()["states"] == [0.0, 1.0]
 
     def test_n_traj_bounds(self):
         with pytest.raises(ConfigError, match="n_traj"):
@@ -535,6 +540,32 @@ class TestRunExperiment:
         emit_csv(run_experiment(dataclasses.replace(config, workers=2)), tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers, pool_size", [(64, 3), (2, 2)])
+    def test_pool_is_sized_by_the_blocks(self, tmp_path, monkeypatch, workers, pool_size):
+        # two batched blocks and a remainder block of three
+        config = ExperimentConfig.from_dict(raw(ENSEMBLE_RAW, n_traj=2 * _BLOCK + 3))
+        emit_csv(run_experiment(config), tmp_path / "w1.csv")
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        config = dataclasses.replace(config, workers=workers)
+        emit_csv(run_experiment(config), tmp_path / "pooled.csv")
+        assert sizes == [pool_size]
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
     def test_memory_qsd_is_the_first_ensemble_trajectory(self):
         """Both kinds run the same trajectory function; n_traj = 1 is bitwise one curve."""
         single = raw(ENSEMBLE_RAW, kind="memory-qsd", states=[0.2, 0.5, 0.9])
@@ -740,7 +771,8 @@ class TestCli:
         [({"signal": {"family": "shot", "strength": 0.1, "rate": math.inf}}, "signal.rate"),
          ({"omega": math.inf}, "omega"),
          ({"signal": {"family": "regular", "period": 0.02, "duration": 0.01, "area": 0.2},
-           "grid": {"t_max": 10.0, "n_steps": 100}}, "signal.duration")],
+           "grid": {"t_max": 10.0, "n_steps": 100}}, "signal.duration"),
+         ({"states": [0.5, 1.5]}, "states[1]")],
     )
     def test_run_unphysical_value_exits_2(self, tmp_path, capsys, overrides, field):
         cfg = self.write(tmp_path, raw(MEMORY_RAW, **overrides))
@@ -840,6 +872,20 @@ class TestCli:
         assert len(lines) == 1, done.stderr
         assert "signal.rate = 100.0 is not resolved by the grid step" in lines[0]
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_run_unwritable_output_exits_4(self, tmp_path, capsys, flag):
+        cfg = self.write(tmp_path, MEMORY_RAW)
+        paths = {"--out": tmp_path / "res.csv", "--plot": tmp_path / "res.svg"}
+        paths[flag] = tmp_path / "absent" / "x.out"
+        args = ["run", "--config", str(cfg)]
+        for name, path in paths.items():
+            args += [name, str(path)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert str(paths[flag]) in err
+        assert "Traceback" not in err
+
     def test_run_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,
@@ -882,6 +928,12 @@ class TestBundledPresets:
         assert capsys.readouterr().out.startswith("ok:")
         self.assert_echoed(json.loads(path.read_text()), load_config(path).resolved(), "")
 
+    def test_fig1_csv_embeds_the_given_state(self, tmp_path):
+        table = run_experiment(load_config(ROOT / "configs" / "fig1.json"))
+        emit_csv(table, tmp_path / "fig1.csv")
+        config_line = (tmp_path / "fig1.csv").read_text().splitlines()[1]
+        assert '"states":[0.5]' in config_line
+
     @pytest.mark.parametrize("path", PRESETS, ids=[p.name for p in PRESETS])
     def test_preset_csv_keeps_the_numpy_scalar_bytes(self, path, tmp_path):
         config = load_config(path)
@@ -895,7 +947,7 @@ class TestBundledPresets:
             echo = resolved[key]
             if isinstance(value, dict):
                 self.assert_echoed(value, echo, f"{where}{key}.")
-            elif key == "states":  # echoed as |mu|^2 of the built state
-                assert echo == pytest.approx(value, rel=1e-15), f"{where}{key}"
             else:
                 assert echo == value and type(echo) is type(value), f"{where}{key}"
+                if isinstance(value, list):
+                    assert [type(x) for x in echo] == [type(x) for x in value], f"{where}{key}"

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from pulseguard.bath import BathSpec
-from pulseguard.me2 import accumulated_phase, me2_mean_fidelity
+from pulseguard.me2 import accumulated_phase, me2_fidelity
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from pulseguard.qsd import (
+    DEFAULT_STATES,
     _KERNEL_BOUND,
     _cell_drive,
     _riccati_rows,
-    default_state_grid,
     solve_kernel_riccati,
 )
 from pulseguard.signals import (
@@ -78,7 +78,7 @@ def reference_kernel(E, bath, grid):
 
 
 def reference_born(states, E, bath, grid):
-    """me2_mean_fidelity with its j(u) recursion on numpy scalars."""
+    """me2_fidelity with its j(u) recursion on numpy scalars."""
     dt = grid.dt
     phase = accumulated_phase(E, grid)
     decay = np.exp(-bath.cutoff * dt)
@@ -87,7 +87,7 @@ def reference_born(states, E, bath, grid):
     j[0] = 0.0
     for k in range(grid.n_steps):
         j[k + 1] = decay * j[k] + 0.5 * dt * (decay * emi[k] + emi[k + 1])
-    amp = np.array([state.p_excited**2 for state in states])
+    amp = np.array([p**2 for p in states])
     inner = (amp[:, None] * bath.weight) * np.exp(1j * phase) * j
     exponent = 2.0 * running_trapezoid(np.real(inner), dt)
     return np.mean(np.exp(-exponent), axis=0)
@@ -208,10 +208,9 @@ class TestBatchedKernel:
 class TestBornRecursion:
     @pytest.mark.parametrize("name", ["free", "regular", "chaotic"])
     def test_bitwise_equal_to_numpy_scalar_loop(self, name):
-        states = default_state_grid()
         E = splitting(CONTROLS[name])
-        curve = me2_mean_fidelity(states, E, FIG1_BATH, GRID)
-        assert_bitwise(curve.values, reference_born(states, E, FIG1_BATH, GRID))
+        curve = me2_fidelity(DEFAULT_STATES, E, FIG1_BATH, GRID)
+        assert_bitwise(curve.values, reference_born(DEFAULT_STATES, E, FIG1_BATH, GRID))
 
 
 class TestJitteredDraw:
