@@ -6,30 +6,23 @@ with and without control, at three duty ratios of the same pulse area, and
 overlays the second-order (Born) prediction for the controlled case.  The
 revival structure and the near-insensitivity to duty ratio are the headline
 features; the Born curve tracks the exact one closely at this coupling.
+Every curve is the fig1 preset with its signal or kind overridden.
 """
 
 import argparse
+import json
 import pathlib
 
-import numpy as np
-
 from pulseguard import (
-    BathSpec,
-    SignalFamily,
-    PulseTrainSpec,
-    TimeGrid,
-    effective_frequency,
-    me2_fidelity,
-    qsd_fidelity,
-    solve_kernel_riccati,
+    ConfigError,
+    ExperimentConfig,
     ResultTable,
     emit_csv,
     emit_plot,
+    run_experiment,
 )
 
-OMEGA = 1.0
-AREA = 0.2
-PERIOD = 0.02
+PRESET = pathlib.Path(__file__).resolve().parents[1] / "configs" / "fig1.json"
 DUTIES = (0.25, 0.5, 0.75)
 
 
@@ -39,31 +32,33 @@ def main() -> None:
     parser.add_argument("--t-max", type=float, default=10.0)
     parser.add_argument("--n-steps", type=int, default=10000)
     args = parser.parse_args()
+
+    preset = json.loads(PRESET.read_text())
+    preset["grid"] = {"t_max": args.t_max, "n_steps": args.n_steps}
+    signal = preset["signal"]
+    runs = {"free": {**preset, "signal": {"family": "none"}}}
+    for duty in DUTIES:
+        pulse = {**signal, "duration": duty * signal["period"]}
+        runs[f"qsd duty {duty:g}"] = {**preset, "signal": pulse}
+        if duty == 0.5:
+            runs["me2 duty 0.5"] = {**preset, "kind": "memory-me2", "signal": pulse}
+    try:
+        configs = {name: ExperimentConfig.from_dict(run) for name, run in runs.items()}
+    except ConfigError as exc:
+        parser.error(str(exc))
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    grid = TimeGrid(t_max=args.t_max, n_steps=args.n_steps)
-    bath = BathSpec(coupling=1.0, cutoff=0.5)
-    states = (0.5,)
-
+    # a single-trajectory run has one column, the qsd or me2 fidelity
     columns = {}
-    free = SignalFamily(kind="none").sample(0, grid)
-    kernel = solve_kernel_riccati(effective_frequency(free, OMEGA), bath, grid)
-    columns["free"] = qsd_fidelity(states, kernel).values
-
-    for duty in DUTIES:
-        pulse = PulseTrainSpec(period=PERIOD, duration=duty * PERIOD, area=AREA)
-        signal = SignalFamily(kind="regular", pulse=pulse).sample(0, grid)
-        freq = effective_frequency(signal, OMEGA)
-        kernel = solve_kernel_riccati(freq, bath, grid)
-        columns[f"qsd duty {duty:g}"] = qsd_fidelity(states, kernel).values
-        if duty == 0.5:
-            columns["me2 duty 0.5"] = me2_fidelity(states, freq, bath, grid).values
-
+    for name, config in configs.items():
+        table = run_experiment(config)
+        columns[name] = table.data[table.columns[0]]
     table = ResultTable(
-        t=grid.times,
+        t=table.t,
         columns=tuple(columns),
         data=columns,
-        metadata={"experiment": "fig1", "omega": OMEGA, "area": AREA, "period": PERIOD},
+        metadata={"experiment": "fig1", "omega": preset["omega"], "area": signal["area"],
+                  "period": signal["period"]},
     )
     csv_path = args.out_dir / "fig1.csv"
     svg_path = args.out_dir / "fig1.svg"

@@ -4,24 +4,22 @@
 Runs the preset ensemble (200 trajectories, every pulse parameter drawn
 fresh each period) and a free-decay reference on the same grid, then writes
 the mean curve with its standard error.  Imperfect, noisy control retains
-almost all of the protection of the ideal train.
+almost all of the protection of the ideal train.  The reference is the
+preset run as memory-qsd without control.
 """
 
 import argparse
 import dataclasses
-import json
 import pathlib
 
 from pulseguard import (
+    ConfigError,
     ExperimentConfig,
-    SignalFamily,
-    effective_frequency,
-    qsd_fidelity,
-    solve_kernel_riccati,
-    run_experiment,
     ResultTable,
     emit_csv,
     emit_plot,
+    load_config,
+    run_experiment,
 )
 
 PRESET = pathlib.Path(__file__).resolve().parents[1] / "configs" / "fig2.json"
@@ -33,17 +31,18 @@ def main() -> None:
     parser.add_argument("--config", type=pathlib.Path, default=PRESET)
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
+
+    try:
+        config = dataclasses.replace(load_config(args.config), workers=args.workers)
+        # free decay averaged over the same states: one memory-qsd run without control
+        free = {**config.resolved(), "kind": "memory-qsd", "signal": {"family": "none"}}
+        free.pop("n_traj", None)
+        free_config = ExperimentConfig.from_dict(free)
+    except ConfigError as exc:
+        parser.error(str(exc))
     args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    config = ExperimentConfig.from_dict(json.loads(args.config.read_text()))
-    table = run_experiment(dataclasses.replace(config, workers=args.workers))
-
-    # Free-decay reference averaged over the same state grid.
-    grid = config.grid
-    free = SignalFamily(kind="none").sample(0, grid)
-    freq = effective_frequency(free, config.omega)
-    kernel = solve_kernel_riccati(freq, config.bath, grid)
-    free_mean = qsd_fidelity(config.states, kernel).values
+    table = run_experiment(config)
+    free_mean = run_experiment(free_config).data["qsd"]
 
     merged = ResultTable(
         t=table.t,

@@ -9,79 +9,61 @@ protection needs only enough fast spectral weight, not a periodic drive.
 """
 
 import argparse
+import json
 import pathlib
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 
 from pulseguard import (
-    BathSpec,
-    ChaoticSpec,
-    DEFAULT_STATES,
-    JitterSpec,
-    MemoryTrajectory,
-    PulseTrainSpec,
-    ShotNoiseSpec,
-    SignalFamily,
-    TimeGrid,
-    ensemble_mean,
+    ConfigError,
+    ExperimentConfig,
     ResultTable,
     emit_csv,
     emit_plot,
+    run_experiment,
 )
 
-OMEGA = 1.0
+PRESET = pathlib.Path(__file__).resolve().parents[1] / "configs" / "fig3.json"
 AREA = 0.4
 PERIOD = 0.02
 DUTY = 0.75
-N_TRAJ = 200
 
 
 def main() -> None:
+    shot = json.loads(PRESET.read_text())
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("results"))
-    parser.add_argument("--n-traj", type=int, default=N_TRAJ)
+    parser.add_argument("--n-traj", type=int, default=shot["n_traj"])
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
+
+    shot.update(n_traj=args.n_traj, workers=args.workers)
+    pulse = {"period": PERIOD, "duration": DUTY * PERIOD}
+    runs = {
+        # uniform strengths in [0, psi]: jitter only the area, centred at psi / 2
+        "random": {**shot, "master_seed": 12, "signal": {
+            "family": "jittered", **pulse, "area": AREA / 2,
+            "period_dev": 0.0, "duration_dev": 0.0, "area_dev": AREA / 2}},
+        "chaotic": {**shot, "master_seed": 0, "n_traj": 1, "signal": {
+            "family": "chaotic", **pulse, "area": AREA,
+            "logistic_r": 3.9, "seed_intensity": 0.5}},
+        "shot": shot,
+    }
+    try:
+        configs = {name: ExperimentConfig.from_dict(run) for name, run in runs.items()}
+    except ConfigError as exc:
+        parser.error(str(exc))
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    grid = TimeGrid(t_max=10.0, n_steps=10000)
-    bath = BathSpec(coupling=1.0, cutoff=0.5)
-    duration = DUTY * PERIOD
-
-    # Uniform strengths in [0, psi]: jitter only the area, centred at psi / 2.
-    random_family = SignalFamily(
-        kind="jittered",
-        pulse=PulseTrainSpec(period=PERIOD, duration=duration, area=AREA / 2),
-        jitter=JitterSpec(period_dev=0.0, duration_dev=0.0, area_dev=AREA / 2),
-    )
-    chaotic_family = SignalFamily(
-        kind="chaotic",
-        pulse=PulseTrainSpec(period=PERIOD, duration=duration, area=AREA),
-        chaos=ChaoticSpec(logistic_r=3.9, seed_intensity=0.5),
-    )
-    shot_family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0))
-
-    runs = {
-        "random": (random_family, 12, args.n_traj),
-        "chaotic": (chaotic_family, 0, 1),
-        "shot": (shot_family, 13, args.n_traj),
-    }
     columns = {}
-    with ExitStack() as stack:
-        map_fn = map
-        if args.workers > 1:
-            map_fn = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers)).map
-        for name, (family, seed, n_traj) in runs.items():
-            trajectory = MemoryTrajectory(family, bath, DEFAULT_STATES, seed, grid, OMEGA)
-            mean, _ = ensemble_mean(trajectory, n_traj, map_fn)
-            columns[name] = mean[0]
-            print(f"{name}: F(t_max) = {mean[0][-1]:.6f}")
+    for name, config in configs.items():
+        table = run_experiment(config)
+        columns[name] = table.data["mean"]
+        print(f"{name}: F(t_max) = {columns[name][-1]:.6f}")
 
     table = ResultTable(
-        t=grid.times,
+        t=table.t,
         columns=tuple(columns),
         data=columns,
-        metadata={"experiment": "fig3", "omega": OMEGA, "area": AREA, "period": PERIOD},
+        metadata={"experiment": "fig3", "omega": shot["omega"], "area": AREA, "period": PERIOD},
     )
     csv_path = args.out_dir / "fig3.csv"
     svg_path = args.out_dir / "fig3.svg"

@@ -11,18 +11,12 @@ budget; results are recorded in the preset configs.
 
 import argparse
 import itertools
+import json
+import pathlib
 
-from pulseguard import (
-    PassageTrajectory,
-    ShotNoiseSpec,
-    SignalFamily,
-    SweepSpec,
-    TimeGrid,
-    ensemble_mean,
-)
+from pulseguard import ConfigError, ExperimentConfig, run_experiment
 
-BASE_FREQ = 0.3
-T_FAST = 5.0
+PRESET = pathlib.Path(__file__).resolve().parents[1] / "configs" / "fig4.json"
 
 
 def main() -> None:
@@ -33,17 +27,23 @@ def main() -> None:
     parser.add_argument("--rates", type=float, nargs="+", default=[10.0, 30.0, 100.0])
     args = parser.parse_args()
 
-    grid = TimeGrid(t_max=T_FAST, n_steps=args.n_steps)
-    sweep = SweepSpec(passage_time=T_FAST, base_freq=BASE_FREQ)
+    preset = json.loads(PRESET.read_text())
+    preset["n_traj"] = args.n_traj
+    preset["grid"] = {**preset["grid"], "n_steps": args.n_steps}
+    scan = list(itertools.product(args.strengths, args.rates))
+    try:
+        configs = [ExperimentConfig.from_dict(
+            {**preset, "signal": {"family": "shot", "strength": strength, "rate": rate}}
+        ) for strength, rate in scan]
+    except ConfigError as exc:
+        parser.error(str(exc))
 
-    print(f"T = {T_FAST:g}, base_freq = {BASE_FREQ:g}, n_traj = {args.n_traj}")
+    sweep = configs[0].sweep
+    print(f"T = {sweep.passage_time:g}, base_freq = {sweep.base_freq:g}, n_traj = {args.n_traj}")
     print(f"{'J':>8} {'W':>8} {'J*W':>8} {'mean |psi_0(T)|':>16}")
-    for strength, rate in itertools.product(args.strengths, args.rates):
-        family = SignalFamily(
-            kind="shot", shot=ShotNoiseSpec(strength=strength, rate=rate)
-        )
-        mean, _ = ensemble_mean(PassageTrajectory(sweep, family, 2026, grid), args.n_traj)
-        final = mean[0][-1]
+    for (strength, rate), config in zip(scan, configs):
+        table = run_experiment(config)
+        final = table.data[table.columns[0]][-1]
         print(f"{strength:8.3f} {rate:8.1f} {strength * rate:8.2f} {final:16.6f}")
 
 

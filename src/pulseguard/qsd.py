@@ -131,35 +131,36 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     over (B,) rows, one ufunc call each per step for the whole batch; at
     B = 1 that loop is the scalar loop bit for bit, and at B > 1 numpy's
     vectorised complex product may round differently, by ~1e-16 per row.
-    Raises NumericOverflowError at the first node where |F| exceeds the
-    kernel bound or F is not finite; for a batch, in the first such row,
-    which the error's `row` names.
+    Both loops run to the end without checking; one check then raises
+    NumericOverflowError at the first node where |F| exceeds the kernel
+    bound or F is not finite, in the first such row, which the error's
+    `row` names (0 for one drive).
     """
     E = np.asarray(E, dtype=float)
-    if E.ndim == 2 and len(E) != 1:
-        if E.shape[1] != grid.n_steps:
-            raise ValueError(
-                f"E must hold one midpoint sample per cell, shape (B, {grid.n_steps}), "
-                f"got {E.shape}"
-            )
-        values = _riccati_rows(E, bath, grid)
-        _check_rows(values, grid)
-    elif E.ndim == 2:
-        values = _riccati_loop(E[0], bath, grid)[np.newaxis]
+    n = grid.n_steps
+    if E.ndim not in (1, 2) or E.shape[-1] != n:
+        raise ValueError(
+            f"E must hold one midpoint sample per cell, shape ({n},) or (B, {n}), "
+            f"got {E.shape}"
+        )
+    rows = E.reshape(-1, n)
+    if len(rows) == 1:
+        values = _riccati_loop(rows[0], bath, grid)[np.newaxis]
     else:
-        values = _riccati_loop(E, bath, grid)
-    return KernelCurve(grid, values)
+        values = _riccati_rows(rows, bath, grid)
+    _check_rows(values, grid)
+    return KernelCurve(grid, values.reshape(E.shape[:-1] + (n + 1,)))
 
 
 def _riccati_loop(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> np.ndarray:
-    """The RK4 loop for one drive, on Python complex; stops at the first bad node."""
+    """The RK4 loop for one drive, on Python complex; a diverged F runs on to inf or nan."""
     dt = grid.dt
     w = bath.weight
     sixth = dt / 6.0
     half = 0.5 * dt
     f = 0j
     values = [f]
-    for rate in (_cell_drive(E, grid) - bath.cutoff).tolist():
+    for rate in (1j * E - bath.cutoff).tolist():
         k1 = w + (rate + f) * f
         y = f + half * k1
         k2 = w + (rate + y) * y
@@ -168,11 +169,6 @@ def _riccati_loop(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> np.ndarray:
         y = f + dt * k3
         k4 = w + (rate + y) * y
         f = f + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        # the negated comparison also catches nan
-        if not abs(f) <= _KERNEL_BOUND:
-            raise NumericOverflowError(
-                f"memory kernel diverged at t = {grid.times[len(values)]:.6g}"
-            )
         values.append(f)
     return np.array(values)
 
@@ -226,7 +222,8 @@ def _riccati_rows(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> np.ndarray:
 
 
 def _check_rows(values: np.ndarray, grid: TimeGrid) -> None:
-    """Raise for the first row of a batch that _riccati_loop would have stopped.
+    """Raise at the first node of the first row where |F| exceeds the kernel
+    bound or F is not finite, naming that row.
 
     Row by row, so the only temporaries are one row's |F| and mask.
     """
@@ -347,16 +344,21 @@ class MemoryTrajectory:
         return effective_frequency(signal, self.omega)
 
     def _splittings(self, ks: Sequence[int]) -> np.ndarray:
+        """The splittings of ks stacked; a sampling overflow names its position in ks."""
         E = np.empty((len(ks), self.grid.n_steps))
-        for row, k in zip(E, ks):
-            row[:] = self.splitting(k)
+        for row, k in enumerate(ks):
+            try:
+                E[row] = self.splitting(k)
+            except NumericOverflowError as exc:
+                raise NumericOverflowError(str(exc), row) from exc
         return E
 
     def block(self, ks: Sequence[int]) -> np.ndarray:
         """Rows of the trajectories ks, shape (len(ks), 1, n_steps + 1).
 
-        The kernels of the whole block come from one batched solve; a
-        divergence names its position in ks as the error's `row`.
+        The kernels of the whole block come from one batched solve; an
+        overflow, in sampling or in the solve, names its position in ks as
+        the error's `row`.
         """
         # the stacked drives are freed once the kernels are solved
         kernels = solve_kernel_riccati(self._splittings(ks), self.bath, self.grid).values

@@ -29,7 +29,13 @@ from .ensemble import _BLOCK, ensemble_mean
 from .me2 import BornTrajectory
 from .numerics import NumericOverflowError, TimeGrid
 from .qsd import DEFAULT_STATES, MemoryTrajectory
-from .signals import _SHOT_RATE_DT_MAX, FAMILY_SPECS, SignalFamily, jittered_height_bound
+from .signals import (
+    _POISSON_LAM_MAX,
+    _SHOT_RATE_DT_MAX,
+    FAMILY_SPECS,
+    SignalFamily,
+    jittered_height_bound,
+)
 
 __all__ = [
     "ConfigError",
@@ -169,6 +175,12 @@ def _check_sampling(signal: SignalFamily, grid: TimeGrid) -> None:
         raise ConfigError(
             f"signal.strength = {shot.strength!r} over the grid step dt = {grid.dt!r} "
             "gives a shot height beyond the float range"
+        )
+    if shot is not None and not shot.rate * grid.dt <= _POISSON_LAM_MAX:
+        raise ConfigError(
+            f"signal.rate = {shot.rate!r} over the grid step dt = {grid.dt!r} gives "
+            f"{shot.rate * grid.dt:.3g} arrivals per cell, past the Poisson sampler's "
+            f"limit of {_POISSON_LAM_MAX:.3g}"
         )
     # the sampler's own criterion, reported before any trajectory runs
     if shot is not None and shot.rate * grid.dt > _SHOT_RATE_DT_MAX:

@@ -12,13 +12,14 @@ distributed over workers.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
 
-from .numerics import TimeGrid
+from .numerics import NumericOverflowError, TimeGrid
 
 __all__ = [
     "PulseTrainSpec",
@@ -47,6 +48,8 @@ Seed = Union[int, np.random.SeedSequence]
 _MIN_DUTY = 1.0e-9
 # largest shot rate * dt whose arrivals the grid still resolves
 _SHOT_RATE_DT_MAX = 0.1
+# largest mean numpy's Poisson sampler accepts ("lam value too large" above it)
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 def substream(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -301,7 +304,8 @@ def sample_shot_noise(
 
     Each arrival adds strength/dt to the cell it lands in; cells may hold
     several arrivals.  Resolving individual arrivals needs rate * dt well
-    below one, so a warning is raised above 0.1.
+    below one, so a warning is raised above 0.1.  A cell whose arrivals
+    stack past the float range raises NumericOverflowError.
     """
     lam = spec.rate * grid.dt
     if lam > _SHOT_RATE_DT_MAX:
@@ -313,7 +317,15 @@ def sample_shot_noise(
         )
     rng = _rng(seed)
     counts = rng.poisson(lam, size=grid.n_steps)
-    return SampledSignal(grid, counts * (spec.strength / grid.dt))
+    height = spec.strength / grid.dt
+    # the heights grow with the count, so the fullest cell overflows first
+    peak = int(counts.max())
+    if not math.isfinite(peak * height):
+        raise NumericOverflowError(
+            f"{peak} shot arrivals in one cell of dt = {grid.dt!r} at signal.strength = "
+            f"{spec.strength!r} give a height beyond the float range"
+        )
+    return SampledSignal(grid, counts * height)
 
 
 # family -> {SignalFamily attribute: spec class}; the one place the families are listed

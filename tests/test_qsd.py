@@ -30,6 +30,7 @@ from pulseguard.signals import (
     ChaoticSpec,
     JitterSpec,
     PulseTrainSpec,
+    ShotNoiseSpec,
     SignalFamily,
     effective_frequency,
     substream,
@@ -313,6 +314,23 @@ class TestEnsemble:
         with pytest.raises(NumericOverflowError) as batched:
             ensemble_mean(trajectory, _BLOCK + 13)
         assert str(batched.value) == f"trajectory 37: {scalar.value}"
+
+    def test_sampling_overflow_names_its_trajectory_in_the_block(self):
+        # two arrivals in one cell overflow strength / dt = 1e308; only some
+        # trajectories draw them, and trajectory 0 does not
+        grid = TimeGrid(t_max=1.0, n_steps=100)
+        family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=1e306, rate=10.0))
+        trajectory = self.trajectory(family, 0, grid=grid)
+        overflowing = []
+        for k in range(_BLOCK):
+            try:
+                trajectory.splitting(k)
+            except NumericOverflowError:
+                overflowing.append(k)
+        assert overflowing and overflowing[0] > 0
+        with pytest.raises(NumericOverflowError, match=r"signal\.strength") as exc:
+            ensemble_mean(trajectory, _BLOCK)
+        assert str(exc.value).startswith(f"trajectory {overflowing[0]}: ")
 
     def test_blocks_are_fixed_whatever_the_map(self):
         """The block decomposition is part of the numbers, so it is pinned here."""

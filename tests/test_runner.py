@@ -141,6 +141,22 @@ UNSAMPLEABLE = [
     (MEMORY_RAW, {"grid": {"t_max": 1.0, "n_steps": 1000},
                   "signal": {"family": "shot", "strength": 1e308, "rate": 5.0}},
      "signal.strength", "shot-strength"),
+    # numpy's Poisson sampler refuses a mean rate * dt past ~9.2e18
+    (MEMORY_RAW, {"grid": {"t_max": 1.0, "n_steps": 100},
+                  "signal": {"family": "shot", "strength": 0.1, "rate": 1e300}},
+     "signal.rate", "memory-shot-rate-past-poisson-limit"),
+    (ADIABATIC_RAW, {"grid": {"t_max": 1.0, "n_steps": 100}, "sweep": {"passage_time": 1.0},
+                     "signal": {"family": "shot", "strength": 0.1, "rate": 1e300}},
+     "signal.rate", "adiabatic-shot-rate-past-poisson-limit"),
+]
+
+# shot noise whose heights count * strength / dt overflow once a cell holds
+# enough arrivals, as (base, overrides); each run is one trajectory
+OVERFLOWING_SHOT = [
+    (MEMORY_RAW, {"grid": {"t_max": 1.0, "n_steps": 100}, "master_seed": 0,
+                  "signal": {"family": "shot", "strength": 1e305, "rate": 1000.0}}),
+    (ADIABATIC_RAW, {"grid": {"t_max": 1.0, "n_steps": 100}, "sweep": {"passage_time": 1.0},
+                     "signal": {"family": "shot", "strength": 1e305, "rate": 1000.0}}),
 ]
 
 
@@ -884,6 +900,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write")
         assert str(paths[flag]) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    @pytest.mark.parametrize("base, overrides", OVERFLOWING_SHOT,
+                             ids=[c[0]["kind"] for c in OVERFLOWING_SHOT])
+    def test_run_overflowing_shot_heights_exit_3(self, tmp_path, capsys, base, overrides):
+        cfg = self.write(tmp_path, raw(base, **overrides))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "trajectory 0: " in err and "signal.strength = 1e+305" in err
         assert "Traceback" not in err
 
     def test_run_numerical_failure_exits_3(self, tmp_path, capsys):

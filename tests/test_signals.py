@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pulseguard.numerics import TimeGrid
+from pulseguard.numerics import NumericOverflowError, TimeGrid
 from pulseguard.signals import (
+    _POISSON_LAM_MAX,
     FAMILY_SPECS,
     ChaoticSpec,
     JitterSpec,
@@ -283,6 +284,20 @@ class TestShotNoise:
         grid = TimeGrid(t_max=1.0, n_steps=10)
         with pytest.warns(RuntimeWarning, match="not resolved"):
             sample_shot_noise(ShotNoiseSpec(strength=1.0, rate=2.0), substream(0, 0), grid)
+
+    def test_overflowing_height_raises_numeric_error(self):
+        # strength / dt = 1e308 is finite, but two arrivals in a cell are not
+        grid = TimeGrid(t_max=1.0, n_steps=100)
+        spec = ShotNoiseSpec(strength=1e306, rate=1000.0)
+        with pytest.warns(RuntimeWarning, match="not resolved"):
+            with pytest.raises(NumericOverflowError, match=r"signal\.strength = 1e\+306"):
+                sample_shot_noise(spec, substream(0, 0), grid)
+
+    def test_poisson_limit_is_numpy_s(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(_POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(_POISSON_LAM_MAX, np.inf))
 
     def test_values_quantised_by_strength(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
