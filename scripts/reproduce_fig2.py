@@ -34,6 +34,9 @@ def main() -> None:
 
     try:
         config = dataclasses.replace(load_config(args.config), workers=args.workers)
+        if config.kind != "memory-ensemble":
+            parser.error(f"{args.config}: kind = {config.kind!r}, but this script runs a "
+                         "'memory-ensemble' config")
         # free decay averaged over the same states: one memory-qsd run without control
         free = {**config.resolved(), "kind": "memory-qsd", "signal": {"family": "none"}}
         free.pop("n_traj", None)

@@ -1,8 +1,14 @@
-"""Control-signal generators: periodic pulse trains and their noisy variants.
+"""Control-signal generators: pulse trains and Poisson shot noise.
 
 The control enters the physics only through the shifted level splitting
 E(t) = omega + c(t).  All generators produce c(t) sampled at the midpoints of
 a TimeGrid, which sidesteps edge ambiguity for piecewise-constant signals.
+
+Every pulse family (regular, chaotic, jittered) is a train of
+(end, duration, height) triples, and one sampler puts any train on the grid.
+The window convention: a midpoint t lies in a pulse when
+end - duration < t <= end, and there c(t) is that pulse's height.  The
+families differ only in the triples they build.
 
 Randomness is drawn from numpy's PCG64 generator.  Substreams are derived
 from (master_seed, stream_index) via numpy SeedSequence spawn keys, so an
@@ -30,13 +36,9 @@ __all__ = [
     "SignalFamily",
     "FAMILY_SPECS",
     "substream",
-    "regular_pulse_value",
-    "sample_regular",
     "draw_jittered_pulses",
     "jittered_height_bound",
-    "sample_jittered",
     "logistic_intensities",
-    "sample_chaotic",
     "sample_shot_noise",
     "sample_family",
     "effective_frequency",
@@ -69,9 +71,8 @@ def _rng(seed: Seed) -> np.random.Generator:
 class PulseTrainSpec:
     """Rectangular pulse train: period, on-duration, and pulse area.
 
-    Pulse n (n >= 1) occupies the window (n*period - duration, n*period]
-    with height area/duration, so the area per pulse is the phase kicked
-    into the qubit by a single pulse.
+    Pulse n (n >= 1) ends at n*period and has height area/duration, so the
+    area per pulse is the phase kicked into the qubit by a single pulse.
     """
 
     period: float
@@ -174,23 +175,6 @@ class SampledSignal:
         object.__setattr__(self, "values", values)
 
 
-def regular_pulse_value(t, spec: PulseTrainSpec):
-    """c(t) for the noise-free train; scalar or ndarray t, t >= 0.
-
-    A point belongs to pulse n when n*period - duration < t <= n*period for
-    some integer n >= 1; the pulse height is area/duration.
-    """
-    t = np.asarray(t, dtype=float)
-    r = np.mod(t, spec.period)
-    on = ((r > spec.period - spec.duration) | (r == 0.0)) & (t > 0.0)
-    out = np.where(on, spec.height, 0.0)
-    return out if out.ndim else float(out)
-
-
-def sample_regular(spec: PulseTrainSpec, grid: TimeGrid) -> SampledSignal:
-    return SampledSignal(grid, regular_pulse_value(grid.midpoints, spec))
-
-
 def draw_jittered_pulses(
     spec: PulseTrainSpec,
     jitter: JitterSpec,
@@ -252,22 +236,6 @@ def jittered_height_bound(spec: PulseTrainSpec, jitter: JitterSpec) -> float:
     return (spec.area + jitter.area_dev) / shortest if shortest > 0.0 else np.inf
 
 
-def sample_jittered(
-    spec: PulseTrainSpec,
-    jitter: JitterSpec,
-    seed: Seed,
-    grid: TimeGrid,
-) -> SampledSignal:
-    """Pulse train with independent uniform jitter on each pulse."""
-    ends, durations, heights = draw_jittered_pulses(spec, jitter, seed, grid.t_max)
-    t = grid.midpoints
-    idx = np.searchsorted(ends, t, side="left")
-    idx = np.minimum(idx, len(ends) - 1)
-    on = t > ends[idx] - durations[idx]
-    values = np.where(on & (t <= ends[idx]), heights[idx], 0.0)
-    return SampledSignal(grid, values)
-
-
 def logistic_intensities(chaos: ChaoticSpec, count: int) -> np.ndarray:
     """First `count` iterates L_1..L_count of the logistic map."""
     out = np.empty(count)
@@ -276,25 +244,6 @@ def logistic_intensities(chaos: ChaoticSpec, count: int) -> np.ndarray:
         x = chaos.logistic_r * (x - x * x)
         out[i] = x
     return out
-
-
-def sample_chaotic(
-    spec: PulseTrainSpec, chaos: ChaoticSpec, grid: TimeGrid
-) -> SampledSignal:
-    """Regularly timed pulses whose heights follow the logistic map.
-
-    Pulse n has height (area/duration) * L_n; the all-zero fixed point
-    seed_intensity = 0 therefore yields a silent signal.
-    """
-    t = grid.midpoints
-    n_pulses = int(np.ceil(grid.t_max / spec.period)) + 1
-    intensities = logistic_intensities(chaos, n_pulses)
-    r = np.mod(t, spec.period)
-    on = ((r > spec.period - spec.duration) | (r == 0.0)) & (t > 0.0)
-    pulse_index = np.where(r == 0.0, np.rint(t / spec.period), np.ceil(t / spec.period))
-    pulse_index = np.clip(pulse_index.astype(int), 1, n_pulses)
-    values = np.where(on, spec.height * intensities[pulse_index - 1], 0.0)
-    return SampledSignal(grid, values)
 
 
 def sample_shot_noise(
@@ -374,16 +323,38 @@ class SignalFamily:
         return sample_family(self, seed, grid)
 
 
-def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSignal:
-    if family.kind == "regular":
-        return sample_regular(family.pulse, grid)
+def _pulse_train(family: SignalFamily, seed: Seed, t_max: float):
+    """(end_time, duration, height) arrays of a pulse family's train on [0, t_max]."""
+    spec = family.pulse
     if family.kind == "jittered":
-        return sample_jittered(family.pulse, family.jitter, seed, grid)
+        return draw_jittered_pulses(spec, family.jitter, seed, t_max)
+    count = math.ceil(t_max / spec.period) + 1
+    heights = np.full(count, spec.height)
     if family.kind == "chaotic":
-        return sample_chaotic(family.pulse, family.chaos, grid)
+        # pulse n's height times L_n, so seed_intensity = 0 is silent
+        heights *= logistic_intensities(family.chaos, count)
+    return np.arange(1, count + 1) * spec.period, np.full(count, spec.duration), heights
+
+
+def _sample_pulses(pulses, grid: TimeGrid) -> SampledSignal:
+    """Put a train of ascending (end_time, duration, height) arrays on the grid.
+
+    The module's one window test: each midpoint is checked against the first
+    pulse that ends at or after it.
+    """
+    ends, durations, heights = pulses
+    t = grid.midpoints
+    idx = np.minimum(np.searchsorted(ends, t, side="left"), len(ends) - 1)
+    on = (t > ends[idx] - durations[idx]) & (t <= ends[idx])
+    return SampledSignal(grid, np.where(on, heights[idx], 0.0))
+
+
+def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSignal:
     if family.kind == "shot":
         return sample_shot_noise(family.shot, seed, grid)
-    return SampledSignal(grid, np.zeros(grid.n_steps))  # "none"
+    if family.kind == "none":
+        return SampledSignal(grid, np.zeros(grid.n_steps))
+    return _sample_pulses(_pulse_train(family, seed, grid.t_max), grid)
 
 
 def effective_frequency(signal: SampledSignal, omega: float = 1.0) -> np.ndarray:

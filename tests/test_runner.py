@@ -404,7 +404,10 @@ class TestResolvedConfig:
 
     def test_float_fields_echo_as_floats(self):
         signal = {"family": "shot", "strength": 1, "rate": 100}
-        resolved = ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=signal)).resolved()
+        # rate * dt = 0.5 on MEMORY_RAW's grid, so loading warns
+        with pytest.warns(RuntimeWarning, match="shot rate"):
+            config = ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=signal))
+        resolved = config.resolved()
         assert resolved["signal"] == {"family": "shot", "strength": 1.0, "rate": 100.0}
         assert type(resolved["signal"]["rate"]) is float
         assert type(resolved["grid"]["n_steps"]) is int

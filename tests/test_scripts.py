@@ -62,6 +62,17 @@ def test_fig2(tmp_path):
     assert csv_columns(tmp_path / "fig2.csv") == ["t", "mean", "stderr", "free"]
 
 
+@pytest.mark.parametrize("preset, kind", [("fig1.json", "memory-qsd"),
+                                          ("fig4.json", "adiabatic")])
+def test_fig2_rejects_a_config_of_another_kind(tmp_path, preset, kind):
+    done = run_script("reproduce_fig2.py", "--out-dir", tmp_path / "out",
+                      "--config", ROOT / "configs" / preset)
+    assert done.returncode == 2
+    assert f"kind = {kind!r}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_fig3(tmp_path):
     stdout = run_ok("reproduce_fig3.py", "--out-dir", tmp_path, "--n-traj", 2)
     assert csv_columns(tmp_path / "fig3.csv") == ["t", "random", "chaotic", "shot"]

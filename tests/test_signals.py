@@ -25,15 +25,31 @@ from pulseguard.signals import (
     effective_frequency,
     jittered_height_bound,
     logistic_intensities,
-    regular_pulse_value,
-    sample_chaotic,
-    sample_jittered,
-    sample_regular,
     sample_shot_noise,
     substream,
 )
 
 BASE = PulseTrainSpec(period=0.02, duration=0.01, area=0.2)
+# on TimeGrid(10, 5000) the pulse starts of this train fall on cell midpoints
+EDGE = PulseTrainSpec(period=0.02, duration=0.005, area=0.2)
+EDGE_GRID = TimeGrid(t_max=10.0, n_steps=5000)
+
+
+def regular(spec, grid):
+    return SignalFamily(kind="regular", pulse=spec).sample(None, grid).values
+
+
+def chaotic(spec, chaos, grid):
+    return SignalFamily(kind="chaotic", pulse=spec, chaos=chaos).sample(None, grid).values
+
+
+def jittered(spec, jitter, seed, grid):
+    return SignalFamily(kind="jittered", pulse=spec, jitter=jitter).sample(seed, grid).values
+
+
+def regular_at(t, spec=BASE):
+    """The regular train at the time t, the one midpoint of TimeGrid(2*t, 1)."""
+    return regular(spec, TimeGrid(t_max=2.0 * t, n_steps=1))[0]
 
 
 class TestSpecs:
@@ -99,34 +115,35 @@ class TestSpecs:
 
 class TestRegular:
     def test_point_values(self):
-        assert regular_pulse_value(0.005, BASE) == 0.0
-        assert regular_pulse_value(0.015, BASE) == pytest.approx(20.0)
-        assert regular_pulse_value(0.0, BASE) == 0.0
+        assert regular_at(0.005) == 0.0
+        assert regular_at(0.015) == pytest.approx(20.0)
+        # a midpoint is never 0, so the earliest one stands in for t = 0
+        assert regular_at(np.nextafter(0.0, 1.0)) == 0.0
 
     def test_window_edges(self):
         # pulse window is half-open: (period - duration, period]
-        assert regular_pulse_value(BASE.period, BASE) == pytest.approx(20.0)
-        assert regular_pulse_value(BASE.period - BASE.duration, BASE) == 0.0
+        assert regular_at(BASE.period) == pytest.approx(20.0)
+        assert regular_at(BASE.period - BASE.duration) == 0.0
 
     def test_zero_area_silent(self):
         spec = PulseTrainSpec(period=0.02, duration=0.01, area=0.0)
         grid = TimeGrid(t_max=1.0, n_steps=500)
-        assert np.all(sample_regular(spec, grid).values == 0.0)
+        assert np.all(regular(spec, grid) == 0.0)
 
     def test_full_duty_is_constant(self):
         spec = PulseTrainSpec(period=0.02, duration=0.02, area=0.2)
         grid = TimeGrid(t_max=10.0, n_steps=10000)
-        assert np.all(sample_regular(spec, grid).values == spec.height)
+        assert np.all(regular(spec, grid) == spec.height)
 
     def test_grid_mean_aligned(self):
         grid = TimeGrid(t_max=10.0, n_steps=10000)
-        mean = sample_regular(BASE, grid).values.mean()
+        mean = regular(BASE, grid).mean()
         assert mean == pytest.approx(BASE.area / BASE.period, abs=1e-12)
 
     def test_grid_mean_incommensurate(self):
         # one cell of edge error per period bounds the mean deviation
         grid = TimeGrid(t_max=10.0, n_steps=9973)
-        mean = sample_regular(BASE, grid).values.mean()
+        mean = regular(BASE, grid).mean()
         bound = BASE.height * grid.dt / BASE.period
         assert abs(mean - BASE.area / BASE.period) <= bound
 
@@ -141,27 +158,30 @@ class TestRegular:
         t = (n + frac) * BASE.period
         inside = frac > 1.0 - BASE.duty
         expected = BASE.height if inside else 0.0
-        assert regular_pulse_value(t, BASE) == pytest.approx(expected)
+        assert regular_at(t) == pytest.approx(expected)
 
 
 class TestJittered:
     GRID = TimeGrid(t_max=10.0, n_steps=10000)
 
     def test_zero_jitter_reduces_to_regular(self):
-        signal = sample_jittered(BASE, JitterSpec(), substream(5, 0), self.GRID)
-        np.testing.assert_array_equal(signal.values, sample_regular(BASE, self.GRID).values)
+        # aligned, pulse starts on cell midpoints, incommensurate
+        for spec, grid in [(BASE, self.GRID), (EDGE, EDGE_GRID),
+                           (BASE, TimeGrid(t_max=10.0, n_steps=9973))]:
+            values = jittered(spec, JitterSpec(), substream(5, 0), grid)
+            np.testing.assert_array_equal(values, regular(spec, grid), err_msg=str(grid))
 
     def test_same_seed_bitwise(self):
         jit = JitterSpec(period_dev=0.004, duration_dev=0.004, area_dev=0.18)
-        a = sample_jittered(BASE, jit, substream(7, 3), self.GRID)
-        b = sample_jittered(BASE, jit, substream(7, 3), self.GRID)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = jittered(BASE, jit, substream(7, 3), self.GRID)
+        b = jittered(BASE, jit, substream(7, 3), self.GRID)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seed_differs(self):
         jit = JitterSpec(period_dev=0.004, duration_dev=0.004, area_dev=0.18)
-        a = sample_jittered(BASE, jit, substream(7, 3), self.GRID)
-        b = sample_jittered(BASE, jit, substream(7, 4), self.GRID)
-        assert not np.array_equal(a.values, b.values)
+        a = jittered(BASE, jit, substream(7, 3), self.GRID)
+        b = jittered(BASE, jit, substream(7, 4), self.GRID)
+        assert not np.array_equal(a, b)
 
     def test_area_mean_unbiased(self):
         """Per-pulse area has mean psi when the clamps never engage."""
@@ -223,8 +243,7 @@ class TestChaotic:
 
     def test_zero_seed_silent(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
-        signal = sample_chaotic(BASE, ChaoticSpec(seed_intensity=0.0), grid)
-        assert np.all(signal.values == 0.0)
+        assert np.all(chaotic(BASE, ChaoticSpec(seed_intensity=0.0), grid) == 0.0)
 
     @given(
         r=st.floats(min_value=0.1, max_value=3.999),
@@ -238,7 +257,7 @@ class TestChaotic:
     def test_pulse_heights_modulated(self):
         grid = TimeGrid(t_max=0.2, n_steps=2000)
         chaos = ChaoticSpec(logistic_r=3.9, seed_intensity=0.5)
-        values = sample_chaotic(BASE, chaos, grid).values
+        values = chaotic(BASE, chaos, grid)
         L = logistic_intensities(chaos, 11)
         t = grid.midpoints
         for n in range(1, 6):
@@ -246,12 +265,19 @@ class TestChaotic:
             assert mask.any()
             np.testing.assert_allclose(values[mask], BASE.height * L[n - 1])
 
+    def test_is_regular_times_intensity_cell_by_cell(self):
+        chaos = ChaoticSpec(logistic_r=3.9, seed_intensity=0.5)
+        t = EDGE_GRID.midpoints
+        # pulse n ends at n*period, so an on-cell at t belongs to pulse ceil(t/period)
+        n = np.ceil(t / EDGE.period).astype(int)
+        L = logistic_intensities(chaos, n.max())
+        np.testing.assert_array_equal(chaotic(EDGE, chaos, EDGE_GRID),
+                                      regular(EDGE, EDGE_GRID) * L[n - 1])
+
     def test_deterministic(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
         chaos = ChaoticSpec(logistic_r=3.9, seed_intensity=0.5)
-        a = sample_chaotic(BASE, chaos, grid)
-        b = sample_chaotic(BASE, chaos, grid)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(chaotic(BASE, chaos, grid), chaotic(BASE, chaos, grid))
 
 
 class TestShotNoise:
@@ -316,12 +342,14 @@ class TestFamilyAndFrequency:
         assert np.all(signal.values == 0.0)
 
     def test_dispatch_matches_direct_calls(self):
-        fam = SignalFamily(
-            kind="jittered", pulse=BASE, jitter=JitterSpec(period_dev=0.004)
-        )
-        a = fam.sample(substream(6, 2), self.GRID)
-        b = sample_jittered(BASE, JitterSpec(period_dev=0.004), substream(6, 2), self.GRID)
-        np.testing.assert_array_equal(a.values, b.values)
+        jit = JitterSpec(period_dev=0.004, duration_dev=0.004, area_dev=0.18)
+        values = jittered(BASE, jit, substream(6, 2), self.GRID)
+        # the drawn train put on the grid pulse by pulse, window by window
+        t = self.GRID.midpoints
+        expected = np.zeros_like(t)
+        for end, duration, height in zip(*draw_jittered_pulses(BASE, jit, substream(6, 2), 1.0)):
+            expected[(t > end - duration) & (t <= end)] = height
+        np.testing.assert_array_equal(values, expected)
 
     def test_effective_frequency_shifts_by_omega(self):
         signal = SignalFamily(kind="regular", pulse=BASE).sample(substream(0, 0), self.GRID)
