@@ -4,17 +4,19 @@ A trajectory object is picklable, and trajectory k's only randomness is
 substream (master_seed, k).  Its block(ks) returns the rows of the
 trajectories ks as one (len(ks), rows, n_steps + 1) array; the trajectory
 classes name the rows in their `rows` attribute.  The indices are cut into
-fixed blocks of _BLOCK, each one unit of work for map_fn (map or an
-executor's map), and the rows are reduced in index order.  A block may batch
-its trajectories in numpy, whose rounding can depend on the batch length, so
-_BLOCK is part of the numbers; the blocks never depend on the worker count,
-so neither does any bit of the result.
+fixed blocks of _BLOCK, each one unit of work, and the rows are reduced in
+index order.  `workers` processes share the blocks out, in a process pool
+of at most one worker per block, or in this process when that is one.  A
+block may batch its trajectories in numpy, whose rounding can depend on the
+batch length, so _BLOCK is part of the numbers; the blocks never depend on
+the worker count, so neither does any bit of the result.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +52,7 @@ def stack_trajectories(trajectory: Callable[[int], np.ndarray], ks: Sequence[int
 def ensemble_mean(
     trajectory,
     n_traj: int,
-    map_fn: Callable[..., Iterable] = map,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of the rows of trajectory k over k = 0 .. n_traj - 1.
 
@@ -61,7 +63,16 @@ def ensemble_mean(
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     blocks = [range(lo, min(lo + _BLOCK, n_traj)) for lo in range(0, n_traj, _BLOCK)]
-    rows = np.concatenate(list(map_fn(partial(_run_block, trajectory), blocks)), axis=0)
+    run = partial(_run_block, trajectory)
+    # a worker past the number of blocks would sit idle, and a fork start
+    # method would still start it
+    workers = min(workers, len(blocks))
+    if workers == 1:
+        parts = list(map(run, blocks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, blocks))
+    rows = np.concatenate(parts, axis=0)
     mean = rows.mean(axis=0)
     if n_traj == 1:
         return mean, np.zeros_like(mean)

@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .bath import BathSpec
+from .ensemble import stack_trajectories
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from .signals import SignalFamily, effective_frequency, substream
 
@@ -343,16 +344,6 @@ class MemoryTrajectory:
         signal = self.family.sample(substream(self.master_seed, k), self.grid)
         return effective_frequency(signal, self.omega)
 
-    def _splittings(self, ks: Sequence[int]) -> np.ndarray:
-        """The splittings of ks stacked; a sampling overflow names its position in ks."""
-        E = np.empty((len(ks), self.grid.n_steps))
-        for row, k in enumerate(ks):
-            try:
-                E[row] = self.splitting(k)
-            except NumericOverflowError as exc:
-                raise NumericOverflowError(str(exc), row) from exc
-        return E
-
     def block(self, ks: Sequence[int]) -> np.ndarray:
         """Rows of the trajectories ks, shape (len(ks), 1, n_steps + 1).
 
@@ -361,7 +352,9 @@ class MemoryTrajectory:
         the error's `row`.
         """
         # the stacked drives are freed once the kernels are solved
-        kernels = solve_kernel_riccati(self._splittings(ks), self.bath, self.grid).values
+        kernels = solve_kernel_riccati(
+            stack_trajectories(self.splitting, ks), self.bath, self.grid
+        ).values
         out = np.empty((len(ks), 1, self.grid.n_steps + 1))
         for row, F in zip(out, kernels):
             row[0] = qsd_fidelity(self.states, KernelCurve(self.grid, F)).values

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,17 +23,11 @@ import numpy as np
 from . import __version__
 from .adiabatic import PassageTrajectory, SweepSpec
 from .bath import BathSpec
-from .ensemble import _BLOCK, ensemble_mean
+from .ensemble import ensemble_mean
 from .me2 import BornTrajectory
 from .numerics import NumericOverflowError, TimeGrid
 from .qsd import DEFAULT_STATES, MemoryTrajectory
-from .signals import (
-    _POISSON_LAM_MAX,
-    _SHOT_RATE_DT_MAX,
-    FAMILY_SPECS,
-    SignalFamily,
-    jittered_height_bound,
-)
+from .signals import FAMILY_SPECS, SignalFamily
 
 __all__ = [
     "ConfigError",
@@ -142,66 +134,6 @@ def _build_states(raw) -> tuple:
     return states
 
 
-def _check_sampling(signal: SignalFamily, grid: TimeGrid) -> None:
-    """Reject a signal that the sampler cannot resolve or represent on `grid`.
-
-    Shot noise too coarse for the grid is still sampled, with a warning.
-    """
-    pulse, jitter, shot = signal.pulse, signal.jitter, signal.shot
-    # a pulse shorter than a cell is sampled at most once, or skipped: it aliases
-    if pulse is not None and pulse.duration < grid.dt:
-        raise ConfigError(
-            f"signal.duration = {pulse.duration!r} is shorter than the grid "
-            f"step dt = {grid.dt!r}; the pulses would alias"
-        )
-    # the uniform draw reaches -1, so period - period_dev itself must stay positive
-    if jitter is not None and jitter.period_dev >= pulse.period:
-        raise ConfigError(
-            f"signal.period_dev = {jitter.period_dev!r} is not below signal.period = "
-            f"{pulse.period!r}; a drawn pulse period must stay positive"
-        )
-    # the largest height each sampler can produce must be a float
-    if pulse is not None and not math.isfinite(pulse.height):
-        raise ConfigError(
-            f"signal.area = {pulse.area!r} over signal.duration = {pulse.duration!r} "
-            "gives a pulse height beyond the float range"
-        )
-    if jitter is not None and not math.isfinite(jittered_height_bound(pulse, jitter)):
-        raise ConfigError(
-            f"signal.area_dev = {jitter.area_dev!r} lets a drawn pulse height, area + "
-            "area_dev over the shortest drawn duration, exceed the float range"
-        )
-    if shot is not None and not math.isfinite(shot.strength / grid.dt):
-        raise ConfigError(
-            f"signal.strength = {shot.strength!r} over the grid step dt = {grid.dt!r} "
-            "gives a shot height beyond the float range"
-        )
-    if shot is not None and not shot.rate * grid.dt <= _POISSON_LAM_MAX:
-        raise ConfigError(
-            f"signal.rate = {shot.rate!r} over the grid step dt = {grid.dt!r} gives "
-            f"{shot.rate * grid.dt:.3g} arrivals per cell, past the Poisson sampler's "
-            f"limit of {_POISSON_LAM_MAX:.3g}"
-        )
-    # the sampler's own criterion, reported before any trajectory runs
-    if shot is not None and shot.rate * grid.dt > _SHOT_RATE_DT_MAX:
-        warnings.warn(
-            f"shot rate * dt = {shot.rate * grid.dt:.3g} > {_SHOT_RATE_DT_MAX}: "
-            f"signal.rate = {shot.rate!r} is not resolved by the grid step "
-            f"dt = {grid.dt!r}; raise grid.n_steps or lower signal.rate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-
-def _silence_sampler_shot_warning() -> None:
-    """Mute sample_shot_noise's warning, which _check_sampling has already
-    given once; a run would repeat it in every process that samples."""
-    warnings.filterwarnings(
-        "ignore", message=r"shot rate \* dt = .*: arrivals are not resolved",
-        category=RuntimeWarning,
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
@@ -244,7 +176,10 @@ class ExperimentConfig:
 
         grid = _build(TimeGrid, _require(raw, "grid", "config"), "grid")
         signal = _build_signal(_require(raw, "signal", "config"))
-        _check_sampling(signal, grid)
+        try:
+            signal.check(grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         scalars = {key: raw[key] for key in ("n_traj", "master_seed", "with_defect", "workers")
                    if key in raw}
 
@@ -325,9 +260,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """
     metadata = {"config": config.resolved(), "version": __version__}
     try:
-        with warnings.catch_warnings():
-            _silence_sampler_shot_warning()
-            return _dispatch(config, metadata)
+        return _dispatch(config, metadata)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"{config.kind} experiment: {exc}") from exc
 
@@ -341,16 +274,6 @@ def _trajectory(config: ExperimentConfig):
                config.omega)
 
 
-@contextmanager
-def _map_fn(workers: int):
-    if workers == 1:
-        yield map
-    else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_silence_sampler_shot_warning) as pool:
-            yield pool.map
-
-
 def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
     trajectory = _trajectory(config)
     # a deterministic control gives every trajectory the same sweep, so it runs once
@@ -358,10 +281,7 @@ def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
         config.kind == "adiabatic" and config.signal.stochastic and config.n_traj > 1
     )
     n_traj = config.n_traj if ensemble else 1
-    # a block is one unit of work, so a worker past the number of blocks would
-    # sit idle, and a fork start method would still start it
-    with _map_fn(min(config.workers, math.ceil(n_traj / _BLOCK))) as map_fn:
-        mean, stderr = ensemble_mean(trajectory, n_traj, map_fn)
+    mean, stderr = ensemble_mean(trajectory, n_traj, config.workers)
     rows = trajectory.rows
     if ensemble:
         data = {"mean": mean[0], "stderr": stderr[0], **dict(zip(rows[1:], mean[1:]))}

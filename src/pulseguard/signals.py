@@ -253,19 +253,12 @@ def sample_shot_noise(
 
     Each arrival adds strength/dt to the cell it lands in; cells may hold
     several arrivals.  Resolving individual arrivals needs rate * dt well
-    below one, so a warning is raised above 0.1.  A cell whose arrivals
-    stack past the float range raises NumericOverflowError.
+    below one; SignalFamily.check warns above 0.1, and this sampler does
+    not.  A cell whose arrivals stack past the float range raises
+    NumericOverflowError.
     """
-    lam = spec.rate * grid.dt
-    if lam > _SHOT_RATE_DT_MAX:
-        warnings.warn(
-            f"shot rate * dt = {lam:.3g} > {_SHOT_RATE_DT_MAX}: arrivals are not resolved "
-            "by the grid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     rng = _rng(seed)
-    counts = rng.poisson(lam, size=grid.n_steps)
+    counts = rng.poisson(spec.rate * grid.dt, size=grid.n_steps)
     height = spec.strength / grid.dt
     # the heights grow with the count, so the fullest cell overflows first
     peak = int(counts.max())
@@ -294,6 +287,7 @@ class SignalFamily:
     kind is a key of FAMILY_SPECS, and exactly the spec attributes listed
     there for it are set.  sample() is the single entry point used by
     ensembles and the experiment runner; deterministic kinds ignore the seed.
+    check() holds the rules for whether a grid can carry the family.
     """
 
     kind: str
@@ -321,6 +315,55 @@ class SignalFamily:
 
     def sample(self, seed: Seed, grid: TimeGrid) -> SampledSignal:
         return sample_family(self, seed, grid)
+
+    def check(self, grid: TimeGrid) -> None:
+        """Raise ValueError if sample() cannot resolve or represent this family on `grid`.
+
+        Shot noise too coarse for the grid is still sampled, with a warning.
+        """
+        pulse, jitter, shot = self.pulse, self.jitter, self.shot
+        # a pulse shorter than a cell is sampled at most once, or skipped: it aliases
+        if pulse is not None and pulse.duration < grid.dt:
+            raise ValueError(
+                f"signal.duration = {pulse.duration!r} is shorter than the grid "
+                f"step dt = {grid.dt!r}; the pulses would alias"
+            )
+        # the uniform draw reaches -1, so period - period_dev itself must stay positive
+        if jitter is not None and jitter.period_dev >= pulse.period:
+            raise ValueError(
+                f"signal.period_dev = {jitter.period_dev!r} is not below signal.period = "
+                f"{pulse.period!r}; a drawn pulse period must stay positive"
+            )
+        # the largest height each sampler can produce must be a float
+        if pulse is not None and not math.isfinite(pulse.height):
+            raise ValueError(
+                f"signal.area = {pulse.area!r} over signal.duration = {pulse.duration!r} "
+                "gives a pulse height beyond the float range"
+            )
+        if jitter is not None and not math.isfinite(jittered_height_bound(pulse, jitter)):
+            raise ValueError(
+                f"signal.area_dev = {jitter.area_dev!r} lets a drawn pulse height, area + "
+                "area_dev over the shortest drawn duration, exceed the float range"
+            )
+        if shot is not None and not math.isfinite(shot.strength / grid.dt):
+            raise ValueError(
+                f"signal.strength = {shot.strength!r} over the grid step dt = {grid.dt!r} "
+                "gives a shot height beyond the float range"
+            )
+        if shot is not None and not shot.rate * grid.dt <= _POISSON_LAM_MAX:
+            raise ValueError(
+                f"signal.rate = {shot.rate!r} over the grid step dt = {grid.dt!r} gives "
+                f"{shot.rate * grid.dt:.3g} arrivals per cell, past the Poisson sampler's "
+                f"limit of {_POISSON_LAM_MAX:.3g}"
+            )
+        if shot is not None and shot.rate * grid.dt > _SHOT_RATE_DT_MAX:
+            warnings.warn(
+                f"shot rate * dt = {shot.rate * grid.dt:.3g} > {_SHOT_RATE_DT_MAX}: "
+                f"signal.rate = {shot.rate!r} is not resolved by the grid step "
+                f"dt = {grid.dt!r}; raise grid.n_steps or lower signal.rate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
 
 def _pulse_train(family: SignalFamily, seed: Seed, t_max: float):

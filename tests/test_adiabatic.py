@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pulseguard import ensemble
 from pulseguard.adiabatic import (
     PassageTrajectory,
     Psi0Curve,
@@ -203,7 +204,6 @@ class TestSolvers:
             rk4 = tdse_oracle(sweep, None, grid)
             assert np.max(np.abs(volt.magnitudes - rk4.magnitudes)) < 1e-6
 
-    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_volterra_matches_rk4_controlled(self):
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=50.0))
         control = family.sample(substream(3, 0), GRID_FAST)
@@ -277,7 +277,6 @@ class TestDefect:
         slow_defect = solve_psi0(SLOW, None, GRID_SLOW).defect
         assert slow_defect.max() < 0.02 * fast_defect.max()
 
-    @pytest.mark.filterwarnings("ignore:shot rate")
     @pytest.mark.parametrize("sweep, grid", [(FAST, GRID_FAST), (SLOW, GRID_SLOW)])
     @pytest.mark.parametrize("driven", [False, True])
     def test_matches_two_component_oracle(self, sweep, grid, driven):
@@ -292,7 +291,6 @@ class TestDefect:
         oracle = 0.5 * sweep.angle_velocity(grid.times) * np.abs(components[:, 1])
         assert np.max(np.abs(defect - oracle)) < 1e-5
 
-    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_shot_control_reduces_defect_between_kicks(self):
         """Checked at every multiple of the mean arrival spacing."""
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0))
@@ -304,7 +302,6 @@ class TestDefect:
 
 
 class TestEnsemble:
-    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_monotone_induction_in_rate(self):
         """More frequent kicks at fixed strength help the fast sweep more."""
         finals = []
@@ -315,7 +312,6 @@ class TestEnsemble:
         assert finals[0] < finals[1] < finals[2]
         assert finals[0] > solve_psi0(FAST, None, GRID_FAST).final_magnitude
 
-    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_same_seed_bitwise(self):
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
         grid = TimeGrid(t_max=5.0, n_steps=500)
@@ -324,16 +320,15 @@ class TestEnsemble:
         np.testing.assert_array_equal(a_mean[0], b_mean[0])
         np.testing.assert_array_equal(a_stderr[0], b_stderr[0])
 
-    @pytest.mark.filterwarnings("ignore:shot rate")
-    def test_threaded_map_identical(self):
+    def test_threaded_map_identical(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
         grid = TimeGrid(t_max=5.0, n_steps=500)
         trajectory = PassageTrajectory(FAST, family, 9, grid)
         serial, _ = ensemble_mean(trajectory, 20)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded, _ = ensemble_mean(trajectory, 20, pool.map)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", ThreadPoolExecutor)
+        threaded, _ = ensemble_mean(trajectory, 20, workers=3)
         np.testing.assert_array_equal(serial[0], threaded[0])
 
     def test_single_trajectory_stderr_zero(self):

@@ -14,6 +14,7 @@ other.
 import numpy as np
 import pytest
 
+from pulseguard import ensemble
 from pulseguard.bath import BathSpec
 from pulseguard.ensemble import _BLOCK, ensemble_mean
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
@@ -264,17 +265,17 @@ class TestEnsemble:
         np.testing.assert_array_equal(a_mean, b_mean)
         np.testing.assert_array_equal(a_stderr, b_stderr)
 
-    def test_threaded_map_identical(self):
+    def test_threaded_map_identical(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
         family = SignalFamily(
             kind="jittered", pulse=PULSE, jitter=JitterSpec(area_dev=0.1)
         )
         serial_mean, serial_stderr = ensemble_mean(self.trajectory(family, 3), 70)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded_mean, threaded_stderr = ensemble_mean(
-                self.trajectory(family, 3), 70, pool.map
-            )
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", ThreadPoolExecutor)
+        threaded_mean, threaded_stderr = ensemble_mean(
+            self.trajectory(family, 3), 70, workers=4
+        )
         np.testing.assert_array_equal(serial_mean, threaded_mean)
         np.testing.assert_array_equal(serial_stderr, threaded_stderr)
 
@@ -332,7 +333,7 @@ class TestEnsemble:
             ensemble_mean(trajectory, _BLOCK)
         assert str(exc.value).startswith(f"trajectory {overflowing[0]}: ")
 
-    def test_blocks_are_fixed_whatever_the_map(self):
+    def test_blocks_are_fixed_whatever_the_map(self, monkeypatch):
         """The block decomposition is part of the numbers, so it is pinned here."""
         from concurrent.futures import ThreadPoolExecutor
 
@@ -350,7 +351,7 @@ class TestEnsemble:
         serial = Recorder()
         ensemble_mean(serial, 67)
         threaded = Recorder()
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            ensemble_mean(threaded, 67, pool.map)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", ThreadPoolExecutor)
+        ensemble_mean(threaded, 67, workers=3)
         assert serial.blocks == expected
         assert sorted(threaded.blocks, key=lambda ks: ks.start) == expected

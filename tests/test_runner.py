@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulseguard import runner
+from pulseguard import ensemble
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
@@ -555,7 +555,7 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("three trajectories make one block; no pool is needed")
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
         emit_csv(run_experiment(dataclasses.replace(config, workers=2)), tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
@@ -579,7 +579,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InlinePool)
         config = dataclasses.replace(config, workers=workers)
         emit_csv(run_experiment(config), tmp_path / "pooled.csv")
         assert sizes == [pool_size]

@@ -308,16 +308,23 @@ class TestShotNoise:
 
     def test_unresolved_rate_warns(self):
         grid = TimeGrid(t_max=1.0, n_steps=10)
+        family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=1.0, rate=2.0))
         with pytest.warns(RuntimeWarning, match="not resolved"):
-            sample_shot_noise(ShotNoiseSpec(strength=1.0, rate=2.0), substream(0, 0), grid)
+            family.check(grid)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sampling_an_unresolved_rate_is_silent(self):
+        # the same rate * dt = 0.2 as above: only check() reports it
+        grid = TimeGrid(t_max=1.0, n_steps=10)
+        family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=1.0, rate=2.0))
+        family.sample(substream(0, 0), grid)
 
     def test_overflowing_height_raises_numeric_error(self):
         # strength / dt = 1e308 is finite, but two arrivals in a cell are not
         grid = TimeGrid(t_max=1.0, n_steps=100)
         spec = ShotNoiseSpec(strength=1e306, rate=1000.0)
-        with pytest.warns(RuntimeWarning, match="not resolved"):
-            with pytest.raises(NumericOverflowError, match=r"signal\.strength = 1e\+306"):
-                sample_shot_noise(spec, substream(0, 0), grid)
+        with pytest.raises(NumericOverflowError, match=r"signal\.strength = 1e\+306"):
+            sample_shot_noise(spec, substream(0, 0), grid)
 
     def test_poisson_limit_is_numpy_s(self):
         rng = np.random.default_rng(0)
