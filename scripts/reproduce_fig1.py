@@ -55,7 +55,6 @@ def main() -> None:
         columns[name] = table.data[table.columns[0]]
     table = ResultTable(
         t=table.t,
-        columns=tuple(columns),
         data=columns,
         metadata={"experiment": "fig1", "omega": preset["omega"], "area": signal["area"],
                   "period": signal["period"]},

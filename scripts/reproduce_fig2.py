@@ -49,7 +49,6 @@ def main() -> None:
 
     merged = ResultTable(
         t=table.t,
-        columns=table.columns + ("free",),
         data={**table.data, "free": free_mean},
         metadata=table.metadata,
     )

@@ -61,7 +61,6 @@ def main() -> None:
 
     table = ResultTable(
         t=table.t,
-        columns=tuple(columns),
         data=columns,
         metadata={"experiment": "fig3", "omega": shot["omega"], "area": AREA, "period": PERIOD},
     )

@@ -59,7 +59,6 @@ def main() -> None:
     shot = driven["signal"]
     table = ResultTable(
         t=t,
-        columns=tuple(columns),
         data=columns,
         metadata={
             "experiment": "fig4",

@@ -16,13 +16,15 @@ E = E0 - E1 the signed gap.  In the real gauge the Berry terms vanish and
 the geometric couplings reduce to half the mixing-angle velocity,
 thetadot = (1/T) / (2 s^2 - 2 s + 1) with s = t/T, and the propagator
 separates: g(t, s) = u(t) v(s) with u = (thetadot/2) exp(i Lambda) and
-v = (thetadot/2) exp(-i Lambda), Lambda = int_0^t E.  A two-component
-Schroedinger integration in the same frame serves as the independent
-oracle.  |int_0^t g(t,s) psi_0(s) ds| is the adiabaticity defect: the sweep
-is adiabatic exactly where it stays small, and a fast control c(t) shrinks
-it by speeding up the oscillatory exponent.  The Volterra solve computes the
-memory integral anyway, so the defect comes out of the same pass.  The
-eigenframe cross-checks live in sweep_oracle.
+v = (thetadot/2) exp(-i Lambda), Lambda = int_0^t E, which
+dynamical_phases returns as one array at half-step resolution.
+|int_0^t g(t,s) psi_0(s) ds| is the adiabaticity defect: the sweep is
+adiabatic exactly where it stays small, and a fast control c(t) shrinks it
+by speeding up the oscillatory exponent.  The Volterra solve computes the
+memory integral anyway, so the defect comes out of the same pass.  A
+two-component Schroedinger integration in the same frame serves as the
+independent oracle, defect included: there the defect is
+(thetadot/2) |psi_1|.  The eigenframe cross-checks live in sweep_oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .signals import SampledSignal, SignalFamily, substream
 
 __all__ = [
     "SweepSpec",
-    "PhaseTable",
     "Psi0Curve",
     "PassageTrajectory",
     "dynamical_phases",
@@ -70,7 +71,7 @@ class SweepSpec:
             raise ValueError(f"base_freq must be positive, got {self.base_freq}")
 
     def mixing_angle(self, t):
-        """theta(t) = atan2(s, 1 - s), the rotation angle of the eigenbasis."""
+        """atan2(s, 1 - s): the mixing angle, the rotation of the eigenbasis."""
         s = np.asarray(t, dtype=float) / self.passage_time
         return np.arctan2(s, 1.0 - s)
 
@@ -95,28 +96,15 @@ def _clamped_control(sweep: SweepSpec, control: Optional[SampledSignal], grid: T
     return sweep.base_freq + c
 
 
-@dataclass(frozen=True)
-class PhaseTable:
-    """Dynamical phases of the sweep at half-step resolution.
-
-    fine[j] is Lambda(j * dt/2) where Lambda(t) = int_0^t (E0 - E1), built
-    cell by cell with the exact per-cell control value (Simpson on the
-    smooth radial factor), so impulsive controls integrate correctly.
-    theta[:, n] = -int_0^t E_n at the nodes.
-    """
-
-    grid: TimeGrid
-    fine: np.ndarray
-    theta: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.fine[::2]
-
-
 def dynamical_phases(
     sweep: SweepSpec, control: Optional[SampledSignal], grid: TimeGrid
-) -> PhaseTable:
+) -> np.ndarray:
+    """Lambda(j * dt/2) = int_0^t (E0 - E1) at half-step resolution, j = 0..2n.
+
+    Built cell by cell with the exact per-cell control value (Simpson on the
+    smooth radial factor), so impulsive controls integrate correctly; the
+    node values are the even entries.
+    """
     kappa = _clamped_control(sweep, control, grid)
     n = grid.n_steps
     dt = grid.dt
@@ -128,25 +116,21 @@ def dynamical_phases(
     rm = r[1::2]
     r1 = r[2::2]
     half_areas = (h / 6.0) * (r0 + 4.0 * rm + r1)  # 2n half-cell areas
+    # E0 - E1 = -2 kappa r
     increments = -2.0 * np.repeat(kappa, 2) * half_areas
-    fine = np.concatenate([[0.0], np.cumsum(increments)])
-    lam_nodes = fine[::2]
-    # theta_n = -int E_n with E_0 = -kappa r, E_1 = +kappa r, Lambda = -2 int kappa r
-    theta = np.stack([-lam_nodes / 2.0, lam_nodes / 2.0], axis=1)
-    return PhaseTable(grid=grid, fine=fine, theta=theta)
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 @dataclass(frozen=True)
 class Psi0Curve:
     """Complex amplitude on the target eigenstate along the sweep.
 
-    defect, when present, is the adiabaticity defect |int_0^t g psi_0| on
-    the nodes.
+    defect is the adiabaticity defect |int_0^t g psi_0| on the nodes.
     """
 
     grid: TimeGrid
     amplitudes: np.ndarray
-    defect: Optional[np.ndarray] = None
+    defect: np.ndarray
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -165,7 +149,7 @@ class Psi0Curve:
                 "refine the grid or check the kernel"
             )
         object.__setattr__(self, "amplitudes", amp)
-        if self.defect is not None and np.shape(self.defect) != amp.shape:
+        if np.shape(self.defect) != amp.shape:
             raise ValueError(
                 f"defect must have shape {amp.shape}, got {np.shape(self.defect)}"
             )
@@ -174,14 +158,10 @@ class Psi0Curve:
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.amplitudes)
 
-    @property
-    def final_magnitude(self) -> float:
-        return float(np.abs(self.amplitudes[-1]))
-
 
 def _kernel_factors(sweep, control, grid):
     """u(t), v(s) on the nodes, with g(t, s) = u(t) v(s)."""
-    lam = dynamical_phases(sweep, control, grid).nodes
+    lam = dynamical_phases(sweep, control, grid)[::2]
     half = 0.5 * sweep.angle_velocity(grid.times)
     return half * np.exp(1j * lam), half * np.exp(-1j * lam)
 
@@ -191,9 +171,9 @@ def solve_psi0(
 ) -> Psi0Curve:
     """Production path: Volterra integro-differential solve of psi_0.
 
-    Local rate is zero (real gauge kills the Berry term); the kernel goes to
-    numerics.volterra_solve as its factors u, v, and the memory integral the
-    solve returns gives the defect.
+    The real gauge kills the Berry term, so the equation has no local rate;
+    the kernel goes to numerics.volterra_solve as its factors u, v, and the
+    memory integral the solve returns gives the defect.
     """
     u, v = _kernel_factors(sweep, control, grid)
     amplitudes, memory = volterra_solve(u, v, grid, 1.0 + 0.0j)
@@ -202,15 +182,14 @@ def solve_psi0(
 
 def tdse_components(
     sweep: SweepSpec, control: Optional[SampledSignal], grid: TimeGrid
-) -> tuple[np.ndarray, PhaseTable]:
+) -> np.ndarray:
     """RK4 integration of the two-component adiabatic-frame equation.
 
-    Returns the (n+1, 2) array of amplitudes (psi_0, psi_1) and the phase
-    table; the off-diagonal couplings oscillate with exp(+-i Lambda(t)) and
-    the diagonal ones vanish in the real gauge.
+    Returns the (n+1, 2) array of amplitudes (psi_0, psi_1); the
+    off-diagonal couplings oscillate with exp(+-i Lambda(t)) and the
+    diagonal ones vanish in the real gauge.
     """
-    phases = dynamical_phases(sweep, control, grid)
-    fine = phases.fine
+    fine = dynamical_phases(sweep, control, grid)
     dt = grid.dt
 
     def derivative(t: float, y: np.ndarray) -> np.ndarray:
@@ -229,14 +208,20 @@ def tdse_components(
     for k in range(grid.n_steps):
         y = rk4_step(derivative, grid.times[k], y, dt)
         out[k + 1] = y
-    return out, phases
+    return out
 
 
 def tdse_oracle(
     sweep: SweepSpec, control: Optional[SampledSignal], grid: TimeGrid
 ) -> Psi0Curve:
-    components, _ = tdse_components(sweep, control, grid)
-    return Psi0Curve(grid, components[:, 0])
+    """Independent check of solve_psi0 from the two-component integration.
+
+    d psi_0/dt = -(thetadot/2) e^{i Lambda} psi_1, so the defect is
+    (thetadot/2) |psi_1|.
+    """
+    components = tdse_components(sweep, control, grid)
+    defect = 0.5 * sweep.angle_velocity(grid.times) * np.abs(components[:, 1])
+    return Psi0Curve(grid, components[:, 0], defect)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ class BathSpec:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
         if not (self.cutoff > 0.0 and np.isfinite(self.cutoff)):
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
+        if not np.isfinite(self.weight):
+            raise ValueError(f"weight coupling * cutoff / 2 must be finite, got {self.weight}")
 
     @property
     def weight(self) -> float:

@@ -6,15 +6,16 @@ trajectories ks as one (len(ks), rows, n_steps + 1) array; the trajectory
 classes name the rows in their `rows` attribute.  The indices are cut into
 fixed blocks of _BLOCK, each one unit of work, and the rows are reduced in
 index order.  `workers` processes share the blocks out, in a process pool
-of at most one worker per block, or in this process when that is one.  A
-block may batch its trajectories in numpy, whose rounding can depend on the
-batch length, so _BLOCK is part of the numbers; the blocks never depend on
-the worker count, so neither does any bit of the result.
+of at most one worker per block, or in this process when that is one; the
+pool module is imported only when a pool starts, so a one-process run never
+loads multiprocessing.  A block may batch its trajectories in numpy, whose
+rounding can depend on the batch length, so _BLOCK is part of the numbers;
+the blocks never depend on the worker count, so neither does any bit of the
+result.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Sequence
 
@@ -70,6 +71,8 @@ def ensemble_mean(
     if workers == 1:
         parts = list(map(run, blocks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
     rows = np.concatenate(parts, axis=0)

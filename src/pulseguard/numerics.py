@@ -3,18 +3,19 @@
 Everything here is deliberately plain: uniform grids, classical RK4, composite
 trapezoid sums, and a predictor-corrector scheme for Volterra integro-
 differential equations.  Fixed steps keep runs bit-reproducible, which the
-rest of the package relies on.  The Volterra solver takes a separable kernel
-g(t, s) = u(t) v(s) as its two node arrays, which makes each step a linear
-2x2 map; it solves by a log-depth prefix scan of those maps over whole
-arrays, with no per-step Python loop, and it returns the memory integral
-alongside the solution so that callers needing it (the adiabaticity defect)
-do not run a second pass.
+rest of the package relies on.  The Volterra solver takes the one equation
+the sweep needs, with no local term and a fixed runaway limit of 1e6, and a
+separable kernel g(t, s) = u(t) v(s) as its two node arrays, which makes
+each step a linear 2x2 map; it solves by a log-depth prefix scan of those
+maps over whole arrays, with no per-step Python loop, and it returns the
+memory integral alongside the solution so that callers needing it (the
+adiabaticity defect) do not run a second pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -100,6 +101,10 @@ def running_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+# |y| past this is a runaway solution; the sweep's |psi_0| stays near 1
+_OVERFLOW_LIMIT = 1.0e6
+
+
 def _node_values(values, grid: TimeGrid, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
     if values.shape != (grid.n_steps + 1,):
@@ -110,42 +115,36 @@ def _node_values(values, grid: TimeGrid, name: str) -> np.ndarray:
 
 
 def volterra_solve(
-    u: np.ndarray,
-    v: np.ndarray,
-    grid: TimeGrid,
-    y0: complex,
-    local_rate: Optional[np.ndarray] = None,
-    overflow_limit: float = 1.0e6,
+    u: np.ndarray, v: np.ndarray, grid: TimeGrid, y0: complex
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve dy/dt = a(t) y - int_0^t g(t, s) y(s) ds for g(t, s) = u(t) v(s).
+    """Solve dy/dt = - int_0^t g(t, s) y(s) ds for g(t, s) = u(t) v(s).
 
-    u, v and local_rate (a(t); None means zero) are sampled on the grid
-    nodes.  The memory integral is a composite trapezoid over the solution
-    history and each step is a Heun predictor-corrector, so the scheme is
-    globally second order.  Because the kernel separates, the history enters
-    only through the running sum S_i = sum_{j<=i} v_j y_j, and with
-    T_i = S_i - v_0 y_0 / 2 one step maps (y_i, T_i) linearly to
-    (y_{i+1}, T_{i+1}).  The solve is the prefix product of those n 2x2
-    maps, taken over whole node arrays in ceil(log2 n) doubling rounds
-    (Hillis & Steele 1986).  Each map is held as I + D and composed as
-    D_c + D_b + D_c D_b, which keeps the identity out of the rounding.
-    The products are summed in tree order, so the result matches the
-    step-by-step recurrence to rounding (within 1e-14 on fig4's sweeps)
-    and, against extended precision, is the more accurate of the two.
+    u and v are sampled on the grid nodes.  The memory integral is a
+    composite trapezoid over the solution history and each step is a Heun
+    predictor-corrector, so the scheme is globally second order.  Because
+    the kernel separates, the history enters only through the running sum
+    S_i = sum_{j<=i} v_j y_j, and with T_i = S_i - v_0 y_0 / 2 one step maps
+    (y_i, T_i) linearly to (y_{i+1}, T_{i+1}).  The solve is the prefix
+    product of those n 2x2 maps, taken over whole node arrays in
+    ceil(log2 n) doubling rounds (Hillis & Steele 1986).  Each map is held
+    as I + D and composed as D_c + D_b + D_c D_b, which keeps the identity
+    out of the rounding.  The products are summed in tree order, so the
+    result matches the step-by-step recurrence to rounding (within 1e-14 on
+    fig4's sweeps) and, against extended precision, is the more accurate of
+    the two.
 
     Returns (y, memory) with memory[i] the trapezoid int_0^{t_i} g(t_i, s)
     y(s) ds on the final solution; memory[0] = 0.
 
-    Raises NumericOverflowError at the first node where |y| exceeds
-    overflow_limit or is not finite, reporting the time at which the
-    solution ran away; node i depends only on the maps before it, so a
-    later blow-up cannot move that node.
+    Raises NumericOverflowError at the first node where |y| exceeds 1e6 or
+    is not finite, reporting the time at which the solution ran away; node
+    i depends only on the maps before it, so a later blow-up cannot move
+    that node.
     """
     n = grid.n_steps
     dt = grid.dt
     u = _node_values(u, grid, "u")
     v = _node_values(v, grid, "v")
-    a = 0.0 if local_rate is None else _node_values(local_rate, grid, "local_rate")
     y0 = complex(y0)
     t0 = 0.5 * v[0] * y0  # T_0
 
@@ -154,8 +153,8 @@ def volterra_solve(
         # the trapezoid's endpoint weight folded into p and r
         U = dt * u
         w = 0.5 * U * v
-        p = (a + w)[:-1]
-        r = (a - w)[1:]
+        p = w[:-1]
+        r = -w[1:]
         # step i as I + d[:, :, i] acting on (y_i, T_i)
         d = np.empty((2, 2, n), dtype=complex)
         d[0, 0] = 0.5 * dt * (p + r * (1.0 + dt * p))
@@ -179,12 +178,12 @@ def volterra_solve(
         y[1:] = y0 + (d[0, 0] * y0 + d[0, 1] * t0)
         total[1:] = t0 + (d[1, 0] * y0 + d[1, 1] * t0)
         # the negated comparison also catches nan
-        runaway = ~(np.abs(y[1:]) <= overflow_limit)
+        runaway = ~(np.abs(y[1:]) <= _OVERFLOW_LIMIT)
         memory = U * (total - 0.5 * v * y)
         memory[0] = 0.0  # an empty integral, whatever the rounding of T_0
     if runaway.any():
         node = int(np.argmax(runaway)) + 1
         raise NumericOverflowError(
-            f"Volterra solution exceeded {overflow_limit:g} at t = {node * dt:.6g}"
+            f"Volterra solution exceeded {_OVERFLOW_LIMIT:g} at t = {node * dt:.6g}"
         )
     return y, memory

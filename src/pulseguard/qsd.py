@@ -100,10 +100,6 @@ class FidelityCurve:
             raise ValueError(f"fidelity must start at 1, got {values[0]!r}")
         object.__setattr__(self, "values", values)
 
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
 
 def _cell_drive(E: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Validate the shifted splitting and return i E, one value per cell."""

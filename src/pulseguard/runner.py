@@ -233,19 +233,25 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Columnar result: t plus named columns, with the config echoed."""
+    """Columnar result: t plus named columns, with the config echoed.
+
+    data maps column names to values, in column order.
+    """
 
     t: np.ndarray
-    columns: tuple
     data: dict
     metadata: dict
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("t must be strictly increasing")
-        for name in self.columns:
-            if len(self.data[name]) != len(self.t):
+        for name, values in self.data.items():
+            if len(values) != len(self.t):
                 raise ValueError(f"column {name!r} length does not match t")
+
+    @property
+    def columns(self) -> tuple:
+        return tuple(self.data)
 
     @property
     def n_rows(self) -> int:
@@ -289,7 +295,7 @@ def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
         data = dict(zip(rows, mean))
     if not config.with_defect:
         data.pop("defect", None)
-    return ResultTable(config.grid.times, tuple(data), data, metadata)
+    return ResultTable(config.grid.times, data, metadata)
 
 
 def _canonical_json(obj) -> str:
@@ -306,7 +312,7 @@ def emit_csv(table: ResultTable, path) -> None:
     lines = ["# metadata"]
     for key in sorted(table.metadata):
         lines.append(f"# {key} = {_canonical_json(table.metadata[key])}")
-    lines.append(",".join(("t",) + tuple(table.columns)))
+    lines.append(",".join(("t",) + table.columns))
     if table.columns:
         # Python floats through one %-format per row: the bytes of formatting
         # each numpy scalar with f"{x:.12g}", at under half the cost

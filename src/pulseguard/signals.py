@@ -93,10 +93,6 @@ class PulseTrainSpec:
     def height(self) -> float:
         return self.area / self.duration
 
-    @property
-    def duty(self) -> float:
-        return self.duration / self.period
-
 
 @dataclass(frozen=True)
 class JitterSpec:

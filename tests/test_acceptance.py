@@ -131,7 +131,7 @@ def test_criterion_01_identities_and_norms():
     )
     drift = 0.0
     for c in (None, control):
-        components, _ = tdse_components(sweep, c, grid50)
+        components = tdse_components(sweep, c, grid50)
         norms = (np.abs(components) ** 2).sum(axis=1)
         drift = max(drift, float(np.max(np.abs(norms - 1.0))))
 
@@ -288,14 +288,14 @@ def test_criterion_10_shot_noise_induces_adiabaticity(passage_curves):
     mean, _ = ensemble_mean(PassageTrajectory(fast_sweep, family, 2026, fast_grid), 16)
     rescued = float(mean[0, -1])
     ok = (
-        slow.final_magnitude >= 0.99
+        slow.magnitudes[-1] >= 0.99
         and float(fast.magnitudes.min()) < 0.9
         and rescued >= 0.95
     )
     verdict(
         10,
         ok,
-        f"T=50 final |psi0| = {slow.final_magnitude:.6f} >= 0.99; T=5 min = "
+        f"T=50 final |psi0| = {slow.magnitudes[-1]:.6f} >= 0.99; T=5 min = "
         f"{float(fast.magnitudes.min()):.6f} < 0.9; with shot noise (J=0.1, W=100) "
         f"ensemble final = {rescued:.6f} >= 0.95",
     )

@@ -14,7 +14,6 @@ other.
 import numpy as np
 import pytest
 
-from pulseguard import ensemble
 from pulseguard.bath import BathSpec
 from pulseguard.ensemble import _BLOCK, ensemble_mean
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
@@ -178,7 +177,7 @@ class TestFidelity:
         """Frozen uncontrolled baseline used by the protection-gap check."""
         kernel = solve_kernel_riccati(free_splitting(GRID), BATH, GRID)
         curve = qsd_fidelity((0.5,), kernel)
-        assert curve.final == pytest.approx(0.455385272224, abs=1e-9)
+        assert curve.values[-1] == pytest.approx(0.455385272224, abs=1e-9)
 
     def test_duty_ratio_near_insensitive(self):
         """Same pulse area at duty 1/4, 1/2, 3/4 protects almost equally.
@@ -191,7 +190,7 @@ class TestFidelity:
             pulse = PulseTrainSpec(period=0.02, duration=duty * 0.02, area=0.2)
             signal = SignalFamily(kind="regular", pulse=pulse).sample(0, GRID)
             kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, GRID)
-            finals.append(qsd_fidelity((0.5,), kernel).final)
+            finals.append(qsd_fidelity((0.5,), kernel).values[-1])
         assert max(finals) - min(finals) < 1e-3
         assert finals[0] > finals[1] > finals[2]
         assert min(finals) > 0.98
@@ -272,7 +271,7 @@ class TestEnsemble:
             kind="jittered", pulse=PULSE, jitter=JitterSpec(area_dev=0.1)
         )
         serial_mean, serial_stderr = ensemble_mean(self.trajectory(family, 3), 70)
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
         threaded_mean, threaded_stderr = ensemble_mean(
             self.trajectory(family, 3), 70, workers=4
         )
@@ -351,7 +350,7 @@ class TestEnsemble:
         serial = Recorder()
         ensemble_mean(serial, 67)
         threaded = Recorder()
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
         ensemble_mean(threaded, 67, workers=3)
         assert serial.blocks == expected
         assert sorted(threaded.blocks, key=lambda ks: ks.start) == expected

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulseguard import ensemble
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
@@ -152,6 +151,9 @@ UNSAMPLEABLE = [
 
 # shot noise whose heights count * strength / dt overflow once a cell holds
 # enough arrivals, as (base, overrides); each run is one trajectory
+# each rate is finite, but the correlation weight coupling * cutoff / 2 is not
+OVERFLOWING_BATH = {"coupling": 1e200, "cutoff": 1e200}
+
 OVERFLOWING_SHOT = [
     (MEMORY_RAW, {"grid": {"t_max": 1.0, "n_steps": 100}, "master_seed": 0,
                   "signal": {"family": "shot", "strength": 1e305, "rate": 1000.0}}),
@@ -254,6 +256,10 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(
                 raw(MEMORY_RAW, bath={"coupling": -1.0, "cutoff": 0.5})
             )
+
+    def test_overflowing_bath_weight_rejected(self):
+        with pytest.raises(ConfigError, match="bath: weight"):
+            ExperimentConfig.from_dict(raw(MEMORY_RAW, bath=OVERFLOWING_BATH))
 
     def test_invalid_sweep_values(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -440,11 +446,11 @@ class TestLoadConfig:
 class TestResultTable:
     def test_time_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
-            ResultTable(np.array([0.0, 1.0, 1.0]), (), {}, {})
+            ResultTable(np.array([0.0, 1.0, 1.0]), {}, {})
 
     def test_column_length_checked(self):
         with pytest.raises(ValueError, match="length"):
-            ResultTable(np.array([0.0, 1.0]), ("a",), {"a": np.zeros(3)}, {})
+            ResultTable(np.array([0.0, 1.0]), {"a": np.zeros(3)}, {})
 
 
 DISPATCH_SIGNALS = {
@@ -555,7 +561,7 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("three trajectories make one block; no pool is needed")
 
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         emit_csv(run_experiment(dataclasses.replace(config, workers=2)), tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
@@ -579,7 +585,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         config = dataclasses.replace(config, workers=workers)
         emit_csv(run_experiment(config), tmp_path / "pooled.csv")
         assert sizes == [pool_size]
@@ -665,7 +671,7 @@ class TestCsvFormat:
         assert payload.endswith(b"\n")
 
     def test_no_columns_writes_header_only(self, tmp_path):
-        table = ResultTable(np.array([0.0, 1.0]), (), {}, {"config": {}})
+        table = ResultTable(np.array([0.0, 1.0]), {}, {"config": {}})
         path = tmp_path / "empty.csv"
         emit_csv(table, path)
         lines = path.read_text().splitlines()
@@ -689,7 +695,7 @@ class TestCsvFormat:
 
     def test_special_values_keep_the_numpy_scalar_bytes(self, tmp_path):
         values = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e16, 0.1 + 0.2])
-        table = ResultTable(np.arange(7.0), ("x",), {"x": values}, {"config": {}})
+        table = ResultTable(np.arange(7.0), {"x": values}, {"config": {}})
         emit_csv(table, tmp_path / "special.csv")
         assert (tmp_path / "special.csv").read_bytes() == legacy_csv(table)
 
@@ -706,7 +712,6 @@ class TestSvgPlot:
         t = np.linspace(0.0, 1.0, 50)
         return ResultTable(
             t,
-            ("a", "b"),
             {"a": np.cos(t) ** 2, "b": np.full(50, 0.25)},
             {"config": {}},
         )
@@ -731,7 +736,7 @@ class TestSvgPlot:
 
     def test_out_of_window_values_warn_and_clip(self, tmp_path):
         t = np.array([0.0, 1.0, 2.0])
-        table = ResultTable(t, ("x",), {"x": np.array([0.5, 1.2, 0.5])}, {})
+        table = ResultTable(t, {"x": np.array([0.5, 1.2, 0.5])}, {})
         with pytest.warns(RuntimeWarning, match="clipped"):
             emit_plot(table, tmp_path / "clip.svg")
 
@@ -875,6 +880,17 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert "signal.rate = 100.0 is not resolved by the grid step" in done.stderr
 
+    def test_cli_import_leaves_the_pool_module_unloaded(self):
+        # only a run that starts a process pool needs multiprocessing
+        env = dict(os.environ)
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+        code = "import sys, pulseguard.cli; print('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_unresolved_shot_noise_warns_once_per_run(self, tmp_path, workers):
         # 70 trajectories are three blocks, so at two workers both processes sample
@@ -915,6 +931,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "trajectory 0: " in err and "signal.strength = 1e+305" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["memory-qsd", "memory-me2", "memory-ensemble"])
+    def test_run_overflowing_bath_weight_exits_2(self, tmp_path, capsys, kind):
+        cfg = self.write(tmp_path, raw(MEMORY_RAW, kind=kind, bath=OVERFLOWING_BATH))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bath: weight" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_run_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = self.write(

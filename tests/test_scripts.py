@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +29,12 @@ def run_script(name, *args):
 def csv_columns(path):
     header = next(line for line in path.read_text().splitlines() if not line.startswith("#"))
     return header.split(",")
+
+
+def csv_data(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return dict(zip(lines[0].split(","), values.T))
 
 
 def run_ok(name, *args):
@@ -93,6 +100,15 @@ def fig4_outputs(tmp_path_factory):
 
 def test_fig4(fig4_outputs):
     assert csv_columns(fig4_outputs[1] / "fig4.csv") == ["t", "slow", "fast", "driven"]
+
+
+def test_fig4_headline_numbers(tmp_path):
+    """Acceptance criterion 10's bounds, on the CSV of the default-size run."""
+    run_ok("reproduce_fig4.py", "--out-dir", tmp_path)
+    data = csv_data(tmp_path / "fig4.csv")
+    assert data["slow"][-1] >= 0.99
+    assert data["fast"].min() < 0.9
+    assert data["driven"][-1] >= 0.95
 
 
 def test_fig4_bytes_do_not_depend_on_the_worker_count(fig4_outputs):

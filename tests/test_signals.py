@@ -55,7 +55,7 @@ def regular_at(t, spec=BASE):
 class TestSpecs:
     def test_height_and_duty(self):
         assert BASE.height == pytest.approx(20.0)
-        assert BASE.duty == pytest.approx(0.5)
+        assert BASE.duration / BASE.period == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -153,10 +153,11 @@ class TestRegular:
     )
     def test_membership_matches_integer_window(self, n, frac):
         # sample strictly inside a period, away from the on/off edge
-        if abs(frac - (1.0 - BASE.duty)) < 0.01:
+        duty = BASE.duration / BASE.period
+        if abs(frac - (1.0 - duty)) < 0.01:
             frac = 0.25
         t = (n + frac) * BASE.period
-        inside = frac > 1.0 - BASE.duty
+        inside = frac > 1.0 - duty
         expected = BASE.height if inside else 0.0
         assert regular_at(t) == pytest.approx(expected)
 
