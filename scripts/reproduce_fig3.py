@@ -42,7 +42,7 @@ def main() -> None:
         "random": {**shot, "master_seed": 12, "signal": {
             "family": "jittered", **pulse, "area": AREA / 2,
             "period_dev": 0.0, "duration_dev": 0.0, "area_dev": AREA / 2}},
-        "chaotic": {**shot, "master_seed": 0, "n_traj": 1, "signal": {
+        "chaotic": {**shot, "master_seed": 0, "signal": {
             "family": "chaotic", **pulse, "area": AREA,
             "logistic_r": 3.9, "seed_intensity": 0.5}},
         "shot": shot,

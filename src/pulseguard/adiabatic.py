@@ -133,11 +133,8 @@ class Psi0Curve:
     defect: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.grid.n_steps + 1,):
-            raise ValueError(
-                f"amplitudes must have shape ({self.grid.n_steps + 1},), got {amp.shape}"
-            )
+        amp = self.grid.on_nodes(self.amplitudes, "amplitudes", complex)
+        defect = self.grid.on_nodes(self.defect, "defect")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes must be finite")
         mags = np.abs(amp)
@@ -149,10 +146,7 @@ class Psi0Curve:
                 "refine the grid or check the kernel"
             )
         object.__setattr__(self, "amplitudes", amp)
-        if np.shape(self.defect) != amp.shape:
-            raise ValueError(
-                f"defect must have shape {amp.shape}, got {np.shape(self.defect)}"
-            )
+        object.__setattr__(self, "defect", defect)
 
     @property
     def magnitudes(self) -> np.ndarray:

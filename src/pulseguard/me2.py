@@ -30,7 +30,7 @@ import numpy as np
 
 from .bath import BathSpec
 from .ensemble import stack_trajectories
-from .numerics import TimeGrid, running_trapezoid
+from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from .qsd import FidelityCurve, MemoryTrajectory
 
 __all__ = [
@@ -46,11 +46,8 @@ def accumulated_phase(E: np.ndarray, grid: TimeGrid) -> np.ndarray:
     E is sampled at the cell midpoints (length n_steps), the convention of
     piecewise-constant controls, so the integral is exact cell by cell.
     """
-    E = np.asarray(E, dtype=float)
-    if E.shape != (grid.n_steps,):
-        raise ValueError(f"E must have length {grid.n_steps} (midpoints), got {E.shape}")
     out = np.zeros(grid.n_steps + 1)
-    np.cumsum(E * grid.dt, out=out[1:])
+    np.cumsum(grid.on_cells(E, "E") * grid.dt, out=out[1:])
     return out
 
 
@@ -71,6 +68,8 @@ def me2_fidelity(
     an exponentially weighted trapezoid recursion, so the whole curve costs
     O(n) and the recursion runs once whatever the number of states.  Stable
     for any cutoff because the growing exponential is never formed.
+    A state's factor exp(-exponent) that underflows to 0 or is nan marks a
+    bath too strong for the expansion: NumericOverflowError at its first node.
     """
     dt = grid.dt
     phase = accumulated_phase(E, grid)
@@ -89,7 +88,13 @@ def me2_fidelity(
     # bitwise the curve of that state alone
     inner = (p[:, None] ** 2 * bath.weight) * np.exp(1j * phase) * j
     exponent = 2.0 * running_trapezoid(np.real(inner), dt)
-    return FidelityCurve(grid, np.mean(np.exp(-exponent), axis=0))
+    factors = np.exp(-exponent)
+    bad = ~(factors > 0.0).all(axis=0)  # nan compares false
+    if bad.any():
+        raise NumericOverflowError(f"Born factor exp(-exponent) is not a positive float at t = "
+                                   f"{grid.times[np.argmax(bad)]:.6g}; the second-order "
+                                   "expansion does not hold there")
+    return FidelityCurve(grid, np.mean(factors, axis=0))
 
 
 class BornTrajectory(MemoryTrajectory):

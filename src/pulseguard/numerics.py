@@ -10,6 +10,11 @@ each step a linear 2x2 map; it solves by a log-depth prefix scan of those
 maps over whole arrays, with no per-step Python loop, and it returns the
 memory integral alongside the solution so that callers needing it (the
 adiabaticity defect) do not run a second pass.
+
+TimeGrid owns the package's one data format: a control is one midpoint
+sample per cell, shape (n_steps,), and a curve is one value per node, shape
+(n_steps + 1,).  No other module checks a shape; each calls on_cells or
+on_nodes, which name the offending field.
 """
 
 from __future__ import annotations
@@ -75,6 +80,23 @@ class TimeGrid:
         """Cell midpoints, length n_steps."""
         return (np.arange(self.n_steps) + 0.5) * self.dt
 
+    def on_cells(self, values, name: str, dtype=float, batched: bool = False) -> np.ndarray:
+        """`values` as an array of shape (n_steps,), or (B, n_steps) if batched."""
+        return _sampled(values, name, dtype, batched, self.n_steps, "one midpoint sample per cell")
+
+    def on_nodes(self, values, name: str, dtype=float, batched: bool = False) -> np.ndarray:
+        """`values` as an array of shape (n_steps + 1,), or (B, n_steps + 1) if batched."""
+        return _sampled(values, name, dtype, batched, self.n_steps + 1, "one value per node")
+
+
+def _sampled(values, name: str, dtype, batched: bool, n: int, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim not in ((1, 2) if batched else (1,)) or values.shape[-1] != n:
+        shape = f"({n},) or (B, {n})" if batched else f"({n},)"
+        raise ValueError(f"{name} must have shape {shape}, {what} (length {n}), "
+                         f"got {values.shape}")
+    return values
+
 
 def rk4_step(derivative: Callable, t: float, y, dt: float):
     """One classical Runge-Kutta step for dy/dt = derivative(t, y).
@@ -103,15 +125,6 @@ def running_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 
 # |y| past this is a runaway solution; the sweep's |psi_0| stays near 1
 _OVERFLOW_LIMIT = 1.0e6
-
-
-def _node_values(values, grid: TimeGrid, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (grid.n_steps + 1,):
-        raise ValueError(
-            f"{name} must have shape ({grid.n_steps + 1},), got {values.shape}"
-        )
-    return values
 
 
 def volterra_solve(
@@ -143,8 +156,8 @@ def volterra_solve(
     """
     n = grid.n_steps
     dt = grid.dt
-    u = _node_values(u, grid, "u")
-    v = _node_values(v, grid, "v")
+    u = grid.on_nodes(u, "u", complex)
+    v = grid.on_nodes(v, "v", complex)
     y0 = complex(y0)
     t0 = 0.5 * v[0] * y0  # T_0
 

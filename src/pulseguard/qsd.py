@@ -46,6 +46,7 @@ __all__ = [
     "solve_kernel_riccati",
     "solve_kernel_quadrature",
     "qsd_fidelity",
+    "check_states",
     "MemoryTrajectory",
 ]
 
@@ -68,12 +69,7 @@ class KernelCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.grid.n_steps + 1:
-            raise ValueError(
-                f"kernel must have shape ({self.grid.n_steps + 1},) or "
-                f"(B, {self.grid.n_steps + 1}), got {values.shape}"
-            )
+        values = self.grid.on_nodes(self.values, "kernel", complex, batched=True)
         if np.any(values[..., 0] != 0.0):
             raise ValueError("kernel must start at F(0) = 0")
         if not np.all(np.isfinite(values)):
@@ -89,11 +85,7 @@ class FidelityCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_steps + 1,):
-            raise ValueError(
-                f"fidelity must have shape ({self.grid.n_steps + 1},), got {values.shape}"
-            )
+        values = self.grid.on_nodes(self.values, "fidelity")
         if not np.all(np.isfinite(values)):
             raise ValueError("fidelity values must be finite")
         if abs(values[0] - 1.0) > 1.0e-9:
@@ -103,13 +95,7 @@ class FidelityCurve:
 
 def _cell_drive(E: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Validate the shifted splitting and return i E, one value per cell."""
-    E = np.asarray(E, dtype=float)
-    if E.shape != (grid.n_steps,):
-        raise ValueError(
-            f"E must hold one midpoint sample per cell, shape ({grid.n_steps},), "
-            f"got {E.shape}"
-        )
-    return 1j * E
+    return 1j * grid.on_cells(E, "E")
 
 
 def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
@@ -133,13 +119,8 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     bound or F is not finite, in the first such row, which the error's
     `row` names (0 for one drive).
     """
-    E = np.asarray(E, dtype=float)
+    E = grid.on_cells(E, "E", batched=True)
     n = grid.n_steps
-    if E.ndim not in (1, 2) or E.shape[-1] != n:
-        raise ValueError(
-            f"E must hold one midpoint sample per cell, shape ({n},) or (B, {n}), "
-            f"got {E.shape}"
-        )
     rows = E.reshape(-1, n)
     if len(rows) == 1:
         values = _riccati_loop(rows[0], bath, grid)[np.newaxis]
@@ -310,6 +291,18 @@ def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
     return FidelityCurve(kernel.grid, values)
 
 
+def check_states(states: Sequence[float]) -> tuple:
+    """`states` as a tuple of excited probabilities p; a ValueError naming the
+    first entry outside [0, 1] (nan included), or the empty sequence."""
+    states = tuple(states)
+    if not states:
+        raise ValueError("states must be non-empty")
+    for i, p in enumerate(states):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"states[{i}] must be an excited probability in [0, 1], got {p!r}")
+    return states
+
+
 @dataclass(frozen=True)
 class MemoryTrajectory:
     """The trajectories of a memory experiment, as picklable units of ensemble work.
@@ -329,11 +322,7 @@ class MemoryTrajectory:
     rows = ("qsd",)
 
     def __post_init__(self) -> None:
-        if len(self.states) == 0:
-            raise ValueError("states must be non-empty")
-        if not all(0.0 <= p <= 1.0 for p in self.states):
-            raise ValueError(f"states must be excited probabilities in [0, 1], got {self.states}")
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", check_states(self.states))
 
     def splitting(self, k: int) -> np.ndarray:
         """E = omega + c(t) of trajectory k, one value per cell."""

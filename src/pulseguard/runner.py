@@ -4,6 +4,9 @@ A config describes one experiment (a memory-fidelity curve, an ensemble of
 them, or an adiabatic sweep).  The runner validates it, dispatches to the
 physics modules, and serialises the result with the fully resolved config
 embedded, so any output file can be reproduced from its own header.
+Only a stochastic signal family runs `n_traj` trajectories, whatever the
+kind; a deterministic control runs once, so a memory-ensemble of it writes
+that one run as its mean, with a zero stderr.
 
 The worker count is deliberately kept out of the embedded config: the same
 experiment must produce byte-identical files no matter how it was scheduled.
@@ -26,7 +29,7 @@ from .bath import BathSpec
 from .ensemble import ensemble_mean
 from .me2 import BornTrajectory
 from .numerics import NumericOverflowError, TimeGrid
-from .qsd import DEFAULT_STATES, MemoryTrajectory
+from .qsd import DEFAULT_STATES, MemoryTrajectory, check_states
 from .signals import FAMILY_SPECS, SignalFamily
 
 __all__ = [
@@ -127,11 +130,11 @@ def _build_signal(raw) -> SignalFamily:
 def _build_states(raw) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"states must be a non-empty list of numbers, got {raw!r}")
-    states = tuple(_number(p, "float", f"states[{i}]") for i, p in enumerate(raw))
-    for i, p in enumerate(states):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"states[{i}] must be an excited probability in [0, 1], got {p!r}")
-    return states
+    states = [_number(p, "float", f"states[{i}]") for i, p in enumerate(raw)]
+    try:
+        return check_states(states)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -282,14 +285,11 @@ def _trajectory(config: ExperimentConfig):
 
 def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
     trajectory = _trajectory(config)
-    # a deterministic control gives every trajectory the same sweep, so it runs once
-    ensemble = config.kind == "memory-ensemble" or (
-        config.kind == "adiabatic" and config.signal.stochastic and config.n_traj > 1
-    )
-    n_traj = config.n_traj if ensemble else 1
+    # a deterministic control gives every trajectory the same rows, so it runs once
+    n_traj = config.n_traj if config.signal.stochastic else 1
     mean, stderr = ensemble_mean(trajectory, n_traj, config.workers)
     rows = trajectory.rows
-    if ensemble:
+    if config.kind == "memory-ensemble" or n_traj > 1:
         data = {"mean": mean[0], "stderr": stderr[0], **dict(zip(rows[1:], mean[1:]))}
     else:
         data = dict(zip(rows, mean))

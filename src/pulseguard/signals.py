@@ -161,11 +161,7 @@ class SampledSignal:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_steps,):
-            raise ValueError(
-                f"values must have shape ({self.grid.n_steps},), got {values.shape}"
-            )
+        values = self.grid.on_cells(self.values, "values")
         if not np.all(np.isfinite(values)):
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", values)

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from pulseguard.bath import BathSpec
 from pulseguard.me2 import accumulated_phase, me2_fidelity
 from pulseguard.me2_oracle import LeakageKernel, leakage_kernel
-from pulseguard.numerics import TimeGrid, running_trapezoid
+from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from pulseguard.qsd import DEFAULT_STATES, qsd_fidelity, solve_kernel_riccati
 from pulseguard.signals import (
     ChaoticSpec,
@@ -151,6 +151,22 @@ class TestMe2Fidelity:
         bath = BathSpec(coupling=30.0, cutoff=0.5)
         curve = me2_fidelity((0.9,), self.free_splitting(self.GRID), bath, self.GRID)
         assert np.all(curve.values > 0.0)
+
+    @pytest.mark.parametrize("coupling, cutoff", [(1e6, 0.5), (1e100, 1e100)])
+    def test_strong_bath_fails_where_the_expansion_does(self, coupling, cutoff):
+        """A factor exp(-exponent) that underflows to 0 raises at its first
+        node, rather than reading as a fidelity of exactly 0 from there on."""
+        bath = BathSpec(coupling=coupling, cutoff=cutoff)
+        E = self.free_splitting(self.GRID)
+        with pytest.raises(NumericOverflowError,
+                           match=r"at t = (\S+); the second-order expansion does not hold") as err:
+            me2_fidelity((0.5, 0.9), E, bath, self.GRID)
+        node = round(float(err.value.args[0].split("t = ")[1].split(";")[0]) / self.GRID.dt)
+        # the curve is causal, so the same grid cut before that node runs clean
+        if node > 1:
+            head = TimeGrid(t_max=(node - 1) * self.GRID.dt, n_steps=node - 1)
+            curve = me2_fidelity((0.5, 0.9), E[: node - 1], bath, head)
+            assert np.all(curve.values > 0.0)
 
     def test_matches_direct_double_integral(self):
         """The O(n) recursion equals the written-out double quadrature."""

@@ -62,6 +62,34 @@ class TestTimeGrid:
         assert np.all(mids > times[:-1])
         assert np.all(mids < times[1:])
 
+    def test_sampling_format(self):
+        """on_cells takes n_steps midpoint samples, on_nodes n_steps + 1 node
+        values, converted to the dtype asked for."""
+        grid = TimeGrid(t_max=1.0, n_steps=4)
+        cells = grid.on_cells([1, 2, 3, 4], "E")
+        assert cells.dtype == float and cells.shape == (4,)
+        nodes = grid.on_nodes(np.ones(5), "u", complex)
+        assert nodes.dtype == complex and nodes.shape == (5,)
+        batch = np.zeros((3, 5))
+        assert grid.on_nodes(batch, "kernel", batched=True) is batch
+        assert grid.on_nodes(np.zeros(5), "kernel", batched=True).shape == (5,)
+
+    @pytest.mark.parametrize("method, shape, batched, message", [
+        ("on_cells", (5,), False,
+         r"^E must have shape \(4,\), one midpoint sample per cell \(length 4\), got \(5,\)$"),
+        ("on_nodes", (4,), False,
+         r"^E must have shape \(5,\), one value per node \(length 5\), got \(4,\)$"),
+        ("on_cells", (2, 4), False, r"shape \(4,\), .* got \(2, 4\)$"),
+        ("on_cells", (2, 5), True, r"shape \(4,\) or \(B, 4\), .* got \(2, 5\)$"),
+        ("on_nodes", (2, 2, 5), True, r"got \(2, 2, 5\)$"),
+        ("on_nodes", (), True, r"got \(\)$"),
+    ], ids=["cells-too-long", "nodes-too-short", "cells-batch-unasked", "cells-batch-too-long",
+            "nodes-3d", "nodes-0d"])
+    def test_sampling_format_violation_names_the_field(self, method, shape, batched, message):
+        grid = TimeGrid(t_max=1.0, n_steps=4)
+        with pytest.raises(ValueError, match=message):
+            getattr(grid, method)(np.zeros(shape), "E", batched=batched)
+
 
 class TestRk4:
     def test_exponential_decay(self):

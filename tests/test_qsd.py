@@ -64,7 +64,7 @@ class TestInitialState:
     def test_prob_bounds(self):
         family = SignalFamily(kind="none")
         for states in ((0.5, 1.2), (-0.1,), (float("nan"),)):
-            with pytest.raises(ValueError, match="states"):
+            with pytest.raises(ValueError, match=r"^states\[\d\] must be an excited probability"):
                 MemoryTrajectory(family, BATH, states, 0, GRID, 1.0)
         trajectory = MemoryTrajectory(family, BATH, [0.0, 1.0], 0, GRID, 1.0)
         assert trajectory.states == (0.0, 1.0)

@@ -23,7 +23,7 @@ import pytest
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
-from pulseguard.qsd import DEFAULT_STATES
+from pulseguard.qsd import DEFAULT_STATES, MemoryTrajectory
 from pulseguard.runner import (
     ConfigError,
     ExperimentConfig,
@@ -458,10 +458,12 @@ DISPATCH_SIGNALS = {
     "regular": MEMORY_RAW["signal"],
     "jittered": ENSEMBLE_RAW["signal"],
     "shot": {"family": "shot", "strength": 0.1, "rate": 20.0},
+    "chaotic": {**MEMORY_RAW["signal"], "family": "chaotic", "logistic_r": 3.9,
+                "seed_intensity": 0.5},
 }
 
 # (kind, family, n_traj, with_defect) -> CSV columns; an ensemble is
-# memory-ensemble, or a stochastic adiabatic family with n_traj > 1
+# memory-ensemble, or a stochastic family run with n_traj > 1
 DISPATCH = [
     ("memory-qsd", "regular", 1, False, ("qsd",)),
     ("memory-me2", "regular", 1, False, ("me2",)),
@@ -535,6 +537,28 @@ class TestRunExperiment:
         assert table.columns == columns
         if "stderr" in columns and n_traj == 1:
             assert np.all(table.data["stderr"] == 0.0)
+
+    @pytest.mark.parametrize("family", ["none", "regular", "chaotic"])
+    def test_deterministic_ensemble_runs_one_trajectory(self, family, monkeypatch):
+        """Every trajectory of a deterministic control has the same rows, so a
+        memory-ensemble of it runs one: its mean is the memory-qsd curve bit
+        for bit and its stderr is zero."""
+        signal = DISPATCH_SIGNALS[family]
+        single = run_experiment(ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=signal)))
+        ran = []
+        block = MemoryTrajectory.block
+
+        def counted(trajectory, ks):
+            ran.extend(ks)
+            return block(trajectory, ks)
+
+        monkeypatch.setattr(MemoryTrajectory, "block", counted)
+        config = raw(MEMORY_RAW, kind="memory-ensemble", signal=signal, n_traj=40)
+        table = run_experiment(ExperimentConfig.from_dict(config))
+        assert ran == [0]
+        assert table.columns == ("mean", "stderr")
+        assert table.data["mean"].tobytes() == single.data["qsd"].tobytes()
+        assert np.all(table.data["stderr"] == 0.0)
 
     def test_metadata_carries_config_and_version(self):
         config = ExperimentConfig.from_dict(copy.deepcopy(MEMORY_RAW))
@@ -939,6 +963,21 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "bath: weight" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bath", [{"coupling": 1e6, "cutoff": 0.5},
+                                      {"coupling": 1e100, "cutoff": 1e100}])
+    def test_run_born_past_its_expansion_exits_3(self, tmp_path, capsys, bath):
+        """fig1 as memory-me2 on a bath too strong for the second-order
+        expansion fails as memory-qsd does there, instead of writing zeros."""
+        preset = json.loads((ROOT / "configs" / "fig1.json").read_text())
+        cfg = self.write(tmp_path, {**preset, "kind": "memory-me2", "bath": bath})
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: memory-me2 experiment: trajectory 0: ")
+        assert re.search(r"at t = [0-9.e+-]+; the second-order expansion does not hold", err)
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_run_numerical_failure_exits_3(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import FREE_BASELINE_F10
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +59,17 @@ def test_fig1_pulse_narrower_than_a_cell_is_rejected(tmp_path):
     assert "signal.duration = 0.005 is shorter than the grid step" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_fig1_headline_numbers(tmp_path):
+    """Acceptance criteria 4 and 5's bounds, on the CSV of the default-size
+    run; fig1's preset is the acceptance suite's bench configuration."""
+    run_ok("reproduce_fig1.py", "--out-dir", tmp_path)
+    data = csv_data(tmp_path / "fig1.csv")
+    controlled, free = data["qsd duty 0.5"][-1], data["free"][-1]
+    assert controlled > 0.95
+    assert abs(free - FREE_BASELINE_F10) <= 1e-9
+    assert controlled - free >= 0.2
 
 
 def test_fig2(tmp_path):
