@@ -8,10 +8,8 @@ fixed blocks of _BLOCK, each one unit of work, and the rows are reduced in
 index order.  `workers` processes share the blocks out, in a process pool
 of at most one worker per block, or in this process when that is one; the
 pool module is imported only when a pool starts, so a one-process run never
-loads multiprocessing.  A block may batch its trajectories in numpy, whose
-rounding can depend on the batch length, so _BLOCK is part of the numbers;
-the blocks never depend on the worker count, so neither does any bit of the
-result.
+loads multiprocessing.  The blocks never depend on the worker count, so
+neither does any bit of the result.
 """
 
 from __future__ import annotations
@@ -25,10 +23,11 @@ from .numerics import NumericOverflowError
 
 __all__ = ["ensemble_mean", "stack_trajectories"]
 
-# trajectories per unit of work, measured: fig3's 64 trajectories make one
-# batched block per worker at two workers, and a block of 32 runs the
-# batched Riccati kernel at ~1/3 the per-trajectory cost of a block of 8;
-# fig4's 32 sweeps are then a single block, which runs in one process
+# trajectories per unit of work: fig3's 64 trajectories make one block per
+# worker at two workers, and fig4's 32 sweeps a single block, which runs in
+# one process.  Measured on fig3 (2-core host), a block costs ~2.3 ms per
+# trajectory at 32 and ~3.3 ms at 2, so a short remainder block costs
+# little more per trajectory than a full one
 _BLOCK = 32
 
 

@@ -8,10 +8,13 @@ The whole memory effect of the bath is carried by one complex kernel
 with E(t) = omega + c(t) the control-shifted splitting.  Because the
 correlation is exponential, F obeys a closed Riccati equation
 
-    dF/dt = coupling*cutoff/2 + (i E(t) + F(t) - cutoff) * F(t),  F(0) = 0,
+    dF/dt = coupling*cutoff/2 + (i E(t) + F(t) - cutoff) * F(t),  F(0) = 0.
 
-which is the production path.  An O(n^2) quadrature solver that never forms
-the Riccati equation is kept alongside as a cross-method oracle.
+E is constant in each grid cell, where the substitution F = -z'/z makes the
+equation linear and one cell's solution an exact Moebius map of F; the
+production path composes those maps as a scan, so it has no time-step
+error.  An O(n^2) quadrature solver that never forms the Riccati equation
+is kept alongside as a cross-method oracle.
 
 Given the kernel, the fidelity of an initial state mu|1> + nu|0> follows in
 closed form from the running integrals of F:
@@ -51,6 +54,10 @@ __all__ = [
 ]
 
 _KERNEL_BOUND = 1.0e6
+
+# cells per chunk of the kernel scan; the kernel depends on it at the
+# rounding level, and not on the batch length
+_CHUNK = 100
 
 # the excited probabilities p = 0.1 .. 0.9, the averaging set used whenever
 # results are quoted per signal family rather than per state
@@ -99,118 +106,150 @@ def _cell_drive(E: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
-    """Integrate the closed kernel equation with RK4, one cell at a time.
+    """Solve the closed kernel equation exactly in each cell, as a scan of Moebius maps.
 
     E is the control-shifted splitting from effective_frequency, constant
-    inside each grid cell (midpoint sample), so each RK4 step integrates a
-    smooth autonomous equation; discontinuities of E(t) sit exactly on step
-    boundaries and never degrade the order.
+    inside each grid cell (midpoint sample).  With r = i E - cutoff and
+    w = bath.weight, the substitution F = -z'/z turns the Riccati equation
+    into z'' - r z' + w z = 0, which one cell solves exactly (Reid 1972):
+    with delta = sqrt(r^2/4 - w), C = cosh(delta dt) and
+    S = sinh(delta dt) / delta (S = dt at delta = 0), the cell maps
+
+        F  ->  (d F - c) / (a - b F),
+        a = C - r S/2,  b = S,  c = -w S,  d = C + r S/2,
+
+    so the kernel carries no time-step error, only rounding.  The maps
+    compose as 2x2 matrices, and the solve is a two-level scan (Blelloch
+    1990) over chunks of _CHUNK cells, each pass vectorised over rows and
+    chunks: pass 1 multiplies the maps of each chunk, pass 2 carries F
+    across the chunk ends, and pass 3 applies each chunk's maps one by one
+    from its start value, writing F into the output.  No pass holds a map
+    per cell: each row's distinct levels of E get one map each, in a table
+    that the cells index.
 
     E holds one drive, shape (n_steps,), or a batch of B drives, shape
     (B, n_steps), and the kernel has the matching shape (n_steps + 1,) or
-    (B, n_steps + 1).  One drive runs the scalar loop on Python complex,
-    2-3 times faster per step than on numpy scalars and bit for bit the
-    same arithmetic.  A batch runs the same operations in the same order
-    over (B,) rows, one ufunc call each per step for the whole batch; at
-    B = 1 that loop is the scalar loop bit for bit, and at B > 1 numpy's
-    vectorised complex product may round differently, by ~1e-16 per row.
-    Both loops run to the end without checking; one check then raises
-    NumericOverflowError at the first node where |F| exceeds the kernel
-    bound or F is not finite, in the first such row, which the error's
-    `row` names (0 for one drive).
+    (B, n_steps + 1).  Every operation is elementwise over the rows, so a
+    row's kernel is bit for bit the same in a batch of any length.
+    NumericOverflowError is raised at the first node past a pole of F, or
+    where |F| exceeds the kernel bound or F is not finite, in the first such
+    row, which the error's `row` names (0 for one drive).
     """
     E = grid.on_cells(E, "E", batched=True)
     n = grid.n_steps
-    rows = E.reshape(-1, n)
-    if len(rows) == 1:
-        values = _riccati_loop(rows[0], bath, grid)[np.newaxis]
-    else:
-        values = _riccati_rows(rows, bath, grid)
-    _check_rows(values, grid)
+    maps, cells = _cell_maps(E.reshape(-1, n), bath, grid)
+    values = _scan(maps, cells, n)
+    _check_rows(values, maps, cells, grid)
     return KernelCurve(grid, values.reshape(E.shape[:-1] + (n + 1,)))
 
 
-def _riccati_loop(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> np.ndarray:
-    """The RK4 loop for one drive, on Python complex; a diverged F runs on to inf or nan."""
-    dt = grid.dt
-    w = bath.weight
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    f = 0j
-    values = [f]
-    for rate in (1j * E - bath.cutoff).tolist():
-        k1 = w + (rate + f) * f
-        y = f + half * k1
-        k2 = w + (rate + y) * y
-        y = f + half * k2
-        k3 = w + (rate + y) * y
-        y = f + dt * k3
-        k4 = w + (rate + y) * y
-        f = f + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        values.append(f)
-    return np.array(values)
+def _cell_maps(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The cell maps of the (B, n_steps) drives E, as a table and an index.
 
-
-def _riccati_rows(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> np.ndarray:
-    """_riccati_loop over the rows of E, shape (B, n_steps), as (B,) arrays.
-
-    Returns the (B, n_steps + 1) kernels, as the transpose of a node-major
-    buffer, without checking them: a diverged row runs on to inf or nan.
+    Each map is held as I + D, with D = (a - 1, b, c, d - 1) taken from
+    C - 1 = 2 sinh^2(delta dt / 2), so that the identity stays out of the
+    rounding of the O(dt) entries.  The table is (4, U + 1): the D of each
+    row's distinct levels, row after row, then D = 0.  The index is
+    (B, chunks, chunk) int32, each cell's column of the table, padded with
+    the identity up to whole chunks of min(_CHUNK, n_steps) cells.
     """
     n = grid.n_steps
-    out = np.empty((n + 1, len(E)), dtype=complex)
-    out[0] = 0.0
-    # cell i's rate waits in out[i + 1] until the step writes F over it
-    rates = out[1:]
-    np.multiply(1j, E.T, rates)
-    np.subtract(rates, bath.cutoff, rates)
-    k1, k2, k3, y = (np.empty(len(E), dtype=complex) for _ in range(4))
-    # the Python floats as complex scalars: the same values, cast once
-    w, dt, half, sixth, two = (
-        np.complex128(x) for x in (bath.weight, grid.dt, 0.5 * grid.dt, grid.dt / 6.0, 2.0)
-    )
-    add, mul = np.add, np.multiply
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f, rate in zip(out[:-1], rates):
-            add(rate, f, k1)  # k1 = w + (rate + f) * f
-            mul(k1, f, k1)
-            add(k1, w, k1)
-            mul(k1, half, y)  # y = f + half * k1
-            add(f, y, y)
-            add(rate, y, k2)  # k2 = w + (rate + y) * y
-            mul(k2, y, k2)
-            add(k2, w, k2)
-            mul(k2, half, y)  # y = f + half * k2
-            add(f, y, y)
-            add(rate, y, k3)  # k3 = w + (rate + y) * y
-            mul(k3, y, k3)
-            add(k3, w, k3)
-            mul(k3, dt, y)  # y = f + dt * k3
-            add(f, y, y)
-            add(k2, k3, k2)  # k2 + k3, so k3's buffer can take k4
-            add(rate, y, k3)  # k4 = w + (rate + y) * y
-            mul(k3, y, k3)
-            add(k3, w, k3)
-            mul(k2, two, k2)  # F = f + sixth * (k1 + 2 (k2 + k3) + k4), over the rate
-            add(k1, k2, k1)
-            add(k1, k3, k1)
-            mul(k1, sixth, k1)
-            add(f, k1, rate)
-    return out.T
+    chunk = min(_CHUNK, n)
+    cells = np.empty((len(E), -(-n // chunk), chunk), dtype=np.int32)
+    flat = cells.reshape(len(E), -1)
+    levels = []
+    offset = 0
+    for row, index in zip(E, flat):
+        # E runs in constant stretches, so one level per stretch is de-duplicated
+        starts = np.flatnonzero(row[1:] != row[:-1]) + 1
+        level, inverse = np.unique(row[np.r_[0, starts]], return_inverse=True)
+        index[:n] = np.repeat(inverse + offset, np.diff(starts, prepend=0, append=n))
+        levels.append(level)
+        offset += len(level)
+    flat[:, n:] = offset
+    r = 1j * np.concatenate(levels) - bath.cutoff
+    maps = np.zeros((4, offset + 1), dtype=complex)
+    # an overflow here leaves a non-finite map, and the scan reports its cell
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        delta = np.sqrt(0.25 * r * r - bath.weight)
+        S = np.sinh(grid.dt * delta) / delta
+        S[delta == 0.0] = grid.dt
+        C1 = 2.0 * np.sinh(0.5 * grid.dt * delta) ** 2
+        half = 0.5 * r * S
+        maps[:, :offset] = (C1 - half, S, -bath.weight * S, C1 + half)
+        # a cell far longer than the memory time has entries ~ e^{cutoff dt / 2};
+        # dividing such an I + D by its largest entry leaves F's map unchanged
+        # and keeps every product of _CHUNK maps below 2 * 4**(_CHUNK - 1)
+        eye = np.array([[1.0], [0.0], [0.0], [1.0]])
+        scale = np.abs(maps + eye).max(axis=0)
+        big = scale > 2.0
+        maps[:, big] = (maps[:, big] + eye) / scale[big] - eye
+    return maps, cells
 
 
-def _check_rows(values: np.ndarray, grid: TimeGrid) -> None:
-    """Raise at the first node of the first row where |F| exceeds the kernel
-    bound or F is not finite, naming that row.
+def _scan(maps: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """The kernels F, shape (B, n + 1), of the cell maps indexed by `cells`,
+    shape (B, chunks, chunk).
 
-    Row by row, so the only temporaries are one row's |F| and mask.
+    A map I + D takes F to F + (F (D3 - D0 + D1 F) - D2) / (1 + D0 - D1 F),
+    and a product (I + D)(I + Q) is I + D + Q + D Q.  Returns a view of a
+    (B, chunks * chunk + 1) buffer, without checking it: past a pole F runs
+    on as the maps carry it.
     """
+    rows, chunks, chunk = cells.shape
+    out = np.empty((rows, chunks * chunk + 1), dtype=complex)
+    out[:, 0] = 0.0
+    nodes = out[:, 1:].reshape(cells.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # pass 1: each chunk's product of maps, I + Q, the later map on the left
+        Q0, Q1, Q2, Q3 = maps.take(cells[:, :, 0], axis=1)
+        for k in range(1, chunk):
+            D0, D1, D2, D3 = maps.take(cells[:, :, k], axis=1)
+            Q0, Q1, Q2, Q3 = (
+                D0 + Q0 + (D0 * Q0 + D1 * Q2),
+                D1 + Q1 + (D0 * Q1 + D1 * Q3),
+                D2 + Q2 + (D2 * Q0 + D3 * Q2),
+                D3 + Q3 + (D2 * Q1 + D3 * Q3),
+            )
+        Q = np.stack((Q0, Q1, Q2, Q3))
+        # pass 2: F at each chunk's start
+        F = np.zeros((rows, chunks), dtype=complex)
+        for j in range(1, chunks):
+            F[:, j] = _advance(Q[:, :, j - 1], F[:, j - 1])
+        # pass 3: each chunk's maps one by one from its start
+        for k in range(chunk):
+            F = _advance(maps.take(cells[:, :, k], axis=1), F)
+            nodes[:, :, k] = F
+    return out[:, : n + 1]
+
+
+def _advance(D: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """F after the maps I + D, D = (D0, D1, D2, D3) stacked on the first axis."""
+    D0, D1, D2, D3 = D
+    D1F = D1 * F
+    return F + (F * (D3 - D0 + D1F) - D2) / (1.0 + (D0 - D1F))
+
+
+def _check_rows(values: np.ndarray, maps: np.ndarray, cells: np.ndarray, grid: TimeGrid) -> None:
+    """Raise at the first node of the first row past a pole of F, or where
+    |F| exceeds the kernel bound or F is not finite, naming that row.
+
+    In cell k, z = exp(-int F) scales by exp(r dt/2) (a - b F_k), so
+    Re(a - b F_k) <= 0, with a - b F_k = 1 + D0 - D1 F_k, means z turned
+    through zero inside the cell, and F is past a pole from node k + 1 on.
+    Row by row, so the only temporaries are one row's.
+    """
+    n = grid.n_steps
+    D0, D1 = maps[0], maps[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, F in enumerate(values):
-            bad = ~(np.abs(F) <= _KERNEL_BOUND)
+        for row, (F, index) in enumerate(zip(values, cells)):
+            index = index.ravel()[:n]
+            # the negated comparisons also catch nan
+            bad = ~((D0[index] - D1[index] * F[:-1]).real > -1.0)
+            bad |= ~(np.abs(F[1:]) <= _KERNEL_BOUND)
             if bad.any():
                 raise NumericOverflowError(
-                    f"memory kernel diverged at t = {grid.times[np.argmax(bad)]:.6g}", row
+                    f"memory kernel diverged at t = {grid.times[np.argmax(bad) + 1]:.6g}", row
                 )
 
 

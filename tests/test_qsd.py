@@ -82,6 +82,25 @@ class TestKernelSolvers:
             exact = constant_drive_kernel(omega, bath, GRID.times)
             assert np.max(np.abs(kernel.values - exact)) < 1e-12
 
+    def test_critically_damped_closed_form(self):
+        """E = 0 with w = cutoff^2/4 puts delta = sqrt(r^2/4 - w) at exactly 0,
+        where z'' + cutoff z' + w z = 0 has the double root -cutoff/2 and
+        z = e^{-t/4} (1 + t/4), so F = -z'/z = t / (16 + 4 t)."""
+        bath = BathSpec(coupling=0.25, cutoff=0.5)
+        assert 0.25 * bath.cutoff**2 == bath.weight
+        kernel = solve_kernel_riccati(free_splitting(GRID, omega=0.0), bath, GRID)
+        t = GRID.times
+        assert np.max(np.abs(kernel.values - t / (16.0 + 4.0 * t))) < 1e-13
+
+    def test_cells_far_longer_than_the_memory_time(self):
+        """cutoff * dt = 100: each cell's map is exact however stiff, and its
+        rescaling keeps the chunk products finite."""
+        bath = BathSpec(coupling=1.0, cutoff=1.0e5)
+        grid = TimeGrid(t_max=1.0, n_steps=1000)
+        kernel = solve_kernel_riccati(free_splitting(grid), bath, grid)
+        exact = constant_drive_kernel(1.0, bath, grid.times)
+        assert np.max(np.abs(kernel.values - exact)) < 1e-12
+
     def test_quadrature_against_closed_form(self):
         kernel = solve_kernel_quadrature(free_splitting(GRID), BATH, GRID)
         exact = constant_drive_kernel(1.0, BATH, GRID.times)
@@ -333,7 +352,7 @@ class TestEnsemble:
         assert str(exc.value).startswith(f"trajectory {overflowing[0]}: ")
 
     def test_blocks_are_fixed_whatever_the_map(self, monkeypatch):
-        """The block decomposition is part of the numbers, so it is pinned here."""
+        """The block decomposition, the units of work, is pinned here."""
         from concurrent.futures import ThreadPoolExecutor
 
         class Recorder:

@@ -1,15 +1,17 @@
-"""The scalar hot loops against their numpy-scalar originals, bit for bit.
+"""The scalar hot loops against their numpy-scalar originals, and the
+memory-kernel scan against two references.
 
-The Riccati kernel, the Born j(u) recursion and the jittered pulse draw run
-on Python floats/complex over lists (or on chunked numpy draws) for speed.
-The references below are the loops as first written, on numpy scalars and
-one size-3 draw per pulse; every output must equal them exactly, not to a
-tolerance, because the arithmetic is the same operations in the same order.
+The Born j(u) recursion and the jittered pulse draw run on Python floats
+(or on chunked numpy draws) for speed.  The references below are the loops
+as first written, on numpy scalars and one size-3 draw per pulse; every
+output must equal them exactly, not to a tolerance, because the arithmetic
+is the same operations in the same order.
 
-The batched Riccati kernel runs those operations over (B,) rows.  At B = 1
-it is the scalar loop bit for bit; at B > 1 numpy's vectorised complex
-product may round differently, so each row is held to 1e-15 of its own
-scalar kernel.
+The Riccati kernel is a scan over exact per-cell Moebius maps, so it has no
+bitwise original.  It is held to the same maps applied one by one in
+extended precision, to 1e-13, and to the classical RK4 loop it replaced, to
+within that loop's own error, estimated by halving its step.  A row's
+kernel is bit for bit the same whatever batch it is solved in.
 """
 
 import numpy as np
@@ -18,13 +20,7 @@ import pytest
 from pulseguard.bath import BathSpec
 from pulseguard.me2 import accumulated_phase, me2_fidelity
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from pulseguard.qsd import (
-    DEFAULT_STATES,
-    _KERNEL_BOUND,
-    _cell_drive,
-    _riccati_rows,
-    solve_kernel_riccati,
-)
+from pulseguard.qsd import DEFAULT_STATES, _KERNEL_BOUND, solve_kernel_riccati
 from pulseguard.signals import (
     _MIN_DUTY,
     _rng,
@@ -48,19 +44,19 @@ REGULAR = PulseTrainSpec(period=0.02, duration=0.01, area=0.2)
 WIDE_JITTER = JitterSpec(period_dev=0.0199, duration_dev=0.004, area_dev=0.18)
 
 
-def reference_kernel(E, bath, grid):
-    """solve_kernel_riccati's RK4 loop on numpy scalars."""
+def rk4_kernel(E, bath, grid):
+    """The kernel by classical RK4, one step per cell, on Python complex.
+
+    The production loop before the exact scan; a diverged F runs on to inf
+    or nan.
+    """
     dt = grid.dt
-    drive = _cell_drive(E, grid)
     w = bath.weight
-    cutoff = bath.cutoff
-    values = np.empty(grid.n_steps + 1, dtype=complex)
-    values[0] = 0.0
-    f = 0.0 + 0.0j
     sixth = dt / 6.0
     half = 0.5 * dt
-    for k in range(grid.n_steps):
-        rate = drive[k] - cutoff
+    f = 0j
+    values = [f]
+    for rate in (1j * np.asarray(E) - bath.cutoff).tolist():
         k1 = w + (rate + f) * f
         y = f + half * k1
         k2 = w + (rate + y) * y
@@ -69,10 +65,32 @@ def reference_kernel(E, bath, grid):
         y = f + dt * k3
         k4 = w + (rate + y) * y
         f = f + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(f) or abs(f) > _KERNEL_BOUND:
-            raise NumericOverflowError(
-                f"memory kernel diverged at t = {grid.times[k + 1]:.6g}"
-            )
+        values.append(f)
+    return np.array(values)
+
+
+def extended_kernel(E, bath, grid):
+    """solve_kernel_riccati's cell maps, built from their closed form and
+    applied one by one in np.clongdouble.
+
+    Raises at the first node past a pole (Re(a - b F) <= 0 in the cell
+    before it) or beyond the kernel bound, as the scan does.
+    """
+    dt = np.longdouble(grid.dt)
+    w = np.longdouble(bath.weight)
+    r = 1j * np.asarray(E, dtype=np.longdouble) - np.longdouble(bath.cutoff)
+    delta = np.sqrt(r * r / 4 - w)
+    C = np.cosh(delta * dt)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        S = np.where(delta == 0, dt, np.sinh(delta * dt) / delta)
+    maps = zip(C - r * S / 2, S, -w * S, C + r * S / 2)
+    values = np.zeros(grid.n_steps + 1, dtype=np.clongdouble)
+    f = values[0]
+    for k, (a, b, c, d) in enumerate(maps):
+        den = a - b * f
+        f = (d * f - c) / den
+        if not (den.real > 0 and abs(f) <= _KERNEL_BOUND):
+            raise NumericOverflowError(f"memory kernel diverged at t = {grid.times[k + 1]:.6g}")
         values[k + 1] = f
     return values
 
@@ -140,24 +158,45 @@ CONTROLS = {
     "jittered": SignalFamily("jittered", pulse=FIG2_PULSE, jitter=FIG2_JITTER),
     "shot": SignalFamily("shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0)),
 }
+# the master seeds of the fig2 (jittered) and fig3 (shot) presets
+SEEDS = {"jittered": 11, "shot": 13}
+
+
+def drive(name, k=3):
+    """Trajectory k's splitting under control `name`, and its bath."""
+    bath = FIG2_BATH if name == "jittered" else FIG1_BATH
+    return splitting(CONTROLS[name], substream(SEEDS.get(name, 11), k)), bath
 
 
 class TestRiccatiKernel:
     @pytest.mark.parametrize("name", sorted(CONTROLS))
-    def test_bitwise_equal_to_numpy_scalar_loop(self, name):
-        bath = FIG2_BATH if name == "jittered" else FIG1_BATH
-        E = splitting(CONTROLS[name], substream(11, 3))
+    def test_matches_the_maps_one_by_one_in_extended_precision(self, name):
+        E, bath = drive(name)
         kernel = solve_kernel_riccati(E, bath, GRID)
-        assert_bitwise(kernel.values, reference_kernel(E, bath, GRID))
+        assert np.max(np.abs(kernel.values - extended_kernel(E, bath, GRID))) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(CONTROLS))
+    def test_within_rk4_error_of_the_rk4_loop(self, name):
+        E, bath = drive(name)
+        kernel = solve_kernel_riccati(E, bath, GRID)
+        rk4 = rk4_kernel(E, bath, GRID)
+        # E is constant in each cell, so halving the step halves the cells
+        halved = rk4_kernel(np.repeat(E, 2), bath, TimeGrid(GRID.t_max, 2 * GRID.n_steps))
+        # Richardson: a fourth-order loop's error is 16/15 of what halving changes
+        error = 16.0 / 15.0 * np.max(np.abs(rk4 - halved[::2]))
+        assert np.max(np.abs(kernel.values - rk4)) <= 1.1 * error + 1e-15
 
     def test_divergence_reported_at_the_same_time(self):
         grid = TimeGrid(t_max=20.0, n_steps=4000)
         E = np.zeros(grid.n_steps)
         with pytest.raises(NumericOverflowError) as expected:
-            reference_kernel(E, FIG1_BATH, grid)
+            extended_kernel(E, FIG1_BATH, grid)
         with pytest.raises(NumericOverflowError) as actual:
             solve_kernel_riccati(E, FIG1_BATH, grid)
         assert str(actual.value) == str(expected.value)
+        # the RK4 loop first leaves the kernel bound at the same node
+        node = np.argmax(~(np.abs(rk4_kernel(E, FIG1_BATH, grid)) <= _KERNEL_BOUND))
+        assert str(actual.value).endswith(f"t = {grid.times[node]:.6g}")
 
     def test_nan_splitting_fails_at_the_first_step(self):
         E = np.ones(GRID.n_steps)
@@ -168,25 +207,20 @@ class TestRiccatiKernel:
 
 def drives(name, count):
     """Splittings of `count` trajectories of control `name`, stacked, and the bath."""
-    bath = FIG2_BATH if name == "jittered" else FIG1_BATH
-    return np.stack([splitting(CONTROLS[name], substream(11, k)) for k in range(count)]), bath
+    rows = [drive(name, k) for k in range(count)]
+    return np.stack([E for E, _ in rows]), rows[0][1]
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("name", sorted(CONTROLS))
-    def test_one_row_is_the_scalar_loop_bit_for_bit(self, name):
-        E, bath = drives(name, 1)
-        assert_bitwise(_riccati_rows(E, bath, GRID),
-                       solve_kernel_riccati(E[0], bath, GRID).values[np.newaxis])
-
-    @pytest.mark.parametrize("name", sorted(CONTROLS))
     def test_rows_match_their_scalar_kernels(self, name):
+        """The jittered and shot drives are fig2's and fig3's trajectories 0 .. 31."""
         E, bath = drives(name, 32)
-        scalar = np.stack([solve_kernel_riccati(row, bath, GRID).values for row in E])
-        for size in (2, 3, 8, 17, 32):
-            batched = solve_kernel_riccati(E[:size], bath, GRID).values
-            assert batched.shape == (size, GRID.n_steps + 1)
-            assert np.max(np.abs(batched - scalar[:size])) <= 1e-15, size
+        full = solve_kernel_riccati(E, bath, GRID).values
+        assert full.shape == (32, GRID.n_steps + 1)
+        for size in (1, 2, 7, 8, 31):
+            assert_bitwise(solve_kernel_riccati(E[:size], bath, GRID).values, full[:size])
+        assert_bitwise(solve_kernel_riccati(E[-1], bath, GRID).values, full[-1])
 
     def test_a_batch_of_one_is_the_single_drive_bit_for_bit(self):
         E, bath = drives("shot", 1)
