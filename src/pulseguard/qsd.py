@@ -131,9 +131,11 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     (B, n_steps), and the kernel has the matching shape (n_steps + 1,) or
     (B, n_steps + 1).  Every operation is elementwise over the rows, so a
     row's kernel is bit for bit the same in a batch of any length.
-    NumericOverflowError is raised at the first node past a pole of F, or
-    where |F| exceeds the kernel bound or F is not finite, in the first such
-    row, which the error's `row` names (0 for one drive).
+    NumericOverflowError is raised at the first node after a cell that the
+    grid does not resolve (see _check_rows: a pole of F where E = 0, Re F of
+    about 1/dt or more otherwise), or where |F| exceeds the kernel bound or
+    F is not finite, in the first such row, which the error's `row` names
+    (0 for one drive).
     """
     E = grid.on_cells(E, "E", batched=True)
     n = grid.n_steps
@@ -193,8 +195,8 @@ def _scan(maps: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
 
     A map I + D takes F to F + (F (D3 - D0 + D1 F) - D2) / (1 + D0 - D1 F),
     and a product (I + D)(I + Q) is I + D + Q + D Q.  Returns a view of a
-    (B, chunks * chunk + 1) buffer, without checking it: past a pole F runs
-    on as the maps carry it.
+    (B, chunks * chunk + 1) buffer, without checking it: where _check_rows
+    would raise, F runs on as the maps carry it.
     """
     rows, chunks, chunk = cells.shape
     out = np.empty((rows, chunks * chunk + 1), dtype=complex)
@@ -231,12 +233,18 @@ def _advance(D: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(values: np.ndarray, maps: np.ndarray, cells: np.ndarray, grid: TimeGrid) -> None:
-    """Raise at the first node of the first row past a pole of F, or where
-    |F| exceeds the kernel bound or F is not finite, naming that row.
+    """Raise at the first node of the first row after a cell the grid does
+    not resolve, or where |F| exceeds the kernel bound or F is not finite,
+    naming that row.
 
-    In cell k, z = exp(-int F) scales by exp(r dt/2) (a - b F_k), so
-    Re(a - b F_k) <= 0, with a - b F_k = 1 + D0 - D1 F_k, means z turned
-    through zero inside the cell, and F is past a pole from node k + 1 on.
+    In cell k, z = exp(-int F) scales by exp(r dt/2) (a - b F_k), with
+    a - b F_k = 1 + D0 - D1 F_k ~ 1 - dt F_k.  The rule Re(a - b F_k) <= 0
+    fires when that factor turns by more than 90 degrees, which in
+    practice means Re F_k is about 1/dt or more.  Where E = 0 the maps, F
+    and z are real, and the rule means z turned through zero inside the
+    cell: F is past a pole from node k + 1 on.  For complex z, which
+    generically never reaches zero, it is a threshold, not a pole: the
+    exact maps would carry F on, but no longer on a grid that resolves it.
     Row by row, so the only temporaries are one row's.
     """
     n = grid.n_steps

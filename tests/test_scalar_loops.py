@@ -73,8 +73,8 @@ def extended_kernel(E, bath, grid):
     """solve_kernel_riccati's cell maps, built from their closed form and
     applied one by one in np.clongdouble.
 
-    Raises at the first node past a pole (Re(a - b F) <= 0 in the cell
-    before it) or beyond the kernel bound, as the scan does.
+    Raises at the first node after a cell with Re(a - b F) <= 0, or
+    beyond the kernel bound, as the scan does.
     """
     dt = np.longdouble(grid.dt)
     w = np.longdouble(bath.weight)
@@ -197,6 +197,24 @@ class TestRiccatiKernel:
         # the RK4 loop first leaves the kernel bound at the same node
         node = np.argmax(~(np.abs(rk4_kernel(E, FIG1_BATH, grid)) <= _KERNEL_BOUND))
         assert str(actual.value).endswith(f"t = {grid.times[node]:.6g}")
+
+    def test_off_zero_splitting_the_rule_is_a_threshold_on_re_f(self):
+        """For E != 0, z never reaches zero, and the rule fires on Re F ~ 1/dt.
+
+        At E = 1e-4, F runs past 1/dt within a cell of the E = 0 pole, and
+        the error names the same node; at E = 1e-3, F peaks below 1/dt and
+        the scan carries it on as the maps do in extended precision.
+        """
+        grid = TimeGrid(t_max=20.0, n_steps=4000)
+        with pytest.raises(NumericOverflowError) as at_zero:
+            solve_kernel_riccati(np.zeros(grid.n_steps), FIG1_BATH, grid)
+        with pytest.raises(NumericOverflowError) as near_zero:
+            solve_kernel_riccati(np.full(grid.n_steps, 1e-4), FIG1_BATH, grid)
+        assert str(near_zero.value) == str(at_zero.value)
+        E = np.full(grid.n_steps, 1e-3)
+        values = solve_kernel_riccati(E, FIG1_BATH, grid).values
+        assert 50.0 < np.max(values.real) < 1.0 / grid.dt
+        assert np.max(np.abs(values - extended_kernel(E, FIG1_BATH, grid))) <= 1e-9
 
     def test_nan_splitting_fails_at_the_first_step(self):
         E = np.ones(GRID.n_steps)
