@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pulseguard.bath import BathSpec
-from pulseguard.me2 import accumulated_phase, me2_fidelity
+from pulseguard.me2 import _born_factors, _decayed_sum, accumulated_phase, me2_fidelity
 from pulseguard.me2_oracle import LeakageKernel, leakage_kernel
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
 from pulseguard.qsd import DEFAULT_STATES, qsd_fidelity, solve_kernel_riccati
@@ -227,11 +227,73 @@ class TestStateAverage:
         ],
         ids=["free", "chaotic"],
     )
-    def test_equals_per_state_loop(self, family):
-        """One shared recursion gives every state's curve and their mean."""
+    def test_matches_per_state_loop(self, family):
+        """One shared exponent gives every state's curve and their mean."""
         E = effective_frequency(family.sample(substream(7, 0), self.GRID), 1.0)
         curves = [born_per_state(p, E, BATH, self.GRID) for p in DEFAULT_STATES]
-        for p, curve in zip(DEFAULT_STATES, curves):
-            np.testing.assert_array_equal(me2_fidelity((p,), E, BATH, self.GRID).values, curve)
+        rows = _born_factors(DEFAULT_STATES, E, BATH, self.GRID)
+        for p, curve, row in zip(DEFAULT_STATES, curves, rows):
+            single = me2_fidelity((p,), E, BATH, self.GRID).values
+            np.testing.assert_allclose(single, curve, rtol=0, atol=1e-14)
+            # a state's curve is its row of the nine-state run, bit for bit
+            np.testing.assert_array_equal(single, row)
         averaged = me2_fidelity(DEFAULT_STATES, E, BATH, self.GRID).values
-        np.testing.assert_allclose(averaged, np.mean(curves, axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(averaged, np.mean(curves, axis=0), rtol=0, atol=1e-14)
+
+
+def decayed_loop(b, decay):
+    """j_0 = 0, j_{k+1} = decay j_k + b_k, cell by cell in np.clongdouble."""
+    j = np.zeros(len(b) + 1, dtype=np.clongdouble)
+    for k, b_k in enumerate(np.asarray(b, dtype=np.clongdouble)):
+        j[k + 1] = np.longdouble(decay) * j[k] + b_k
+    return j
+
+
+class TestDecayedSum:
+    """The two-level sum over chunks of 100 cells, on grids shorter than one
+    chunk, with a remainder chunk, and with no memory at all."""
+
+    GRID = TimeGrid(t_max=10.0, n_steps=10000)
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 101, 10000])
+    @pytest.mark.parametrize("decay", [0.0, 0.5, float(np.exp(-0.5e-3))])
+    def test_matches_the_loop_in_extended_precision(self, n, decay):
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        j = _decayed_sum(b, decay)
+        assert j.shape == (n + 1,) and j[0] == 0.0
+        # each j_k is a sum of at most k terms, each of modulus at most max|b|
+        bound = 4e-16 * np.max(np.abs(b)) * np.arange(n + 1)
+        assert np.all(np.abs(j - decayed_loop(b, decay)) <= bound)
+
+    def test_no_memory_is_exact(self):
+        b = np.exp(-1j * np.linspace(0.0, 3.0, 250))
+        np.testing.assert_array_equal(_decayed_sum(b, 0.0)[1:], b)
+
+    @pytest.mark.parametrize("n", [1, 7, 101])
+    def test_short_grids_match_per_state_loop(self, n):
+        grid = TimeGrid(t_max=0.01 * n, n_steps=n)
+        E = 1.0 + np.random.default_rng(n).normal(size=n)
+        bath = BathSpec(coupling=30.0, cutoff=5.0)
+        curves = [born_per_state(p, E, bath, grid) for p in DEFAULT_STATES]
+        averaged = me2_fidelity(DEFAULT_STATES, E, bath, grid).values
+        np.testing.assert_allclose(averaged, np.mean(curves, axis=0), rtol=0, atol=1e-14)
+
+    def test_cutoff_past_the_exponent_range(self):
+        """cutoff * dt = 1000 makes decay exactly 0.0: j holds one cell only."""
+        grid = TimeGrid(t_max=10.0, n_steps=10)
+        bath = BathSpec(coupling=1e-6, cutoff=1000.0)
+        assert np.exp(-bath.cutoff * grid.dt) == 0.0
+        E = 1.0 + np.random.default_rng(3).normal(size=grid.n_steps)
+        curve = me2_fidelity((0.5,), E, bath, grid).values
+        assert curve[0] == 1.0 and np.all((curve[1:] > 0.0) & (curve[1:] < 1.0))
+        np.testing.assert_allclose(curve, born_per_state(0.5, E, bath, grid), rtol=0, atol=1e-14)
+
+    def test_ground_state_flat_where_the_exponent_overflows(self):
+        """p^2 X would be 0 * inf = nan for the ground state; it stays 1."""
+        bath = BathSpec(coupling=1e308, cutoff=1.0)
+        E = np.ones(self.GRID.n_steps)
+        assert np.all(me2_fidelity((0.0,), E, bath, self.GRID).values == 1.0)
+        # the same bath leaves no excited state a positive factor past the first node
+        with pytest.raises(NumericOverflowError, match=f"at t = {self.GRID.dt:.6g};"):
+            me2_fidelity((0.5,), E, bath, self.GRID)

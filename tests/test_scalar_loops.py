@@ -1,11 +1,14 @@
-"""The scalar hot loops against their numpy-scalar originals, and the
-memory-kernel scan against two references.
+"""The scalar hot loops and the scans that replaced them, against references.
 
-The Born j(u) recursion and the jittered pulse draw run on Python floats
-(or on chunked numpy draws) for speed.  The references below are the loops
-as first written, on numpy scalars and one size-3 draw per pulse; every
-output must equal them exactly, not to a tolerance, because the arithmetic
-is the same operations in the same order.
+The jittered pulse draw runs on chunked numpy draws for speed.  The
+reference below is the loop as first written, one size-3 draw per pulse;
+every train must equal it exactly, not to a tolerance, because it consumes
+the random stream in the same order.
+
+The Born j(u) recursion is a two-level decayed sum, which adds in another
+order than the loop it replaced, so it has no bitwise original.  The Born
+curve is held to the same recursion in extended precision, to within the
+error of the numpy-scalar loop, which stays here as a reference.
 
 The Riccati kernel is a scan over exact per-cell Moebius maps, so it has no
 bitwise original.  It is held to the same maps applied one by one in
@@ -96,7 +99,7 @@ def extended_kernel(E, bath, grid):
 
 
 def reference_born(states, E, bath, grid):
-    """me2_fidelity with its j(u) recursion on numpy scalars."""
+    """me2_fidelity as first written: its j(u) recursion on numpy scalars."""
     dt = grid.dt
     phase = accumulated_phase(E, grid)
     decay = np.exp(-bath.cutoff * dt)
@@ -109,6 +112,22 @@ def reference_born(states, E, bath, grid):
     inner = (amp[:, None] * bath.weight) * np.exp(1j * phase) * j
     exponent = 2.0 * running_trapezoid(np.real(inner), dt)
     return np.mean(np.exp(-exponent), axis=0)
+
+
+def extended_born(states, E, bath, grid):
+    """me2_fidelity from the same phase, with the j(u) recursion run cell by
+    cell and everything after the phase in np.clongdouble."""
+    dt = np.longdouble(grid.dt)
+    emi = np.exp(-1j * accumulated_phase(E, grid).astype(np.longdouble))
+    decay = np.exp(-np.longdouble(bath.cutoff) * dt)
+    j = np.zeros(grid.n_steps + 1, dtype=np.clongdouble)
+    for k in range(grid.n_steps):
+        j[k + 1] = decay * j[k] + dt / 2 * (decay * emi[k] + emi[k + 1])
+    inner = np.longdouble(bath.weight) * np.real(np.conj(emi) * j)
+    exponent = np.zeros(grid.n_steps + 1, dtype=np.longdouble)
+    exponent[1:] = 2 * np.cumsum(dt / 2 * (inner[1:] + inner[:-1]))
+    p2 = np.array(states, dtype=np.longdouble) ** 2
+    return np.mean(np.exp(-p2[:, None] * exponent), axis=0)
 
 
 def reference_jittered(spec, jitter, seed, t_max):
@@ -259,10 +278,17 @@ class TestBatchedKernel:
 
 class TestBornRecursion:
     @pytest.mark.parametrize("name", ["free", "regular", "chaotic"])
-    def test_bitwise_equal_to_numpy_scalar_loop(self, name):
+    def test_within_the_loop_error_of_extended_precision(self, name):
+        """The scan errs by at most 1.5 times what the loop it replaced errs
+        (4.7e-15 on free decay, 5e-16 to 9e-16 under control): the two add
+        in different orders, so either may come out slightly ahead."""
         E = splitting(CONTROLS[name])
-        curve = me2_fidelity(DEFAULT_STATES, E, FIG1_BATH, GRID)
-        assert_bitwise(curve.values, reference_born(DEFAULT_STATES, E, FIG1_BATH, GRID))
+        extended = extended_born(DEFAULT_STATES, E, FIG1_BATH, GRID)
+        scan = me2_fidelity(DEFAULT_STATES, E, FIG1_BATH, GRID).values
+        loop = reference_born(DEFAULT_STATES, E, FIG1_BATH, GRID)
+        loop_error = np.max(np.abs(loop - extended))
+        assert loop_error <= 5e-15
+        assert np.max(np.abs(scan - extended)) <= 1.5 * loop_error
 
 
 class TestJitteredDraw:
