@@ -100,11 +100,6 @@ class FidelityCurve:
         object.__setattr__(self, "values", values)
 
 
-def _cell_drive(E: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Validate the shifted splitting and return i E, one value per cell."""
-    return 1j * grid.on_cells(E, "E")
-
-
 def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     """Solve the closed kernel equation exactly in each cell, as a scan of Moebius maps.
 
@@ -123,16 +118,16 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     1990) over chunks of _CHUNK cells, each pass vectorised over rows and
     chunks: pass 1 multiplies the maps of each chunk, pass 2 carries F
     across the chunk ends, and pass 3 applies each chunk's maps one by one
-    from its start value, writing F into the output.  No pass holds a map
-    per cell: each row's distinct levels of E get one map each, in a table
-    that the cells index.
+    from its start value, writing F into the output and checking each
+    cell.  No pass holds a map per cell: the block's distinct levels of E
+    get one map each, in one table that the cells of every row index.
 
     E holds one drive, shape (n_steps,), or a batch of B drives, shape
     (B, n_steps), and the kernel has the matching shape (n_steps + 1,) or
     (B, n_steps + 1).  Every operation is elementwise over the rows, so a
     row's kernel is bit for bit the same in a batch of any length.
     NumericOverflowError is raised at the first node after a cell that the
-    grid does not resolve (see _check_rows: a pole of F where E = 0, Re F of
+    grid does not resolve (see _scan: a pole of F where E = 0, Re F of
     about 1/dt or more otherwise), or where |F| exceeds the kernel bound or
     F is not finite, in the first such row, which the error's `row` names
     (0 for one drive).
@@ -140,8 +135,15 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     E = grid.on_cells(E, "E", batched=True)
     n = grid.n_steps
     maps, cells = _cell_maps(E.reshape(-1, n), bath, grid)
-    values = _scan(maps, cells, n)
-    _check_rows(values, maps, cells, grid)
+    values, good = _scan(maps, cells, n)
+    chunk = cells.shape[2]
+    bad = np.argwhere(good < chunk)
+    if len(bad):
+        row, j = bad[0]  # the first row with a bad cell, then its first such chunk
+        node = j * chunk + good[row, j] + 1
+        raise NumericOverflowError(
+            f"memory kernel diverged at t = {grid.times[node]:.6g}", int(row)
+        )
     return KernelCurve(grid, values.reshape(E.shape[:-1] + (n + 1,)))
 
 
@@ -150,27 +152,28 @@ def _cell_maps(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple[np.ndarra
 
     Each map is held as I + D, with D = (a - 1, b, c, d - 1) taken from
     C - 1 = 2 sinh^2(delta dt / 2), so that the identity stays out of the
-    rounding of the O(dt) entries.  The table is (4, U + 1): the D of each
-    row's distinct levels, row after row, then D = 0.  The index is
+    rounding of the O(dt) entries.  The table is (4, U + 1): the D of the
+    U distinct levels of the whole block, then D = 0.  The index is
     (B, chunks, chunk) int32, each cell's column of the table, padded with
     the identity up to whole chunks of min(_CHUNK, n_steps) cells.
     """
     n = grid.n_steps
     chunk = min(_CHUNK, n)
-    cells = np.empty((len(E), -(-n // chunk), chunk), dtype=np.int32)
+    # E runs in constant stretches, so one level per stretch is de-duplicated
+    starts = np.empty(E.shape, dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(E[:, 1:], E[:, :-1], out=starts[:, 1:])
+    level, inverse = np.unique(E[starts], return_inverse=True)
+    cells = np.zeros((len(E), -(-n // chunk), chunk), dtype=np.int32)
     flat = cells.reshape(len(E), -1)
-    levels = []
-    offset = 0
-    for row, index in zip(E, flat):
-        # E runs in constant stretches, so one level per stretch is de-duplicated
-        starts = np.flatnonzero(row[1:] != row[:-1]) + 1
-        level, inverse = np.unique(row[np.r_[0, starts]], return_inverse=True)
-        index[:n] = np.repeat(inverse + offset, np.diff(starts, prepend=0, append=n))
-        levels.append(level)
-        offset += len(level)
-    flat[:, n:] = offset
-    r = 1j * np.concatenate(levels) - bath.cutoff
-    maps = np.zeros((4, offset + 1), dtype=complex)
+    # each stretch's first cell holds its column less that of the stretch
+    # before it in the block, every other cell 0, so a running sum over the
+    # block gives every cell its column, in place
+    flat[:, :n][starts] = np.diff(inverse, prepend=0)
+    np.cumsum(cells, dtype=np.int32, out=cells.reshape(-1))
+    flat[:, n:] = len(level)
+    r = 1j * level - bath.cutoff
+    maps = np.zeros((4, len(level) + 1), dtype=complex)
     # an overflow here leaves a non-finite map, and the scan reports its cell
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         delta = np.sqrt(0.25 * r * r - bath.weight)
@@ -178,7 +181,7 @@ def _cell_maps(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple[np.ndarra
         S[delta == 0.0] = grid.dt
         C1 = 2.0 * np.sinh(0.5 * grid.dt * delta) ** 2
         half = 0.5 * r * S
-        maps[:, :offset] = (C1 - half, S, -bath.weight * S, C1 + half)
+        maps[:, :-1] = (C1 - half, S, -bath.weight * S, C1 + half)
         # a cell far longer than the memory time has entries ~ e^{cutoff dt / 2};
         # dividing such an I + D by its largest entry leaves F's map unchanged
         # and keeps every product of _CHUNK maps below 2 * 4**(_CHUNK - 1)
@@ -189,14 +192,30 @@ def _cell_maps(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple[np.ndarra
     return maps, cells
 
 
-def _scan(maps: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+def _scan(maps: np.ndarray, cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The kernels F, shape (B, n + 1), of the cell maps indexed by `cells`,
-    shape (B, chunks, chunk).
+    shape (B, chunks, chunk), and how many good cells lead each chunk.
 
-    A map I + D takes F to F + (F (D3 - D0 + D1 F) - D2) / (1 + D0 - D1 F),
-    and a product (I + D)(I + Q) is I + D + Q + D Q.  Returns a view of a
-    (B, chunks * chunk + 1) buffer, without checking it: where _check_rows
-    would raise, F runs on as the maps carry it.
+    A map I + D takes F to F + (F (D3 - D0 + D1 F) - D2) / (1 + x), with
+    x = D0 - D1 F, and a product (I + D)(I + Q) is I + D + Q + D Q.
+
+    Pass 3 marks cell k bad where Re x <= -1, that is Re(a - b F_k) <= 0,
+    or where |F| after it exceeds the kernel bound or is nan.  In the cell,
+    z = exp(-int F) scales by exp(r dt/2) (a - b F_k), with
+    a - b F_k = 1 + x ~ 1 - dt F_k, so the first rule fires when that factor turns by more than 90 degrees, which
+    in practice means Re F_k is about 1/dt or more.  Where E = 0 the maps,
+    F and z are real, and the rule means z turned through zero inside the
+    cell: F is past a pole from node k + 1 on.  For complex z, which
+    generically never reaches zero, it is a threshold, not a pole: the
+    exact maps would carry F on, but no longer on a grid that resolves it.
+    At a chunk's first cell, x is formed from the start value that pass 2
+    carried, the value the map is applied to; the previous chunk's last
+    node agrees with it to rounding.
+
+    Returns a view of a (B, chunks * chunk + 1) buffer, in which F runs on
+    past a bad cell, and the (B, chunks) int32 count of the cells before
+    each chunk's first bad one (chunk if none).  The identity cells that
+    pad the last chunk keep a good F good, so none is a row's first bad one.
     """
     rows, chunks, chunk = cells.shape
     out = np.empty((rows, chunks * chunk + 1), dtype=complex)
@@ -217,48 +236,26 @@ def _scan(maps: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
         # pass 2: F at each chunk's start
         F = np.zeros((rows, chunks), dtype=complex)
         for j in range(1, chunks):
-            F[:, j] = _advance(Q[:, :, j - 1], F[:, j - 1])
+            F[:, j] = _advance(Q[:, :, j - 1], F[:, j - 1])[0]
         # pass 3: each chunk's maps one by one from its start
+        ok = np.ones((rows, chunks), dtype=bool)
+        good = np.zeros((rows, chunks), dtype=np.int32)
         for k in range(chunk):
-            F = _advance(maps.take(cells[:, :, k], axis=1), F)
+            F, x = _advance(maps.take(cells[:, :, k], axis=1), F)
             nodes[:, :, k] = F
-    return out[:, : n + 1]
+            # a nan compares false, so it is bad
+            ok &= (x.real > -1.0) & (np.abs(F) <= _KERNEL_BOUND)
+            good += ok
+    return out[:, : n + 1], good
 
 
-def _advance(D: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """F after the maps I + D, D = (D0, D1, D2, D3) stacked on the first axis."""
+def _advance(D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F after the maps I + D, D = (D0, D1, D2, D3) stacked on the first
+    axis, and x = D0 - D1 F, so that 1 + x is the maps' a - b F."""
     D0, D1, D2, D3 = D
     D1F = D1 * F
-    return F + (F * (D3 - D0 + D1F) - D2) / (1.0 + (D0 - D1F))
-
-
-def _check_rows(values: np.ndarray, maps: np.ndarray, cells: np.ndarray, grid: TimeGrid) -> None:
-    """Raise at the first node of the first row after a cell the grid does
-    not resolve, or where |F| exceeds the kernel bound or F is not finite,
-    naming that row.
-
-    In cell k, z = exp(-int F) scales by exp(r dt/2) (a - b F_k), with
-    a - b F_k = 1 + D0 - D1 F_k ~ 1 - dt F_k.  The rule Re(a - b F_k) <= 0
-    fires when that factor turns by more than 90 degrees, which in
-    practice means Re F_k is about 1/dt or more.  Where E = 0 the maps, F
-    and z are real, and the rule means z turned through zero inside the
-    cell: F is past a pole from node k + 1 on.  For complex z, which
-    generically never reaches zero, it is a threshold, not a pole: the
-    exact maps would carry F on, but no longer on a grid that resolves it.
-    Row by row, so the only temporaries are one row's.
-    """
-    n = grid.n_steps
-    D0, D1 = maps[0], maps[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, (F, index) in enumerate(zip(values, cells)):
-            index = index.ravel()[:n]
-            # the negated comparisons also catch nan
-            bad = ~((D0[index] - D1[index] * F[:-1]).real > -1.0)
-            bad |= ~(np.abs(F[1:]) <= _KERNEL_BOUND)
-            if bad.any():
-                raise NumericOverflowError(
-                    f"memory kernel diverged at t = {grid.times[np.argmax(bad) + 1]:.6g}", row
-                )
+    x = D0 - D1F
+    return F + (F * (D3 - D0 + D1F) - D2) / (1.0 + x), x
 
 
 def solve_kernel_quadrature(
@@ -274,7 +271,7 @@ def solve_kernel_quadrature(
     """
     n = grid.n_steps
     dt = grid.dt
-    drive = _cell_drive(E, grid)
+    drive = 1j * grid.on_cells(E, "E")
     w = bath.weight
     decay = np.exp(-bath.cutoff * dt)
 

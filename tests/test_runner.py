@@ -862,6 +862,13 @@ class TestCli:
     def test_validate_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_validate_non_utf8_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(MEMORY_RAW).encode("utf-16-le"))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+
     def test_run_writes_csv_and_plot(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MEMORY_RAW)
         out = tmp_path / "res.csv"

@@ -23,7 +23,7 @@ import pytest
 from pulseguard.bath import BathSpec
 from pulseguard.me2 import accumulated_phase, me2_fidelity
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from pulseguard.qsd import DEFAULT_STATES, _KERNEL_BOUND, solve_kernel_riccati
+from pulseguard.qsd import DEFAULT_STATES, _KERNEL_BOUND, _cell_maps, solve_kernel_riccati
 from pulseguard.signals import (
     _MIN_DUTY,
     _rng,
@@ -187,6 +187,17 @@ def drive(name, k=3):
     return splitting(CONTROLS[name], substream(SEEDS.get(name, 11), k)), bath
 
 
+# E = 0 on FIG1_BATH has a pole of F at t ~ 4.8368; each grid's dt puts the
+# cell that holds it at one edge of a chunk of 100 cells, and names the node
+# after that cell
+POLE_GRIDS = {
+    "first-cell": (TimeGrid(t_max=8.058, n_steps=2000), 1201),  # cell 1200, k = 0
+    "last-cell": (TimeGrid(t_max=8.065, n_steps=2000), 1200),  # cell 1199, k = 99
+    # cell 1230 of 1250: the last chunk is half identity padding
+    "padded-last-chunk": (TimeGrid(t_max=4.9135, n_steps=1250), 1231),
+}
+
+
 class TestRiccatiKernel:
     @pytest.mark.parametrize("name", sorted(CONTROLS))
     def test_matches_the_maps_one_by_one_in_extended_precision(self, name):
@@ -235,6 +246,17 @@ class TestRiccatiKernel:
         assert 50.0 < np.max(values.real) < 1.0 / grid.dt
         assert np.max(np.abs(values - extended_kernel(E, FIG1_BATH, grid))) <= 1e-9
 
+    @pytest.mark.parametrize("where", sorted(POLE_GRIDS))
+    def test_pole_at_a_chunk_edge_reported_at_its_node(self, where):
+        grid, node = POLE_GRIDS[where]
+        E = np.zeros(grid.n_steps)
+        with pytest.raises(NumericOverflowError) as expected:
+            extended_kernel(E, FIG1_BATH, grid)
+        with pytest.raises(NumericOverflowError) as actual:
+            solve_kernel_riccati(E, FIG1_BATH, grid)
+        assert str(actual.value) == str(expected.value)
+        assert str(expected.value) == f"memory kernel diverged at t = {grid.times[node]:.6g}"
+
     def test_nan_splitting_fails_at_the_first_step(self):
         E = np.ones(GRID.n_steps)
         E[0] = np.nan
@@ -274,6 +296,31 @@ class TestBatchedKernel:
             solve_kernel_riccati(E, FIG1_BATH, grid)
         assert actual.value.row == 2
         assert str(actual.value) == str(expected.value)
+
+    def test_first_diverging_row_named_before_an_earlier_node(self):
+        grid, node = POLE_GRIDS["first-cell"]
+        E = np.ones((4, grid.n_steps))
+        E[2] = 0.0  # a pole at the first cell of a chunk
+        E[3, 5] = np.nan  # fails at node 6, but in a later row
+        with pytest.raises(NumericOverflowError) as expected:
+            extended_kernel(E[2], FIG1_BATH, grid)
+        with pytest.raises(NumericOverflowError) as actual:
+            solve_kernel_riccati(E, FIG1_BATH, grid)
+        assert actual.value.row == 2
+        assert str(actual.value) == str(expected.value)
+        assert str(actual.value).endswith(f"t = {grid.times[node]:.6g}")
+
+    def test_one_table_column_per_distinct_level_of_the_block(self):
+        grid = TimeGrid(t_max=1.25, n_steps=1250)  # GRID's dt; the last chunk is half padding
+        E, bath = drives("jittered", 4)  # every row's off-pulse cells share omega
+        E = E[:, : grid.n_steps]
+        maps, cells = _cell_maps(E, bath, grid)
+        levels = np.unique(E)
+        index = cells.reshape(len(E), -1)
+        assert maps.shape == (4, len(levels) + 1)
+        assert np.array_equal(levels[index[:, : grid.n_steps]], E)
+        # the padding indexes the last column, the identity I + 0
+        assert np.all(index[:, grid.n_steps :] == len(levels)) and not maps[:, -1].any()
 
 
 class TestBornRecursion:
