@@ -4,9 +4,12 @@ A trajectory object is picklable, and trajectory k's only randomness is
 substream (master_seed, k).  Its block(ks) returns the rows of the
 trajectories ks as one (len(ks), rows, n_steps + 1) array; the trajectory
 classes name the rows in their `rows` attribute.  The indices are cut into
-fixed blocks of _BLOCK, each one unit of work, and the rows are reduced in
-index order.  `workers` processes share the blocks out, in a process pool
-of at most one worker per block, or in this process when that is one; the
+fixed blocks of _BLOCK, each one unit of work.  Each block is reduced where
+it runs, to its sum and its sum of squared deviations from its own mean,
+and the blocks are merged in index order (Chan, Golub & LeVeque, 1979), so
+a block's rows never leave it and the rows held at once are O(blocks), not
+O(n_traj).  `workers` processes share the blocks out, in a process pool of
+at most one worker per block, or in this process when that is one; the
 pool module is imported only when a pool starts, so a one-process run never
 loads multiprocessing.  The blocks never depend on the worker count, so
 neither does any bit of the result.
@@ -14,7 +17,7 @@ neither does any bit of the result.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,11 +34,20 @@ __all__ = ["ensemble_mean", "stack_trajectories"]
 _BLOCK = 32
 
 
-def _run_block(trajectory, ks: range) -> np.ndarray:
+def _run_block(trajectory, ks: range) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of the rows of the trajectories ks, and the sum of their squared
+    deviations from the block mean, each of one trajectory's shape.
+
+    These are the steps numpy's mean and std take, so one block's merge is
+    their result bit for bit.
+    """
     try:
-        return trajectory.block(ks)
+        rows = trajectory.block(ks)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"trajectory {ks[exc.row]}: {exc}") from exc
+    sums = rows.sum(axis=0)
+    deviations = rows - sums / len(ks)
+    return sums, np.square(deviations, out=deviations).sum(axis=0)
 
 
 def stack_trajectories(trajectory: Callable[[int], np.ndarray], ks: Sequence[int]) -> np.ndarray:
@@ -74,8 +86,13 @@ def ensemble_mean(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
-    rows = np.concatenate(parts, axis=0)
-    mean = rows.mean(axis=0)
+    mean = reduce(np.add, [sums for sums, _ in parts]) / n_traj
     if n_traj == 1:
         return mean, np.zeros_like(mean)
-    return mean, rows.std(axis=0, ddof=1) / np.sqrt(n_traj)
+    # each block's squares about its own mean, moved to the ensemble mean;
+    # the shift is exactly zero for a single block
+    squares = reduce(np.add, [
+        block_squares + len(ks) * (sums / len(ks) - mean) ** 2
+        for ks, (sums, block_squares) in zip(blocks, parts)
+    ])
+    return mean, np.sqrt(squares / (n_traj - 1)) / np.sqrt(n_traj)

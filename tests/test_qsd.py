@@ -373,3 +373,55 @@ class TestEnsemble:
         ensemble_mean(threaded, 67, workers=3)
         assert serial.blocks == expected
         assert sorted(threaded.blocks, key=lambda ks: ks.start) == expected
+
+    class Rows:
+        """Fixed rows per trajectory k: one row near 0.5, one at 1e6 plus
+        small noise, where a sum-of-squares shortcut would cancel."""
+
+        rows = ("fidelity", "offset")
+
+        def row(self, k):
+            noise = np.random.default_rng(k).standard_normal((2, 5))
+            return np.array([0.5, 1e6])[:, None] + np.array([0.1, 1e-3])[:, None] * noise
+
+        def block(self, ks):
+            return np.stack([self.row(k) for k in ks])
+
+    def test_one_block_is_numpys_mean_and_std_bit_for_bit(self):
+        rows = self.Rows().block(range(_BLOCK))
+        mean, stderr = ensemble_mean(self.Rows(), _BLOCK)
+        np.testing.assert_array_equal(mean, rows.mean(axis=0))
+        np.testing.assert_array_equal(stderr, rows.std(axis=0, ddof=1) / np.sqrt(_BLOCK))
+
+    def test_blocks_merge_to_the_two_pass_formula(self):
+        # blocks of 32, 32 and 3
+        rows = self.Rows().block(range(67))
+        mean, stderr = ensemble_mean(self.Rows(), 67)
+        np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-14, atol=0)
+        scale = np.abs(rows).max(axis=0)
+        two_pass = rows.std(axis=0, ddof=1) / np.sqrt(67)
+        assert np.all(np.abs(stderr - two_pass) <= 1e-15 * scale)
+
+    def test_a_block_ships_its_sums_not_its_rows(self, monkeypatch):
+        shipped = []
+
+        class InlinePool:
+            def __init__(self, max_workers, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                results = list(map(fn, *iterables))
+                shipped.extend(results)
+                return results
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        ensemble_mean(self.Rows(), 67, workers=2)
+        assert len(shipped) == 3
+        for sums, squares in shipped:
+            assert sums.shape == squares.shape == (2, 5)

@@ -81,6 +81,14 @@ def test_fig2(tmp_path):
     assert csv_columns(tmp_path / "fig2.csv") == ["t", "mean", "stderr", "free"]
 
 
+def test_fig2_headline_numbers(tmp_path):
+    """Acceptance criterion 6's bounds, on the CSV of the default-size run."""
+    run_ok("reproduce_fig2.py", "--out-dir", tmp_path)
+    data = csv_data(tmp_path / "fig2.csv")
+    assert data["mean"].min() >= 0.90
+    assert data["stderr"].max() < 0.01
+
+
 @pytest.mark.parametrize("preset, kind", [("fig1.json", "memory-qsd"),
                                           ("fig4.json", "adiabatic")])
 def test_fig2_rejects_a_config_of_another_kind(tmp_path, preset, kind):
@@ -96,6 +104,15 @@ def test_fig3(tmp_path):
     stdout = run_ok("reproduce_fig3.py", "--out-dir", tmp_path, "--n-traj", 2)
     assert csv_columns(tmp_path / "fig3.csv") == ["t", "random", "chaotic", "shot"]
     assert stdout.startswith("random: F(t_max) = ")
+
+
+def test_fig3_headline_numbers(tmp_path):
+    """Acceptance criterion 7's bounds, on the CSV of the default-size run."""
+    run_ok("reproduce_fig3.py", "--out-dir", tmp_path)
+    data = csv_data(tmp_path / "fig3.csv")
+    curves = [data[name] for name in ("random", "chaotic", "shot")]
+    assert min(curve.min() for curve in curves) >= 0.95
+    assert max(np.abs(a - b).max() for i, a in enumerate(curves) for b in curves[i + 1:]) <= 0.03
 
 
 @pytest.fixture(scope="module")
