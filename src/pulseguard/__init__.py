@@ -27,14 +27,12 @@ from .qsd import (
     DEFAULT_STATES,
     FidelityCurve,
     KernelCurve,
-    MemoryTrajectory,
     qsd_fidelity,
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
-from .me2 import BornTrajectory, accumulated_phase, me2_fidelity
+from .me2 import accumulated_phase, me2_fidelity
 from .adiabatic import (
-    PassageTrajectory,
     Psi0Curve,
     SweepSpec,
     solve_psi0,
@@ -70,14 +68,11 @@ __all__ = [
     "DEFAULT_STATES",
     "FidelityCurve",
     "KernelCurve",
-    "MemoryTrajectory",
     "qsd_fidelity",
     "solve_kernel_quadrature",
     "solve_kernel_riccati",
-    "BornTrajectory",
     "accumulated_phase",
     "me2_fidelity",
-    "PassageTrajectory",
     "Psi0Curve",
     "SweepSpec",
     "solve_psi0",

@@ -30,18 +30,16 @@ independent oracle, defect included: there the defect is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .ensemble import stack_trajectories
 from .numerics import TimeGrid, rk4_step, volterra_solve
-from .signals import SampledSignal, SignalFamily, substream
+from .signals import SampledSignal
 
 __all__ = [
     "SweepSpec",
     "Psi0Curve",
-    "PassageTrajectory",
     "dynamical_phases",
     "solve_psi0",
     "tdse_oracle",
@@ -216,29 +214,4 @@ def tdse_oracle(
     components = tdse_components(sweep, control, grid)
     defect = 0.5 * sweep.angle_velocity(grid.times) * np.abs(components[:, 1])
     return Psi0Curve(grid, components[:, 0], defect)
-
-
-@dataclass(frozen=True)
-class PassageTrajectory:
-    """Trajectory k of a sweep, as a picklable unit of ensemble work.
-
-    The control comes from substream (master_seed, k); returns the rows
-    (|psi_0|, defect), named by `rows`.
-    """
-
-    sweep: SweepSpec
-    family: SignalFamily
-    master_seed: int
-    grid: TimeGrid
-
-    rows = ("psi0", "defect")
-
-    def __call__(self, k: int) -> np.ndarray:
-        control = self.family.sample(substream(self.master_seed, k), self.grid)
-        curve = solve_psi0(self.sweep, control, self.grid)
-        return np.stack([curve.magnitudes, curve.defect])
-
-    def block(self, ks: Sequence[int]) -> np.ndarray:
-        # one Volterra solve per sweep: batching a few of them gains nothing
-        return stack_trajectories(self, ks)
 

@@ -1,9 +1,8 @@
 """The one block/reduce engine behind every run, single trajectory or ensemble.
 
-A trajectory object is picklable, and trajectory k's only randomness is
-substream (master_seed, k).  Its block(ks) returns the rows of the
-trajectories ks as one (len(ks), rows, n_steps + 1) array; the trajectory
-classes name the rows in their `rows` attribute.  The indices are cut into
+A block is a picklable callable, and trajectory k's only randomness is
+substream (master_seed, k).  block(ks) returns the rows of the trajectories
+ks as one (len(ks), rows, n_steps + 1) array.  The indices are cut into
 fixed blocks of _BLOCK, each one unit of work.  Each block is reduced where
 it runs, to its sum and its sum of squared deviations from its own mean,
 and the blocks are merged in index order (Chan, Golub & LeVeque, 1979), so
@@ -18,13 +17,13 @@ neither does any bit of the result.
 from __future__ import annotations
 
 from functools import partial, reduce
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .numerics import NumericOverflowError
 
-__all__ = ["ensemble_mean", "stack_trajectories"]
+__all__ = ["ensemble_mean"]
 
 # trajectories per unit of work: fig3's 64 trajectories make one block per
 # worker at two workers, and fig4's 32 sweeps a single block, which runs in
@@ -34,7 +33,7 @@ __all__ = ["ensemble_mean", "stack_trajectories"]
 _BLOCK = 32
 
 
-def _run_block(trajectory, ks: range) -> tuple[np.ndarray, np.ndarray]:
+def _run_block(block: Callable[[range], np.ndarray], ks: range) -> tuple[np.ndarray, np.ndarray]:
     """The sum of the rows of the trajectories ks, and the sum of their squared
     deviations from the block mean, each of one trajectory's shape.
 
@@ -42,7 +41,7 @@ def _run_block(trajectory, ks: range) -> tuple[np.ndarray, np.ndarray]:
     their result bit for bit.
     """
     try:
-        rows = trajectory.block(ks)
+        rows = block(ks)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"trajectory {ks[exc.row]}: {exc}") from exc
     sums = rows.sum(axis=0)
@@ -50,23 +49,16 @@ def _run_block(trajectory, ks: range) -> tuple[np.ndarray, np.ndarray]:
     return sums, np.square(deviations, out=deviations).sum(axis=0)
 
 
-def stack_trajectories(trajectory: Callable[[int], np.ndarray], ks: Sequence[int]) -> np.ndarray:
-    """block(ks) for trajectories run one at a time: trajectory(k) for each k, stacked."""
-    rows = []
-    for row, k in enumerate(ks):
-        try:
-            rows.append(trajectory(k))
-        except NumericOverflowError as exc:
-            raise NumericOverflowError(str(exc), row) from exc
-    return np.stack(rows)
-
-
 def ensemble_mean(
-    trajectory,
+    block: Callable[[range], np.ndarray],
     n_traj: int,
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the rows of trajectory k over k = 0 .. n_traj - 1.
+    """Mean and standard error of the rows of trajectory k over k = 0 .. n_traj - 1,
+    which block(ks) returns for each block of indices ks.
+
+    A NumericOverflowError from block(ks) names its position in ks as its
+    `row`, and is raised again naming trajectory ks[row].
 
     Both are taken over the trajectory axis only, so each keeps the shape of
     one trajectory's rows; the stderr is the sample standard error (ddof=1)
@@ -75,7 +67,7 @@ def ensemble_mean(
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     blocks = [range(lo, min(lo + _BLOCK, n_traj)) for lo in range(0, n_traj, _BLOCK)]
-    run = partial(_run_block, trajectory)
+    run = partial(_run_block, block)
     # a worker past the number of blocks would sit idle, and a fork start
     # method would still start it
     workers = min(workers, len(blocks))

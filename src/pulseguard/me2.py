@@ -32,15 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from .bath import BathSpec
-from .ensemble import stack_trajectories
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from .qsd import FidelityCurve, MemoryTrajectory
+from .qsd import FidelityCurve
 
 # cells per chunk of the j(u) scan; the numbers depend on it only by rounding
 _CHUNK = 100
 
 __all__ = [
-    "BornTrajectory",
     "accumulated_phase",
     "me2_fidelity",
 ]
@@ -140,19 +138,3 @@ def _decayed_sum(b: np.ndarray, decay: float) -> np.ndarray:
     local += powers[:, None] * np.array(starts)
     return np.concatenate(([0j], local.T.ravel()[:n]))
 
-
-class BornTrajectory(MemoryTrajectory):
-    """MemoryTrajectory with the Born fidelity in place of the exact one.
-
-    A memory-me2 run is one trajectory, so block(ks) runs the trajectories
-    one at a time.
-    """
-
-    rows = ("me2",)
-
-    def __call__(self, k: int) -> np.ndarray:
-        curve = me2_fidelity(self.states, self.splitting(k), self.bath, self.grid)
-        return curve.values[np.newaxis]
-
-    def block(self, ks: Sequence[int]) -> np.ndarray:
-        return stack_trajectories(self, ks)

@@ -38,9 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .bath import BathSpec
-from .ensemble import stack_trajectories
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from .signals import SignalFamily, effective_frequency, substream
 
 __all__ = [
     "DEFAULT_STATES",
@@ -50,7 +48,6 @@ __all__ = [
     "solve_kernel_quadrature",
     "qsd_fidelity",
     "check_states",
-    "MemoryTrajectory",
 ]
 
 _KERNEL_BOUND = 1.0e6
@@ -346,45 +343,3 @@ def check_states(states: Sequence[float]) -> tuple:
             raise ValueError(f"states[{i}] must be an excited probability in [0, 1], got {p!r}")
     return states
 
-
-@dataclass(frozen=True)
-class MemoryTrajectory:
-    """The trajectories of a memory experiment, as picklable units of ensemble work.
-
-    Trajectory k's control comes from substream (master_seed, k); its one
-    row, named by `rows`, is the fidelity averaged over `states`, the
-    excited probabilities p of the initial states.
-    """
-
-    family: SignalFamily
-    bath: BathSpec
-    states: tuple
-    master_seed: int
-    grid: TimeGrid
-    omega: float
-
-    rows = ("qsd",)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", check_states(self.states))
-
-    def splitting(self, k: int) -> np.ndarray:
-        """E = omega + c(t) of trajectory k, one value per cell."""
-        signal = self.family.sample(substream(self.master_seed, k), self.grid)
-        return effective_frequency(signal, self.omega)
-
-    def block(self, ks: Sequence[int]) -> np.ndarray:
-        """Rows of the trajectories ks, shape (len(ks), 1, n_steps + 1).
-
-        The kernels of the whole block come from one batched solve; an
-        overflow, in sampling or in the solve, names its position in ks as
-        the error's `row`.
-        """
-        # the stacked drives are freed once the kernels are solved
-        kernels = solve_kernel_riccati(
-            stack_trajectories(self.splitting, ks), self.bath, self.grid
-        ).values
-        out = np.empty((len(ks), 1, self.grid.n_steps + 1))
-        for row, F in zip(out, kernels):
-            row[0] = qsd_fidelity(self.states, KernelCurve(self.grid, F)).values
-        return out

@@ -18,19 +18,20 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .adiabatic import PassageTrajectory, SweepSpec
+from .adiabatic import SweepSpec, solve_psi0
 from .bath import BathSpec
 from .ensemble import ensemble_mean
-from .me2 import BornTrajectory
+from .me2 import me2_fidelity
 from .numerics import NumericOverflowError, TimeGrid
-from .qsd import DEFAULT_STATES, MemoryTrajectory, check_states
-from .signals import FAMILY_SPECS, SignalFamily
+from .qsd import DEFAULT_STATES, KernelCurve, check_states, qsd_fidelity, solve_kernel_riccati
+from .signals import FAMILY_SPECS, SignalFamily, effective_frequency, substream
 
 __all__ = [
     "ConfigError",
@@ -53,6 +54,13 @@ _KIND_KEYS = {
     "memory-me2": ("bath", "omega", "states"),
     "memory-ensemble": ("bath", "omega", "states", "n_traj"),
     "adiabatic": ("sweep", "n_traj", "with_defect"),
+}
+# the rows of one trajectory of each kind, as _block returns them
+_ROWS = {
+    "memory-qsd": ("qsd",),
+    "memory-me2": ("me2",),
+    "memory-ensemble": ("qsd",),
+    "adiabatic": ("psi0", "defect"),
 }
 
 
@@ -130,11 +138,7 @@ def _build_signal(raw) -> SignalFamily:
 def _build_states(raw) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"states must be a non-empty list of numbers, got {raw!r}")
-    states = [_number(p, "float", f"states[{i}]") for i, p in enumerate(raw)]
-    try:
-        return check_states(states)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return tuple(_number(p, "float", f"states[{i}]") for i, p in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,11 @@ class ExperimentConfig:
                 raise ConfigError(f"config: {name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.with_defect, bool):
             raise ConfigError(f"config: with_defect must be a boolean, got {self.with_defect!r}")
+        if self.kind != "adiabatic":
+            try:
+                object.__setattr__(self, "states", check_states(self.states))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -224,16 +233,27 @@ class ExperimentConfig:
         return out
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_text(path, what: str) -> str:
+    """The text of the UTF-8 file `path`; a ConfigError naming `what` and path
+    if it cannot be read or decoded."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc}") from exc
+
+
+def _config_from_json(text: str, source: str) -> ExperimentConfig:
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    return _config_from_json(_read_text(path, "config"), f"config {path}")
 
 
 @dataclass(frozen=True)
@@ -276,21 +296,54 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         raise NumericOverflowError(f"{config.kind} experiment: {exc}") from exc
 
 
-def _trajectory(config: ExperimentConfig):
-    """The per-trajectory function of the config's kind."""
+def _block(config: ExperimentConfig, ks: Sequence[int]) -> np.ndarray:
+    """Rows of the trajectories ks of the config's kind, shape
+    (len(ks), rows, n_steps + 1), the rows named by _ROWS.
+
+    Trajectory k's control comes from substream (master_seed, k).  The
+    memory kernels of the whole block come from one batched solve; a Born
+    curve or a sweep is solved one trajectory at a time.  An overflow, in
+    sampling or in a solve, names its position in ks as the error's `row`.
+    """
+    grid = config.grid
+    shape = (len(ks), len(_ROWS[config.kind]), grid.n_steps + 1)
+    batched = config.kind in ("memory-qsd", "memory-ensemble")
+    # a batched block makes its rows only after its drives are solved and
+    # freed, so that it never holds both
+    drives = np.empty((len(ks), grid.n_steps)) if batched else None
+    out = None if batched else np.empty(shape)
+    for row, k in enumerate(ks):
+        try:
+            control = config.signal.sample(substream(config.master_seed, k), grid)
+            if batched:
+                drives[row] = effective_frequency(control, config.omega)
+            else:
+                out[row] = _solve(config, control)
+        except NumericOverflowError as exc:
+            raise NumericOverflowError(str(exc), row) from exc
+    if batched:
+        kernels = solve_kernel_riccati(drives, config.bath, grid).values
+        del drives
+        out = np.empty(shape)
+        for row, F in zip(out, kernels):
+            row[0] = qsd_fidelity(config.states, KernelCurve(grid, F)).values
+    return out
+
+
+def _solve(config: ExperimentConfig, control) -> tuple:
+    """The rows of one Born curve or one sweep under `control`."""
     if config.kind == "adiabatic":
-        return PassageTrajectory(config.sweep, config.signal, config.master_seed, config.grid)
-    cls = BornTrajectory if config.kind == "memory-me2" else MemoryTrajectory
-    return cls(config.signal, config.bath, config.states, config.master_seed, config.grid,
-               config.omega)
+        curve = solve_psi0(config.sweep, control, config.grid)
+        return curve.magnitudes, curve.defect
+    E = effective_frequency(control, config.omega)
+    return (me2_fidelity(config.states, E, config.bath, config.grid).values,)
 
 
 def _dispatch(config: ExperimentConfig, metadata: dict) -> ResultTable:
-    trajectory = _trajectory(config)
     # a deterministic control gives every trajectory the same rows, so it runs once
     n_traj = config.n_traj if config.signal.stochastic else 1
-    mean, stderr = ensemble_mean(trajectory, n_traj, config.workers)
-    rows = trajectory.rows
+    mean, stderr = ensemble_mean(partial(_block, config), n_traj, config.workers)
+    rows = _ROWS[config.kind]
     if config.kind == "memory-ensemble" or n_traj > 1:
         data = {"mean": mean[0], "stderr": stderr[0], **dict(zip(rows[1:], mean[1:]))}
     else:
@@ -332,9 +385,10 @@ def emit_csv(table: ResultTable, path) -> None:
 
 def read_embedded_config(path) -> ExperimentConfig:
     """Recover the experiment config embedded in an emitted CSV."""
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("# config = "):
-            return ExperimentConfig.from_dict(json.loads(line[len("# config = "):]))
+    prefix = "# config = "
+    for line in _read_text(path, "result").splitlines():
+        if line.startswith(prefix):
+            return _config_from_json(line[len(prefix):], f"the config line of {path}")
     raise ConfigError(f"no embedded config found in {path}")
 
 

@@ -21,6 +21,7 @@ import copy
 import dataclasses
 import json
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from pulseguard import (
     DEFAULT_STATES,
     ChaoticSpec,
     JitterSpec,
-    MemoryTrajectory,
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
@@ -45,13 +45,12 @@ from pulseguard import (
     substream,
 )
 from pulseguard.adiabatic import (
-    PassageTrajectory,
     SweepSpec,
     solve_psi0,
     tdse_components,
     tdse_oracle,
 )
-from pulseguard.runner import ExperimentConfig, emit_csv, load_config, run_experiment
+from pulseguard.runner import ExperimentConfig, _block, emit_csv, load_config, run_experiment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -68,6 +67,13 @@ FREE_BASELINE_F10 = 0.455385272224
 def verdict(num: int, ok: bool, detail: str) -> None:
     record_verdict(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def memory_block(family, bath, states, master_seed, grid):
+    """The ensemble block of the exact (QSD) memory fidelity at omega = 1."""
+    config = ExperimentConfig(kind="memory-ensemble", grid=grid, signal=family, bath=bath,
+                              states=states, master_seed=master_seed)
+    return partial(_block, config)
 
 
 def pulsed_frequency(grid: TimeGrid, seed: int = 0) -> np.ndarray:
@@ -118,8 +124,7 @@ def test_criterion_01_identities_and_norms():
                     starts = (
                         qsd_fidelity((p,), kernel).values[0],
                         me2_fidelity((p,), E, bath, grid).values[0],
-                        ensemble_mean(MemoryTrajectory(family, bath, (p,), 0, grid, 1.0),
-                                      2)[0][0, 0],
+                        ensemble_mean(memory_block(family, bath, (p,), 0, grid), 2)[0][0, 0],
                     )
                     worst = max(worst, max(abs(s - 1.0) for s in starts))
                     n_curves += 3
@@ -230,7 +235,7 @@ def test_criterion_07_disordered_controls_agree():
     }
     curves = {
         name: ensemble_mean(
-            MemoryTrajectory(fam, BENCH_BATH, DEFAULT_STATES, seed, BENCH_GRID, 1.0), n_traj
+            memory_block(fam, BENCH_BATH, DEFAULT_STATES, seed, BENCH_GRID), n_traj
         )[0][0]
         for name, (fam, seed, n_traj) in runs.items()
     }
@@ -285,7 +290,9 @@ def test_criterion_10_shot_noise_induces_adiabaticity(passage_curves):
     _, _, slow = passage_curves["slow"]
     fast_sweep, fast_grid, fast = passage_curves["fast"]
     family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0))
-    mean, _ = ensemble_mean(PassageTrajectory(fast_sweep, family, 2026, fast_grid), 16)
+    config = ExperimentConfig(kind="adiabatic", grid=fast_grid, signal=family, sweep=fast_sweep,
+                              master_seed=2026)
+    mean, _ = ensemble_mean(partial(_block, config), 16)
     rescued = float(mean[0, -1])
     ok = (
         slow.magnitudes[-1] >= 0.99

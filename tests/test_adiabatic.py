@@ -9,12 +9,12 @@ end-point Hamiltonian.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pulseguard.adiabatic import (
-    PassageTrajectory,
     Psi0Curve,
     SweepSpec,
     _kernel_factors,
@@ -25,6 +25,7 @@ from pulseguard.adiabatic import (
 )
 from pulseguard.ensemble import ensemble_mean
 from pulseguard.numerics import TimeGrid, volterra_solve
+from pulseguard.runner import ExperimentConfig, _block
 from pulseguard.signals import SampledSignal, ShotNoiseSpec, SignalFamily, substream
 from pulseguard.sweep_oracle import (
     build_eigen_frame,
@@ -41,6 +42,13 @@ FAST = SweepSpec(passage_time=5.0, base_freq=OMEGA)
 SLOW = SweepSpec(passage_time=50.0, base_freq=OMEGA)
 GRID_FAST = TimeGrid(t_max=5.0, n_steps=2500)
 GRID_SLOW = TimeGrid(t_max=50.0, n_steps=5000)
+
+
+def sweep_block(family, master_seed, grid):
+    """The ensemble block of the fast sweep under `family`."""
+    config = ExperimentConfig(kind="adiabatic", grid=grid, signal=family, sweep=FAST,
+                              master_seed=master_seed)
+    return partial(_block, config)
 
 
 class TestSweepSpec:
@@ -288,7 +296,7 @@ class TestDefect:
     def test_shot_control_reduces_defect_between_kicks(self):
         """Checked at every multiple of the mean arrival spacing."""
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0))
-        mean, _ = ensemble_mean(PassageTrajectory(FAST, family, 7, GRID_FAST), 8)
+        mean, _ = ensemble_mean(sweep_block(family, 7, GRID_FAST), 8)
         free_defect = solve_psi0(FAST, None, GRID_FAST).defect
         spacing = int(round(0.01 / GRID_FAST.dt))
         idx = np.arange(spacing, GRID_FAST.n_steps + 1, spacing)
@@ -301,7 +309,7 @@ class TestEnsemble:
         finals = []
         for rate in (10.0, 30.0, 100.0):
             family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=rate))
-            mean, _ = ensemble_mean(PassageTrajectory(FAST, family, 7, GRID_FAST), 8)
+            mean, _ = ensemble_mean(sweep_block(family, 7, GRID_FAST), 8)
             finals.append(mean[0, -1])
         assert finals[0] < finals[1] < finals[2]
         assert finals[0] > solve_psi0(FAST, None, GRID_FAST).magnitudes[-1]
@@ -309,8 +317,8 @@ class TestEnsemble:
     def test_same_seed_bitwise(self):
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
         grid = TimeGrid(t_max=5.0, n_steps=500)
-        a_mean, a_stderr = ensemble_mean(PassageTrajectory(FAST, family, 9, grid), 4)
-        b_mean, b_stderr = ensemble_mean(PassageTrajectory(FAST, family, 9, grid), 4)
+        a_mean, a_stderr = ensemble_mean(sweep_block(family, 9, grid), 4)
+        b_mean, b_stderr = ensemble_mean(sweep_block(family, 9, grid), 4)
         np.testing.assert_array_equal(a_mean[0], b_mean[0])
         np.testing.assert_array_equal(a_stderr[0], b_stderr[0])
 
@@ -319,19 +327,19 @@ class TestEnsemble:
 
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
         grid = TimeGrid(t_max=5.0, n_steps=500)
-        trajectory = PassageTrajectory(FAST, family, 9, grid)
-        serial, _ = ensemble_mean(trajectory, 20)
+        block = sweep_block(family, 9, grid)
+        serial, _ = ensemble_mean(block, 20)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
-        threaded, _ = ensemble_mean(trajectory, 20, workers=3)
+        threaded, _ = ensemble_mean(block, 20, workers=3)
         np.testing.assert_array_equal(serial[0], threaded[0])
 
     def test_single_trajectory_stderr_zero(self):
         family = SignalFamily(kind="none")
         grid = TimeGrid(t_max=5.0, n_steps=500)
-        _, stderr = ensemble_mean(PassageTrajectory(FAST, family, 0, grid), 1)
+        _, stderr = ensemble_mean(sweep_block(family, 0, grid), 1)
         assert np.all(stderr == 0.0)
 
     def test_validation(self):
         family = SignalFamily(kind="none")
         with pytest.raises(ValueError, match="n_traj"):
-            ensemble_mean(PassageTrajectory(FAST, family, 0, GRID_FAST), 0)
+            ensemble_mean(sweep_block(family, 0, GRID_FAST), 0)

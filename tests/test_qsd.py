@@ -11,6 +11,9 @@ compares the solvers against this closed form rather than against each
 other.
 """
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,11 @@ from pulseguard.qsd import (
     DEFAULT_STATES,
     FidelityCurve,
     KernelCurve,
-    MemoryTrajectory,
     qsd_fidelity,
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
+from pulseguard.runner import ConfigError, ExperimentConfig, _block
 from pulseguard.signals import (
     ChaoticSpec,
     JitterSpec,
@@ -62,12 +65,18 @@ class TestInitialState:
     """An initial state mu|1> + nu|0> is its excited probability p = |mu|^2."""
 
     def test_prob_bounds(self):
-        family = SignalFamily(kind="none")
-        for states in ((0.5, 1.2), (-0.1,), (float("nan"),)):
-            with pytest.raises(ValueError, match=r"^states\[\d\] must be an excited probability"):
-                MemoryTrajectory(family, BATH, states, 0, GRID, 1.0)
-        trajectory = MemoryTrajectory(family, BATH, [0.0, 1.0], 0, GRID, 1.0)
-        assert trajectory.states == (0.0, 1.0)
+        """A memory config built without from_dict is checked too, and so is a replace."""
+        for kind in ("memory-qsd", "memory-me2", "memory-ensemble"):
+            memory = partial(ExperimentConfig, kind=kind, grid=GRID,
+                             signal=SignalFamily(kind="none"), bath=BATH)
+            for states in ((0.5, 1.2), (-0.1,), (float("nan"),)):
+                with pytest.raises(ConfigError,
+                                   match=r"^states\[\d\] must be an excited probability"):
+                    memory(states=states)
+            config = memory(states=[0.0, 1.0])
+            assert config.states == (0.0, 1.0)
+            with pytest.raises(ConfigError, match=r"^states\[0\] must be an excited probability"):
+                dataclasses.replace(config, states=(1.5,))
 
     def test_default_grid(self):
         assert DEFAULT_STATES == tuple(np.arange(1, 10) / 10.0)
@@ -254,16 +263,18 @@ class TestEnsemble:
     GRID = TimeGrid(t_max=2.0, n_steps=2000)
     STATES = (0.3, 0.7)
 
-    def trajectory(self, family, master_seed, grid=None, states=None, omega=1.0):
-        return MemoryTrajectory(
-            family, BATH, self.STATES if states is None else states, master_seed,
-            self.GRID if grid is None else grid, omega,
+    def block(self, family, master_seed, grid=None, states=None, omega=1.0):
+        config = ExperimentConfig(
+            kind="memory-ensemble", grid=self.GRID if grid is None else grid, signal=family,
+            bath=BATH, omega=omega, states=self.STATES if states is None else states,
+            master_seed=master_seed,
         )
+        return partial(_block, config)
 
     def test_degenerate_jitter_matches_single_curve(self):
         """Zero-width jitter: every trajectory equals the regular train."""
         family = SignalFamily(kind="jittered", pulse=PULSE, jitter=JitterSpec())
-        mean, stderr = ensemble_mean(self.trajectory(family, 5), 3)
+        mean, stderr = ensemble_mean(self.block(family, 5), 3)
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, self.GRID)
         kernel = solve_kernel_riccati(effective_frequency(signal, 1.0), BATH, self.GRID)
         reference = 0.5 * (
@@ -278,8 +289,8 @@ class TestEnsemble:
         family = SignalFamily(
             kind="jittered", pulse=PULSE, jitter=JitterSpec(period_dev=0.004)
         )
-        a_mean, a_stderr = ensemble_mean(self.trajectory(family, 21), 8)
-        b_mean, b_stderr = ensemble_mean(self.trajectory(family, 21), 8)
+        a_mean, a_stderr = ensemble_mean(self.block(family, 21), 8)
+        b_mean, b_stderr = ensemble_mean(self.block(family, 21), 8)
         np.testing.assert_array_equal(a_mean, b_mean)
         np.testing.assert_array_equal(a_stderr, b_stderr)
 
@@ -289,10 +300,10 @@ class TestEnsemble:
         family = SignalFamily(
             kind="jittered", pulse=PULSE, jitter=JitterSpec(area_dev=0.1)
         )
-        serial_mean, serial_stderr = ensemble_mean(self.trajectory(family, 3), 70)
+        serial_mean, serial_stderr = ensemble_mean(self.block(family, 3), 70)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
         threaded_mean, threaded_stderr = ensemble_mean(
-            self.trajectory(family, 3), 70, workers=4
+            self.block(family, 3), 70, workers=4
         )
         np.testing.assert_array_equal(serial_mean, threaded_mean)
         np.testing.assert_array_equal(serial_stderr, threaded_stderr)
@@ -301,7 +312,7 @@ class TestEnsemble:
         family = SignalFamily(
             kind="jittered", pulse=PULSE, jitter=JitterSpec(area_dev=0.18)
         )
-        _, stderr = ensemble_mean(self.trajectory(family, 2), 16)
+        _, stderr = ensemble_mean(self.block(family, 2), 16)
         assert stderr[0, 0] == 0.0
         assert np.all(stderr >= 0.0)
         assert stderr.max() < 0.05
@@ -309,29 +320,28 @@ class TestEnsemble:
     def test_validation(self):
         family = SignalFamily(kind="none")
         with pytest.raises(ValueError, match="n_traj"):
-            ensemble_mean(self.trajectory(family, 0), 0)
+            ensemble_mean(self.block(family, 0), 0)
         with pytest.raises(ValueError, match="states"):
-            self.trajectory(family, 0, states=())
+            self.block(family, 0, states=())
 
     def test_overflow_names_trajectory(self):
         grid = TimeGrid(t_max=20.0, n_steps=4000)
         family = SignalFamily(kind="none")
         with pytest.raises(NumericOverflowError, match="trajectory 0"):
-            ensemble_mean(self.trajectory(family, 0, grid=grid, omega=0.0), 1)
+            ensemble_mean(self.block(family, 0, grid=grid, omega=0.0), 1)
 
     def test_overflow_names_the_first_diverging_trajectory(self):
         grid = TimeGrid(t_max=20.0, n_steps=4000)
 
-        class Diverging(MemoryTrajectory):
+        def diverging(ks):
             # omega = 0 without control diverges, omega = 1 does not
-            def splitting(self, k):
-                return np.full(self.grid.n_steps, 0.0 if k in (37, 40) else 1.0)
+            drives = [np.full(grid.n_steps, 0.0 if k in (37, 40) else 1.0) for k in ks]
+            return solve_kernel_riccati(np.stack(drives), BATH, grid).values[:, np.newaxis]
 
         with pytest.raises(NumericOverflowError) as scalar:
             solve_kernel_riccati(np.zeros(grid.n_steps), BATH, grid)
-        trajectory = Diverging(SignalFamily(kind="none"), BATH, self.STATES, 0, grid, 1.0)
         with pytest.raises(NumericOverflowError) as batched:
-            ensemble_mean(trajectory, _BLOCK + 13)
+            ensemble_mean(diverging, _BLOCK + 13)
         assert str(batched.value) == f"trajectory 37: {scalar.value}"
 
     def test_sampling_overflow_names_its_trajectory_in_the_block(self):
@@ -339,64 +349,54 @@ class TestEnsemble:
         # trajectories draw them, and trajectory 0 does not
         grid = TimeGrid(t_max=1.0, n_steps=100)
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=1e306, rate=10.0))
-        trajectory = self.trajectory(family, 0, grid=grid)
         overflowing = []
         for k in range(_BLOCK):
             try:
-                trajectory.splitting(k)
+                family.sample(substream(0, k), grid)
             except NumericOverflowError:
                 overflowing.append(k)
         assert overflowing and overflowing[0] > 0
         with pytest.raises(NumericOverflowError, match=r"signal\.strength") as exc:
-            ensemble_mean(trajectory, _BLOCK)
+            ensemble_mean(self.block(family, 0, grid=grid), _BLOCK)
         assert str(exc.value).startswith(f"trajectory {overflowing[0]}: ")
 
     def test_blocks_are_fixed_whatever_the_map(self, monkeypatch):
         """The block decomposition, the units of work, is pinned here."""
         from concurrent.futures import ThreadPoolExecutor
 
-        class Recorder:
-            rows = ("x",)
-
-            def __init__(self):
-                self.blocks = []
-
-            def block(self, ks):
-                self.blocks.append(ks)
+        def recorder(blocks):
+            def block(ks):
+                blocks.append(ks)
                 return np.zeros((len(ks), 1, 2))
 
-        expected = [range(0, 32), range(32, 64), range(64, 67)]
-        serial = Recorder()
-        ensemble_mean(serial, 67)
-        threaded = Recorder()
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
-        ensemble_mean(threaded, 67, workers=3)
-        assert serial.blocks == expected
-        assert sorted(threaded.blocks, key=lambda ks: ks.start) == expected
+            return block
 
-    class Rows:
+        expected = [range(0, 32), range(32, 64), range(64, 67)]
+        serial = []
+        ensemble_mean(recorder(serial), 67)
+        threaded = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
+        ensemble_mean(recorder(threaded), 67, workers=3)
+        assert serial == expected
+        assert sorted(threaded, key=lambda ks: ks.start) == expected
+
+    @staticmethod
+    def rows(ks):
         """Fixed rows per trajectory k: one row near 0.5, one at 1e6 plus
         small noise, where a sum-of-squares shortcut would cancel."""
-
-        rows = ("fidelity", "offset")
-
-        def row(self, k):
-            noise = np.random.default_rng(k).standard_normal((2, 5))
-            return np.array([0.5, 1e6])[:, None] + np.array([0.1, 1e-3])[:, None] * noise
-
-        def block(self, ks):
-            return np.stack([self.row(k) for k in ks])
+        noise = np.stack([np.random.default_rng(k).standard_normal((2, 5)) for k in ks])
+        return np.array([0.5, 1e6])[:, None] + np.array([0.1, 1e-3])[:, None] * noise
 
     def test_one_block_is_numpys_mean_and_std_bit_for_bit(self):
-        rows = self.Rows().block(range(_BLOCK))
-        mean, stderr = ensemble_mean(self.Rows(), _BLOCK)
+        rows = self.rows(range(_BLOCK))
+        mean, stderr = ensemble_mean(self.rows, _BLOCK)
         np.testing.assert_array_equal(mean, rows.mean(axis=0))
         np.testing.assert_array_equal(stderr, rows.std(axis=0, ddof=1) / np.sqrt(_BLOCK))
 
     def test_blocks_merge_to_the_two_pass_formula(self):
         # blocks of 32, 32 and 3
-        rows = self.Rows().block(range(67))
-        mean, stderr = ensemble_mean(self.Rows(), 67)
+        rows = self.rows(range(67))
+        mean, stderr = ensemble_mean(self.rows, 67)
         np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-14, atol=0)
         scale = np.abs(rows).max(axis=0)
         two_pass = rows.std(axis=0, ddof=1) / np.sqrt(67)
@@ -421,7 +421,7 @@ class TestEnsemble:
                 return results
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-        ensemble_mean(self.Rows(), 67, workers=2)
+        ensemble_mean(self.rows, 67, workers=2)
         assert len(shipped) == 3
         for sums, squares in shipped:
             assert sums.shape == squares.shape == (2, 5)

@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pulseguard import runner
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
-from pulseguard.qsd import DEFAULT_STATES, MemoryTrajectory
+from pulseguard.qsd import DEFAULT_STATES
 from pulseguard.runner import (
     ConfigError,
     ExperimentConfig,
@@ -546,13 +547,13 @@ class TestRunExperiment:
         signal = DISPATCH_SIGNALS[family]
         single = run_experiment(ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=signal)))
         ran = []
-        block = MemoryTrajectory.block
+        block = runner._block
 
-        def counted(trajectory, ks):
+        def counted(config, ks):
             ran.extend(ks)
-            return block(trajectory, ks)
+            return block(config, ks)
 
-        monkeypatch.setattr(MemoryTrajectory, "block", counted)
+        monkeypatch.setattr(runner, "_block", counted)
         config = raw(MEMORY_RAW, kind="memory-ensemble", signal=signal, n_traj=40)
         table = run_experiment(ExperimentConfig.from_dict(config))
         assert ran == [0]
@@ -614,6 +615,22 @@ class TestRunExperiment:
         emit_csv(run_experiment(config), tmp_path / "pooled.csv")
         assert sizes == [pool_size]
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    @pytest.mark.parametrize("base, kind, family", [
+        (ENSEMBLE_RAW, "memory-ensemble", "jittered"),
+        (ENSEMBLE_RAW, "memory-ensemble", "shot"),
+        (MEMORY_RAW, "memory-me2", "shot"),
+        (ADIABATIC_RAW, "adiabatic", "shot"),
+    ])
+    def test_a_row_does_not_depend_on_its_block(self, base, kind, family):
+        """Trajectory k's rows, run alone, are row k of a full block bit for bit."""
+        config = ExperimentConfig.from_dict(
+            raw(base, kind=kind, signal=DISPATCH_SIGNALS[family], master_seed=5)
+        )
+        full = runner._block(config, range(_BLOCK))
+        for k in range(_BLOCK):
+            assert runner._block(config, range(k, k + 1))[0].tobytes() == full[k].tobytes()
 
     def test_memory_qsd_is_the_first_ensemble_trajectory(self):
         """Both kinds run the same trajectory function; n_traj = 1 is bitwise one curve."""
@@ -728,6 +745,26 @@ class TestCsvFormat:
         path.write_text("t,x\n0,1\n")
         with pytest.raises(ConfigError, match="no embedded config"):
             read_embedded_config(path)
+
+    def test_corrupt_embedded_config_rejected(self, tmp_path):
+        path = tmp_path / "corrupt.csv"
+        path.write_text('# metadata\n# config = {"kind": \nt,x\n0,1\n')
+        with pytest.raises(ConfigError, match="not valid JSON") as exc:
+            read_embedded_config(path)
+        assert str(path) in str(exc.value)
+
+    def test_result_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# metadata\n# note = \xe9t\xe9\nt,x\n0,1\n")
+        with pytest.raises(ConfigError, match="not UTF-8") as exc:
+            read_embedded_config(path)
+        assert str(path) in str(exc.value)
+
+    def test_missing_result_rejected(self, tmp_path):
+        path = tmp_path / "nope.csv"
+        with pytest.raises(ConfigError, match="cannot read") as exc:
+            read_embedded_config(path)
+        assert str(path) in str(exc.value)
 
 
 class TestSvgPlot:
