@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import __version__
@@ -49,10 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
+    # one replace, so that both overrides are checked in one pass
+    overrides = {name: value for name, value in
+                 (("master_seed", args.seed), ("workers", args.workers)) if value is not None}
+    if overrides:
+        config = dataclasses.replace(config, **overrides)
     table = run_experiment(config)
     try:
         emit_csv(table, args.out)
@@ -75,16 +77,19 @@ def _cmd_validate(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_validate(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericOverflowError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    # a warning prints as its message, as an error does, not as the package line that raised it
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.command == "run":
+                return _cmd_run(args)
+            return _cmd_validate(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NumericOverflowError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ __all__ = [
     "solve_kernel_riccati",
     "solve_kernel_quadrature",
     "qsd_fidelity",
-    "check_states",
 ]
 
 _KERNEL_BOUND = 1.0e6
@@ -330,16 +329,4 @@ def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
         + np.mean(2.0 * (p - p * p)) * np.real(np.exp(-integral))
     )
     return FidelityCurve(kernel.grid, values)
-
-
-def check_states(states: Sequence[float]) -> tuple:
-    """`states` as a tuple of excited probabilities p; a ValueError naming the
-    first entry outside [0, 1] (nan included), or the empty sequence."""
-    states = tuple(states)
-    if not states:
-        raise ValueError("states must be non-empty")
-    for i, p in enumerate(states):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"states[{i}] must be an excited probability in [0, 1], got {p!r}")
-    return states
 

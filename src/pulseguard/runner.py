@@ -1,9 +1,11 @@
 """Experiment orchestration: JSON configs in, CSV/SVG artifacts out.
 
 A config describes one experiment (a memory-fidelity curve, an ensemble of
-them, or an adiabatic sweep).  The runner validates it, dispatches to the
-physics modules, and serialises the result with the fully resolved config
-embedded, so any output file can be reproduced from its own header.
+them, or an adiabatic sweep).  Its rules live in `ExperimentConfig`, so a
+config built in Python or by `dataclasses.replace` obeys them too.  The
+runner dispatches it to the physics modules and serialises the result with
+the fully resolved config embedded, so any output file can be reproduced
+from its own header.
 Only a stochastic signal family runs `n_traj` trajectories, whatever the
 kind; a deterministic control runs once, so a memory-ensemble of it writes
 that one run as its mean, with a zero stderr.
@@ -30,7 +32,7 @@ from .bath import BathSpec
 from .ensemble import ensemble_mean
 from .me2 import me2_fidelity
 from .numerics import NumericOverflowError, TimeGrid
-from .qsd import DEFAULT_STATES, KernelCurve, check_states, qsd_fidelity, solve_kernel_riccati
+from .qsd import DEFAULT_STATES, KernelCurve, qsd_fidelity, solve_kernel_riccati
 from .signals import FAMILY_SPECS, SignalFamily, effective_frequency, substream
 
 __all__ = [
@@ -46,8 +48,8 @@ __all__ = [
 
 _SWEEP_END_SLACK = 1.0e-12  # relative
 
-# top-level keys that resolved() echoes for every kind, then those of each kind;
-# workers is accepted as well but never echoed
+# top-level keys that resolved() echoes for every kind, then those of each kind,
+# the first of which is the spec it requires; workers is accepted but never echoed
 _ECHOED_KEYS = ("kind", "grid", "signal", "master_seed")
 _KIND_KEYS = {
     "memory-qsd": ("bath", "omega", "states"),
@@ -136,14 +138,22 @@ def _build_signal(raw) -> SignalFamily:
 
 
 def _build_states(raw) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"states must be a non-empty list of numbers, got {raw!r}")
+    if not isinstance(raw, list):
+        raise ConfigError(f"states must be a list of numbers, got {raw!r}")
     return tuple(_number(p, "float", f"states[{i}]") for i, p in enumerate(raw))
+
+
+def _kind_keys(kind) -> tuple:
+    """The keys of `kind` past the shared ones; a ConfigError if it is no kind."""
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(f"config: unknown kind {kind!r}; expected one of {tuple(_KIND_KEYS)}")
+    return _KIND_KEYS[kind]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.
+    """Validated experiment description; every rule is checked here, and
+    from_dict only turns JSON into typed values.
 
     `workers` only schedules the run, so `resolved()` leaves it out: result
     files do not depend on it.
@@ -154,7 +164,7 @@ class ExperimentConfig:
     signal: SignalFamily
     bath: Optional[BathSpec] = None
     omega: float = 1.0
-    states: tuple = ()
+    states: tuple = DEFAULT_STATES
     sweep: Optional[SweepSpec] = None
     n_traj: int = 1
     master_seed: int = 0
@@ -162,59 +172,56 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # here, not in from_dict, so that dataclasses.replace (--seed) is checked too
         for name, low in (("n_traj", 1), ("master_seed", 0), ("workers", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ConfigError(f"config: {name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.with_defect, bool):
             raise ConfigError(f"config: with_defect must be a boolean, got {self.with_defect!r}")
-        if self.kind != "adiabatic":
-            try:
-                object.__setattr__(self, "states", check_states(self.states))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        required = _kind_keys(self.kind)[0]
+        if getattr(self, required) is None:
+            raise ConfigError(f"config: missing required key {required!r}")
+        try:
+            self.signal.check(self.grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.kind == "adiabatic":
+            # the schedule a(s) = s, b(s) = 1 - s means nothing past s = 1;
+            # the slack only forgives float round-off in equal values
+            if self.grid.t_max > self.sweep.passage_time * (1.0 + _SWEEP_END_SLACK):
+                raise ConfigError(
+                    f"grid.t_max = {self.grid.t_max!r} runs past sweep.passage_time = "
+                    f"{self.sweep.passage_time!r}; the sweep ends at s = 1"
+                )
+            return
+        states = tuple(self.states)
+        if not states:
+            raise ConfigError("states must be non-empty")
+        for i, p in enumerate(states):
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(
+                    f"states[{i}] must be an excited probability in [0, 1], got {p!r}"
+                )
+        object.__setattr__(self, "states", states)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         kind = _require(raw, "kind", "config")
-        if not isinstance(kind, str) or kind not in _KIND_KEYS:
-            raise ConfigError(
-                f"config: unknown kind {kind!r}; expected one of {tuple(_KIND_KEYS)}"
-            )
-        _reject_unknown(raw, _ECHOED_KEYS + ("workers",) + _KIND_KEYS[kind], "config")
-
+        _reject_unknown(raw, _ECHOED_KEYS + ("workers",) + _kind_keys(kind), "config")
         grid = _build(TimeGrid, _require(raw, "grid", "config"), "grid")
         signal = _build_signal(_require(raw, "signal", "config"))
-        try:
-            signal.check(grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        scalars = {key: raw[key] for key in ("n_traj", "master_seed", "with_defect", "workers")
-                   if key in raw}
-
-        if kind == "adiabatic":
-            sweep = _build(SweepSpec, _require(raw, "sweep", "config"), "sweep")
-            # the schedule a(s) = s, b(s) = 1 - s means nothing past s = 1;
-            # the slack only forgives float round-off in equal values
-            if grid.t_max > sweep.passage_time * (1.0 + _SWEEP_END_SLACK):
-                raise ConfigError(
-                    f"grid.t_max = {grid.t_max!r} runs past sweep.passage_time = "
-                    f"{sweep.passage_time!r}; the sweep ends at s = 1"
-                )
-            return cls(kind=kind, grid=grid, signal=signal, sweep=sweep, **scalars)
-
-        return cls(
-            kind=kind,
-            grid=grid,
-            signal=signal,
-            bath=_build(BathSpec, _require(raw, "bath", "config"), "bath"),
-            omega=_number(raw.get("omega", 1.0), "float", "omega"),
-            states=_build_states(raw["states"]) if "states" in raw else DEFAULT_STATES,
-            **scalars,
-        )
+        kwargs = {key: raw[key] for key in ("n_traj", "master_seed", "with_defect", "workers")
+                  if key in raw}
+        for key, spec in (("bath", BathSpec), ("sweep", SweepSpec)):
+            if key in raw:
+                kwargs[key] = _build(spec, raw[key], key)
+        if "omega" in raw:
+            kwargs["omega"] = _number(raw["omega"], "float", "omega")
+        if "states" in raw:
+            kwargs["states"] = _build_states(raw["states"])
+        return cls(kind=kind, grid=grid, signal=signal, **kwargs)
 
     def resolved(self) -> dict:
         """Canonical dict of everything that determines the result."""

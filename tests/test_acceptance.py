@@ -98,6 +98,7 @@ def passage_curves():
     }
 
 
+@pytest.mark.filterwarnings("ignore:shot rate")
 def test_criterion_01_identities_and_norms():
     families = {
         "regular": SignalFamily(kind="regular", pulse=BENCH_PULSE),

@@ -293,6 +293,7 @@ class TestDefect:
         oracle = tdse_oracle(sweep, control, grid).defect
         assert np.max(np.abs(defect - oracle)) < 1e-5
 
+    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_shot_control_reduces_defect_between_kicks(self):
         """Checked at every multiple of the mean arrival spacing."""
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0))
@@ -304,6 +305,7 @@ class TestDefect:
 
 
 class TestEnsemble:
+    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_monotone_induction_in_rate(self):
         """More frequent kicks at fixed strength help the fast sweep more."""
         finals = []
@@ -314,6 +316,7 @@ class TestEnsemble:
         assert finals[0] < finals[1] < finals[2]
         assert finals[0] > solve_psi0(FAST, None, GRID_FAST).magnitudes[-1]
 
+    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_same_seed_bitwise(self):
         family = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
         grid = TimeGrid(t_max=5.0, n_steps=500)
@@ -322,6 +325,7 @@ class TestEnsemble:
         np.testing.assert_array_equal(a_mean[0], b_mean[0])
         np.testing.assert_array_equal(a_stderr[0], b_stderr[0])
 
+    @pytest.mark.filterwarnings("ignore:shot rate")
     def test_threaded_map_identical(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulseguard import runner
+from pulseguard import BathSpec, PulseTrainSpec, SignalFamily, SweepSpec, runner
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
@@ -161,6 +161,35 @@ OVERFLOWING_SHOT = [
     (ADIABATIC_RAW, {"grid": {"t_max": 1.0, "n_steps": 100}, "sweep": {"passage_time": 1.0},
                      "signal": {"family": "shot", "strength": 1e305, "rate": 1000.0}}),
 ]
+
+
+# configs built in Python, which once ran or crashed past from_dict's rules;
+# each is (ExperimentConfig arguments, what the ConfigError names, test id)
+GRID_10 = TimeGrid(1.0, 10)
+NO_CONTROL = SignalFamily(kind="none")
+BATH = BathSpec(coupling=1.0, cutoff=0.5)
+DIRECT = [
+    (dict(kind="memory-qsd", grid=GRID_10, signal=NO_CONTROL), "bath", "no-bath"),
+    (dict(kind="adiabatic", grid=GRID_10, signal=NO_CONTROL), "sweep", "no-sweep"),
+    (dict(kind="memory-qs", grid=GRID_10, signal=NO_CONTROL, bath=BATH), "memory-qs",
+     "unknown-kind"),
+    (dict(kind="memory-qsd", grid=GRID_10, bath=BATH,
+          signal=SignalFamily(kind="regular", pulse=PulseTrainSpec(0.02, 0.01, 0.2))),
+     "signal.duration", "pulse-narrower-than-a-cell"),
+    (dict(kind="adiabatic", grid=TimeGrid(10.0, 100), signal=NO_CONTROL,
+          sweep=SweepSpec(passage_time=5.0, base_freq=0.3)),
+     "grid.t_max", "sweep-past-passage-time"),
+]
+
+
+def run_cli(*args):
+    """`python -m pulseguard args` in a fresh process, so that no test's
+    warning filters apply; the finished process, stdout and stderr as text."""
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+    return subprocess.run([sys.executable, "-m", "pulseguard", *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestConfigValidation:
@@ -351,6 +380,34 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(raw(base, **overrides))
         message = str(info.value)
         assert "grid: grid" not in message and "signal: signal" not in message
+
+    @pytest.mark.parametrize("kwargs, field", [c[:2] for c in DIRECT],
+                             ids=[c[2] for c in DIRECT])
+    def test_direct_construction_obeys_every_rule(self, kwargs, field):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            ExperimentConfig(**kwargs)
+
+    def test_direct_construction_defaults_to_the_state_grid(self):
+        config = ExperimentConfig(kind="memory-qsd", grid=GRID_10, signal=NO_CONTROL, bath=BATH)
+        assert config.states == DEFAULT_STATES
+
+    @pytest.mark.parametrize("base, direct", [
+        (MEMORY_RAW, dict(kind="memory-qsd", grid=TimeGrid(2.0, 400), bath=BATH,
+                          signal=SignalFamily(kind="regular",
+                                              pulse=PulseTrainSpec(0.02, 0.01, 0.2)))),
+        (ADIABATIC_RAW, dict(kind="adiabatic", grid=TimeGrid(5.0, 500), signal=NO_CONTROL,
+                             sweep=SweepSpec(passage_time=5.0, base_freq=0.3))),
+    ], ids=["memory-qsd", "adiabatic"])
+    def test_direct_construction_resolves_as_from_dict(self, base, direct):
+        """Both ways fill in the same defaults, omega and states included."""
+        twin = {key: value for key, value in base.items() if key not in ("omega", "states")}
+        assert ExperimentConfig(**direct).resolved() == ExperimentConfig.from_dict(twin).resolved()
+
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    def test_replace_obeys_the_sweep_end(self):
+        config = load_config(ROOT / "configs" / "fig4.json")
+        with pytest.raises(ConfigError, match=r"grid\.t_max = 10\.0 runs past sweep\.passage"):
+            dataclasses.replace(config, grid=TimeGrid(10.0, 100))
 
     @pytest.mark.parametrize("family", ["regular", "jittered", "chaotic"])
     def test_pulse_narrower_than_a_cell_rejected(self, family):
@@ -937,14 +994,10 @@ class TestCli:
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_unresolved_shot_noise_warning_reaches_stderr(self, tmp_path, command):
         cfg = self.write(tmp_path, raw(MEMORY_RAW, signal=COARSE_SHOT))
-        args = [command, "--config", str(cfg)]
+        args = [command, "--config", cfg]
         if command == "run":
-            args += ["--out", str(tmp_path / "res.csv")]
-        env = dict(os.environ)
-        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
-        env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
-        done = subprocess.run([sys.executable, "-m", "pulseguard", *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+            args += ["--out", tmp_path / "res.csv"]
+        done = run_cli(*args)
         assert done.returncode == 0, done.stderr
         assert "signal.rate = 100.0 is not resolved by the grid step" in done.stderr
 
@@ -959,21 +1012,28 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_unresolved_shot_noise_warns_once_per_run(self, tmp_path, workers):
-        # 70 trajectories are three blocks, so at two workers both processes sample
+    @pytest.mark.parametrize("flags", [["--workers", "1"], ["--workers", "2"],
+                                       ["--workers", "2", "--seed", "11"]],
+                             ids=["1", "2", "2-seed"])
+    def test_unresolved_shot_noise_warns_once_per_run(self, tmp_path, flags):
+        # 70 trajectories are three blocks, so at two workers both processes
+        # sample; load_config and the overrides each build the config, and so
+        # check it
         cfg = self.write(tmp_path, raw(ENSEMBLE_RAW, signal=COARSE_SHOT, n_traj=70))
-        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "res.csv"),
-                "--workers", workers]
-        env = dict(os.environ)
-        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
-        env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
-        done = subprocess.run([sys.executable, "-m", "pulseguard", *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_cli("run", "--config", cfg, "--out", tmp_path / "res.csv", *flags)
         assert done.returncode == 0, done.stderr
         lines = [line for line in done.stderr.splitlines() if "shot rate" in line]
         assert len(lines) == 1, done.stderr
         assert "signal.rate = 100.0 is not resolved by the grid step" in lines[0]
+
+    def test_validate_prints_the_shot_warning_as_its_message(self, tmp_path):
+        cfg = self.write(tmp_path, raw(MEMORY_RAW, signal=COARSE_SHOT))
+        done = run_cli("validate", "--config", cfg)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == (
+            "warning: shot rate * dt = 0.5 > 0.1: signal.rate = 100.0 is not resolved by "
+            "the grid step dt = 0.005; raise grid.n_steps or lower signal.rate\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--out", "--plot"])
     def test_run_unwritable_output_exits_4(self, tmp_path, capsys, flag):
