@@ -13,7 +13,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -49,12 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    # one replace, so that both overrides are checked in one pass
+    # the overrides go into the one build, so that every rule runs once
     overrides = {name: value for name, value in
                  (("master_seed", args.seed), ("workers", args.workers)) if value is not None}
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = load_config(args.config, **overrides)
     table = run_experiment(config)
     try:
         emit_csv(table, args.out)
@@ -75,11 +72,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, *_) -> None:
+    """Print a warning as its message, as an error is printed, not as the
+    package line that raised it.  Module-level, so that a pool worker can be
+    sent it whatever the start method."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # a warning prints as its message, as an error does, not as the package line that raised it
     with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        warnings.showwarning = _show_warning
         try:
             if args.command == "run":
                 return _cmd_run(args)

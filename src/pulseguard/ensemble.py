@@ -10,12 +10,16 @@ a block's rows never leave it and the rows held at once are O(blocks), not
 O(n_traj).  `workers` processes share the blocks out, in a process pool of
 at most one worker per block, or in this process when that is one; the
 pool module is imported only when a pool starts, so a one-process run never
-loads multiprocessing.  The blocks never depend on the worker count, so
-neither does any bit of the result.
+loads multiprocessing.  A pool worker prints its warnings with the
+parent's `warnings.showwarning` under any start method, where that
+printer pickles; otherwise a `spawn` or `forkserver` worker keeps
+Python's own.  The blocks never depend on the worker count, so neither
+does any bit of the result.
 """
 
 from __future__ import annotations
 
+import warnings
 from functools import partial, reduce
 from typing import Callable
 
@@ -31,6 +35,13 @@ __all__ = ["ensemble_mean"]
 # trajectory at 32 and ~3.3 ms at 2, so a short remainder block costs
 # little more per trajectory than a full one
 _BLOCK = 32
+
+
+def _show_warnings_with(showwarning) -> None:
+    """Start a pool worker with the parent's warning printer, which only a
+    forked worker inherits; None keeps the worker's own."""
+    if showwarning is not None:
+        warnings.showwarning = showwarning
 
 
 def _run_block(block: Callable[[range], np.ndarray], ks: range) -> tuple[np.ndarray, np.ndarray]:
@@ -74,9 +85,18 @@ def ensemble_mean(
     if workers == 1:
         parts = list(map(run, blocks))
     else:
+        import pickle
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a worker that is not forked is sent the printer by pickle, which
+        # fails for a lambda or a nested function; such a printer stays home
+        showwarning = warnings.showwarning
+        try:
+            pickle.dumps(showwarning)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            showwarning = None
+        with ProcessPoolExecutor(max_workers=workers, initializer=_show_warnings_with,
+                                 initargs=(showwarning,)) as pool:
             parts = list(pool.map(run, blocks))
     mean = reduce(np.add, [sums for sums, _ in parts]) / n_traj
     if n_traj == 1:

@@ -22,11 +22,16 @@ closed form from the running integrals of F:
     F_fid(t) = 1 - p - (p - 2 p^2) e^{-2 Re INT(t)}
                + 2 (p - p^2) Re e^{-INT(t)},      p = |mu|^2,
 
-with INT(t) = int_0^t F(s) ds.  At t = 0 this is identically 1.  The state
-enters only through its excited probability p, so a state is the float p
-in [0, 1].  The form is affine in (1 - p, p - 2 p^2, 2 (p - p^2)), so an
-average over states averages those three coefficients and evaluates the
-curve once.
+with INT(t) = int_0^t F(s) ds, and the coherence term is evaluated as
+
+    Re e^{-INT} = e^{-Re INT} cos(Im INT),
+
+one real exponential and one cosine in place of a complex exponential
+whose imaginary part would be thrown away.  At t = 0 this is identically
+1.  The state enters only through its excited probability p, so a state
+is the float p in [0, 1].  The form is affine in (1 - p, p - 2 p^2,
+2 (p - p^2)), so an average over states averages those three
+coefficients and evaluates the curve once.
 """
 
 from __future__ import annotations
@@ -326,7 +331,7 @@ def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
     values = (
         np.mean(1.0 - p)
         - np.mean(p - 2.0 * p * p) * np.exp(-2.0 * re_int)
-        + np.mean(2.0 * (p - p * p)) * np.real(np.exp(-integral))
+        + np.mean(2.0 * (p - p * p)) * (np.exp(-re_int) * np.cos(integral.imag))
     )
     return FidelityCurve(kernel.grid, values)
 

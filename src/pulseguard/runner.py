@@ -251,16 +251,21 @@ def _read_text(path, what: str) -> str:
         raise ConfigError(f"{what} {path} is not UTF-8: {exc}") from exc
 
 
-def _config_from_json(text: str, source: str) -> ExperimentConfig:
+def _config_from_json(text: str, source: str, /, **overrides) -> ExperimentConfig:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+    if isinstance(raw, dict):
+        raw.update(overrides)
     return ExperimentConfig.from_dict(raw)
 
 
-def load_config(path) -> ExperimentConfig:
-    return _config_from_json(_read_text(path, "config"), f"config {path}")
+def load_config(path, /, **overrides) -> ExperimentConfig:
+    """The config in the JSON file `path`, with the top-level keys in
+    `overrides` set over the file's before the config is built, so that
+    its rules are checked, and its warnings raised, once."""
+    return _config_from_json(_read_text(path, "config"), f"config {path}", **overrides)
 
 
 @dataclass(frozen=True)

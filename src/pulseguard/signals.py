@@ -7,8 +7,12 @@ a TimeGrid, which sidesteps edge ambiguity for piecewise-constant signals.
 Every pulse family (regular, chaotic, jittered) is a train of
 (end, duration, height) triples, and one sampler puts any train on the grid.
 The window convention: a midpoint t lies in a pulse when
-end - duration < t <= end, and there c(t) is that pulse's height.  The
-families differ only in the triples they build.
+end - duration < t <= end, and there c(t) is that pulse's height; where
+rounding lets two windows overlap, t belongs to the first pulse that ends
+at or after it.  The sampler searches each pulse's two edges in the
+midpoints, a few hundred searches per train rather than one per midpoint,
+and fills the runs between them.  The families differ only in the triples
+they build.
 
 Randomness is drawn from numpy's PCG64 generator.  Substreams are derived
 from (master_seed, stream_index) via numpy SeedSequence spawn keys, so an
@@ -374,14 +378,24 @@ def _pulse_train(family: SignalFamily, seed: Seed, t_max: float):
 def _sample_pulses(pulses, grid: TimeGrid) -> SampledSignal:
     """Put a train of ascending (end_time, duration, height) arrays on the grid.
 
-    The module's one window test: each midpoint is checked against the first
-    pulse that ends at or after it.
+    The module's one window test, done per pulse: both edges of each pulse
+    are searched in the midpoints, so that pulse n covers the midpoints
+    from start_n, the first past end - duration, up to stop_n, the first
+    past end.  A midpoint belongs to the first pulse that ends at or after
+    it, so each start is clipped into [stop_{n-1}, stop_n]: where rounding
+    lets two windows overlap, the earlier pulse keeps the shared midpoints.
+    The signal is then one run of zeros and one run of the height per pulse.
     """
     ends, durations, heights = pulses
     t = grid.midpoints
-    idx = np.minimum(np.searchsorted(ends, t, side="left"), len(ends) - 1)
-    on = (t > ends[idx] - durations[idx]) & (t <= ends[idx])
-    return SampledSignal(grid, np.where(on, heights[idx], 0.0))
+    edges = np.empty(2 * len(ends), dtype=np.intp)
+    edges[::2] = np.searchsorted(t, ends - durations, side="right")
+    edges[1::2] = np.searchsorted(t, ends, side="right")
+    # start_n <= stop_n already, so a running maximum is the clip
+    np.maximum.accumulate(edges, out=edges)
+    levels = np.zeros(2 * len(ends) + 1)
+    levels[1::2] = heights
+    return SampledSignal(grid, np.repeat(levels, np.diff(edges, prepend=0, append=len(t))))
 
 
 def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSignal:

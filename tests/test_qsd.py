@@ -13,6 +13,7 @@ other.
 
 import dataclasses
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from pulseguard.qsd import (
     solve_kernel_quadrature,
     solve_kernel_riccati,
 )
-from pulseguard.runner import ConfigError, ExperimentConfig, _block
+from pulseguard.runner import ConfigError, ExperimentConfig, _block, load_config
 from pulseguard.signals import (
     ChaoticSpec,
     JitterSpec,
@@ -39,6 +40,7 @@ from pulseguard.signals import (
     substream,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 BATH = BathSpec(coupling=1.0, cutoff=0.5)
 GRID = TimeGrid(t_max=10.0, n_steps=10000)
 PULSE = PulseTrainSpec(period=0.02, duration=0.01, area=0.2)
@@ -184,7 +186,8 @@ class TestFidelity:
         curve = qsd_fidelity((0.5,), kernel)
         integral = running_trapezoid(kernel.values, GRID.dt)
         # p - 2 p^2 is exactly zero at p = 1/2, so the population term drops out
-        np.testing.assert_array_equal(curve.values, 0.5 + 0.5 * np.real(np.exp(-integral)))
+        coherence = np.exp(-integral.real) * np.cos(integral.imag)
+        np.testing.assert_array_equal(curve.values, 0.5 + 0.5 * coherence)
 
     def test_bounded_on_standard_parameters(self):
         signal = SignalFamily(kind="regular", pulse=PULSE).sample(0, GRID)
@@ -233,9 +236,22 @@ class TestFidelity:
                 1.0
                 - p
                 - (p - 2.0 * p * p) * np.exp(-2.0 * integral.real)
-                + 2.0 * (p - p * p) * np.real(np.exp(-integral))
+                + 2.0 * (p - p * p) * (np.exp(-integral.real) * np.cos(integral.imag))
             )
             np.testing.assert_array_equal(qsd_fidelity((p,), kernel).values, reference)
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3"])
+    def test_coherence_is_re_exp_within_2_ulp(self, preset):
+        """e^{-Re INT} cos(Im INT) is the complex exponential's real part to 2 ulp."""
+        config = load_config(ROOT / "configs" / f"{preset}.json")
+        drives = [effective_frequency(config.signal.sample(substream(config.master_seed, k),
+                                                           config.grid), config.omega)
+                  for k in range(4)]
+        kernels = solve_kernel_riccati(np.array(drives), config.bath, config.grid).values
+        integral = running_trapezoid(kernels, config.grid.dt)
+        complex_form = np.real(np.exp(-integral))
+        coherence = np.exp(-integral.real) * np.cos(integral.imag)
+        assert np.all(np.abs(coherence - complex_form) <= 2.0 * np.spacing(np.abs(complex_form)))
 
     @pytest.mark.parametrize(
         "family",

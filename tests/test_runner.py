@@ -83,6 +83,16 @@ def raw(base, **overrides):
 ROOT = Path(__file__).resolve().parents[1]
 # fig3's shot noise on MEMORY_RAW's grid: rate * dt = 100 * 0.005 = 0.5
 COARSE_SHOT = {"family": "shot", "strength": 0.1, "rate": 100.0}
+# 33 shot-noise trajectories, two blocks, of which some dip Re int F below zero
+DIPPING_RAW = {
+    "kind": "memory-ensemble",
+    "grid": {"t_max": 10.0, "n_steps": 1000},
+    "bath": {"coupling": 50.0, "cutoff": 0.1},
+    "signal": {"family": "shot", "strength": 0.25, "rate": 5.0},
+    "omega": 0.0,
+    "n_traj": 33,
+    "master_seed": 0,
+}
 
 
 def legacy_csv(table) -> bytes:
@@ -182,14 +192,20 @@ DIRECT = [
 ]
 
 
-def run_cli(*args):
-    """`python -m pulseguard args` in a fresh process, so that no test's
-    warning filters apply; the finished process, stdout and stderr as text."""
+def run_python(*args):
+    """`python args` in a fresh process with the package on its path, so that
+    no test's warning filters apply; the finished process, stdout and stderr
+    as text."""
     env = dict(os.environ)
     paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
-    return subprocess.run([sys.executable, "-m", "pulseguard", *map(str, args)], env=env,
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_cli(*args):
+    """`python -m pulseguard args`, as run_python runs it."""
+    return run_python("-m", "pulseguard", *args)
 
 
 class TestConfigValidation:
@@ -499,6 +515,19 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+    def test_overrides_replace_the_file_keys(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ENSEMBLE_RAW))
+        config = load_config(path, master_seed=9, workers=2)
+        assert (config.master_seed, config.workers) == (9, 2)
+        assert config == dataclasses.replace(load_config(path), master_seed=9, workers=2)
+
+    def test_an_override_obeys_the_config_rules(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ENSEMBLE_RAW))
+        with pytest.raises(ConfigError, match=r"^config: workers must be an integer >= 1, got 0$"):
+            load_config(path, workers=0)
 
 
 class TestResultTable:
@@ -1003,12 +1032,8 @@ class TestCli:
 
     def test_cli_import_leaves_the_pool_module_unloaded(self):
         # only a run that starts a process pool needs multiprocessing
-        env = dict(os.environ)
-        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
-        env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
         code = "import sys, pulseguard.cli; print('concurrent.futures.process' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
@@ -1017,14 +1042,56 @@ class TestCli:
                              ids=["1", "2", "2-seed"])
     def test_unresolved_shot_noise_warns_once_per_run(self, tmp_path, flags):
         # 70 trajectories are three blocks, so at two workers both processes
-        # sample; load_config and the overrides each build the config, and so
-        # check it
+        # sample; only the one build of the config checks it
         cfg = self.write(tmp_path, raw(ENSEMBLE_RAW, signal=COARSE_SHOT, n_traj=70))
         done = run_cli("run", "--config", cfg, "--out", tmp_path / "res.csv", *flags)
         assert done.returncode == 0, done.stderr
         lines = [line for line in done.stderr.splitlines() if "shot rate" in line]
         assert len(lines) == 1, done.stderr
         assert "signal.rate = 100.0 is not resolved by the grid step" in lines[0]
+
+    def test_overrides_check_the_config_once_under_w_always(self, tmp_path):
+        # a filter that repeats every warning still prints this one once, so
+        # the overrides add no second build of the config
+        cfg = self.write(tmp_path, raw(ENSEMBLE_RAW, signal=COARSE_SHOT, n_traj=70))
+        done = run_python("-W", "always", "-m", "pulseguard", "run", "--config", cfg,
+                          "--out", tmp_path / "res.csv", "--workers", "2", "--seed", "3")
+        assert done.returncode == 0, done.stderr
+        lines = [line for line in done.stderr.splitlines() if line.startswith("warning:")]
+        assert len(lines) == 1, done.stderr
+        assert "signal.rate = 100.0 is not resolved by the grid step" in lines[0]
+
+    def test_spawned_pool_workers_print_warnings_as_messages(self, tmp_path):
+        # a strong, long-memory bath at omega = 0: shot noise pumps Re int F
+        # below zero in trajectories 17 and 27, which the first block, in a
+        # pool worker, solves; a worker that is not forked (spawn here, and
+        # forkserver, Python 3.14's default, alike) must still print the
+        # warning with the CLI's handler
+        cfg = self.write(tmp_path, DIPPING_RAW)
+        code = ("import multiprocessing, sys\n"
+                "from pulseguard.cli import main\n"
+                "multiprocessing.set_start_method('spawn')\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        done = run_python("-c", code, "run", "--config", cfg, "--out", tmp_path / "res.csv",
+                          "--workers", "2")
+        assert done.returncode == 0, done.stderr
+        assert "warning: Re int F dipped below zero" in done.stderr
+        for line in done.stderr.splitlines():
+            assert line.startswith("warning: "), done.stderr
+
+    def test_a_printer_that_cannot_pickle_does_not_stop_a_spawned_pool(self, tmp_path):
+        # a library caller's lambda cannot be sent to a spawned worker, which
+        # then prints in Python's own format
+        cfg = self.write(tmp_path, DIPPING_RAW)
+        code = ("import multiprocessing, sys, warnings\n"
+                "from pulseguard.runner import load_config, run_experiment\n"
+                "multiprocessing.set_start_method('spawn')\n"
+                "warnings.showwarning = lambda message, *_: print('unsent')\n"
+                "print(run_experiment(load_config(sys.argv[1], workers=2)).n_rows)\n")
+        done = run_python("-c", code, cfg)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1001\n"
+        assert "RuntimeWarning: Re int F dipped below zero" in done.stderr
 
     def test_validate_prints_the_shot_warning_as_its_message(self, tmp_path):
         cfg = self.write(tmp_path, raw(MEMORY_RAW, signal=COARSE_SHOT))

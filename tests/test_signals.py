@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pulseguard.numerics import NumericOverflowError, TimeGrid
 from pulseguard.signals import (
@@ -21,6 +21,8 @@ from pulseguard.signals import (
     SampledSignal,
     ShotNoiseSpec,
     SignalFamily,
+    _pulse_train,
+    _sample_pulses,
     draw_jittered_pulses,
     effective_frequency,
     jittered_height_bound,
@@ -45,6 +47,51 @@ def chaotic(spec, chaos, grid):
 
 def jittered(spec, jitter, seed, grid):
     return SignalFamily(kind="jittered", pulse=spec, jitter=jitter).sample(seed, grid).values
+
+
+def reference_sample(pulses, grid):
+    """The sampler's rule searched the other way round: each midpoint is
+    searched in the ends and tested against the window of the first pulse
+    that ends at or after it."""
+    ends, durations, heights = pulses
+    t = grid.midpoints
+    idx = np.minimum(np.searchsorted(ends, t, side="left"), len(ends) - 1)
+    on = (t > ends[idx] - durations[idx]) & (t <= ends[idx])
+    return np.where(on, heights[idx], 0.0)
+
+
+# a dyadic step, so that multiples of dt / 2 are exact and pulse edges can
+# land exactly on midpoints (odd multiples) or on nodes (even ones)
+DYADIC_DT = 2.0**-6
+
+
+@st.composite
+def pulse_trains(draw):
+    """A regular, chaotic or jittered pulse family and a grid to sample it on."""
+    n_steps = draw(st.integers(min_value=1, max_value=3000))
+    dt = draw(st.sampled_from([DYADIC_DT, 0.01]))
+    grid = TimeGrid(t_max=n_steps * dt, n_steps=n_steps)
+    half_cells = st.integers(min_value=1, max_value=120).map(lambda h: h * dt / 2.0)
+    period = draw(st.one_of(half_cells, st.floats(min_value=dt, max_value=60.0 * dt)))
+    duration = min(draw(st.one_of(
+        st.just(period),  # duty 1: each pulse starts where the one before it ends
+        half_cells,
+        st.floats(min_value=1e-3, max_value=1.0).map(lambda f: f * period),
+    )), period)
+    pulse = PulseTrainSpec(period, duration, draw(st.floats(min_value=0.0, max_value=10.0)))
+    kind = draw(st.sampled_from(["regular", "chaotic", "jittered"]))
+    if kind == "regular":
+        return SignalFamily(kind="regular", pulse=pulse), grid
+    if kind == "chaotic":
+        return SignalFamily(kind="chaotic", pulse=pulse, chaos=ChaoticSpec()), grid
+    jitter = JitterSpec(
+        # up to close below the period, where a drawn period can be 1e-6 of it
+        period_dev=period * draw(st.one_of(st.just(0.0), st.just(1.0 - 1e-6),
+                                           st.floats(min_value=0.0, max_value=0.999))),
+        duration_dev=duration * draw(st.floats(min_value=0.0, max_value=2.0)),
+        area_dev=draw(st.floats(min_value=0.0, max_value=10.0)),
+    )
+    return SignalFamily(kind="jittered", pulse=pulse, jitter=jitter), grid
 
 
 def regular_at(t, spec=BASE):
@@ -160,6 +207,23 @@ class TestRegular:
         inside = frac > 1.0 - duty
         expected = BASE.height if inside else 0.0
         assert regular_at(t) == pytest.approx(expected)
+
+
+class TestSampler:
+    @settings(max_examples=300)
+    @given(case=pulse_trains(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_edge_search_is_the_midpoint_search(self, case, seed):
+        family, grid = case
+        train = _pulse_train(family, substream(seed, 0), grid.t_max)
+        np.testing.assert_array_equal(_sample_pulses(train, grid).values,
+                                      reference_sample(train, grid))
+
+    def test_overlapping_windows_keep_the_earlier_pulse(self):
+        # midpoints 0.5 .. 3.5; pulse 2's window (0.5, 2.5] covers pulse 1's
+        grid = TimeGrid(t_max=4.0, n_steps=4)
+        train = (np.array([1.5, 2.5, 4.5]), np.array([1.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(_sample_pulses(train, grid).values, [0.0, 1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(reference_sample(train, grid), [0.0, 1.0, 2.0, 0.0])
 
 
 class TestJittered:
