@@ -30,6 +30,7 @@ independent oracle, defect included: there the defect is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -94,6 +95,23 @@ def _clamped_control(sweep: SweepSpec, control: Optional[SampledSignal], grid: T
     return sweep.base_freq + c
 
 
+@lru_cache(maxsize=8)
+def _sweep_geometry(sweep: SweepSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """What every control shares, as read-only arrays: the 2n Simpson areas of
+    the radial factor over each half cell, and thetadot / 2 on the nodes."""
+    quarter = np.arange(4 * grid.n_steps + 1) * (0.25 * grid.dt)
+    r = sweep.radial(quarter)
+    h = 0.5 * grid.dt
+    r0 = r[:-1:2]
+    rm = r[1::2]
+    r1 = r[2::2]
+    half_areas = (h / 6.0) * (r0 + 4.0 * rm + r1)
+    half = 0.5 * sweep.angle_velocity(grid.times)
+    half_areas.flags.writeable = False
+    half.flags.writeable = False
+    return half_areas, half
+
+
 def dynamical_phases(
     sweep: SweepSpec, control: Optional[SampledSignal], grid: TimeGrid
 ) -> np.ndarray:
@@ -104,16 +122,7 @@ def dynamical_phases(
     node values are the even entries.
     """
     kappa = _clamped_control(sweep, control, grid)
-    n = grid.n_steps
-    dt = grid.dt
-    quarter = np.arange(4 * n + 1) * (0.25 * dt)
-    r = sweep.radial(quarter)
-    # Simpson integrals of the radial factor over each half cell
-    h = 0.5 * dt
-    r0 = r[:-1:2]
-    rm = r[1::2]
-    r1 = r[2::2]
-    half_areas = (h / 6.0) * (r0 + 4.0 * rm + r1)  # 2n half-cell areas
+    half_areas = _sweep_geometry(sweep, grid)[0]
     # E0 - E1 = -2 kappa r
     increments = -2.0 * np.repeat(kappa, 2) * half_areas
     return np.concatenate([[0.0], np.cumsum(increments)])
@@ -154,7 +163,7 @@ class Psi0Curve:
 def _kernel_factors(sweep, control, grid):
     """u(t), v(s) on the nodes, with g(t, s) = u(t) v(s)."""
     lam = dynamical_phases(sweep, control, grid)[::2]
-    half = 0.5 * sweep.angle_velocity(grid.times)
+    half = _sweep_geometry(sweep, grid)[1]
     return half * np.exp(1j * lam), half * np.exp(-1j * lam)
 
 

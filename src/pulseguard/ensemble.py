@@ -7,18 +7,34 @@ fixed blocks of _BLOCK, each one unit of work.  Each block is reduced where
 it runs, to its sum and its sum of squared deviations from its own mean,
 and the blocks are merged in index order (Chan, Golub & LeVeque, 1979), so
 a block's rows never leave it and the rows held at once are O(blocks), not
-O(n_traj).  `workers` processes share the blocks out, in a process pool of
-at most one worker per block, or in this process when that is one; the
-pool module is imported only when a pool starts, so a one-process run never
-loads multiprocessing.  A pool worker prints its warnings with the
-parent's `warnings.showwarning` under any start method, where that
-printer pickles; otherwise a `spawn` or `forkserver` worker keeps
-Python's own.  The blocks never depend on the worker count, so neither
-does any bit of the result.
+O(n_traj).  The blocks never depend on the worker count, so neither does
+any bit of the result.
+
+`workers` processes share the blocks out, in a process pool of at most one
+worker per block, or in this process when that is one; the pool module is
+imported only when a pool starts, so a one-process run never loads
+multiprocessing.  The pool is kept for the life of the process: the first
+pooled run starts it, and later runs reuse it while three things stay as
+they were when it started, the worker count, `warnings.showwarning` and
+`warnings.filters`.  When one changes, the old pool is shut down before a
+new one starts, so that no worker is forked while the old pool's threads
+run; a pool that breaks (a worker killed, say) is dropped, and the next
+pooled run starts a fresh one.  At a normal exit `concurrent.futures`
+joins the workers, and a worker whose parent dies exits by itself.  A
+child forked from a process that keeps a pool does not use it: its first
+pooled run starts its own.
+
+A pool worker prints its warnings with the parent's `warnings.showwarning`
+under any start method, where that printer pickles; otherwise a `spawn` or
+`forkserver` worker keeps Python's own.  A worker lives as long as the
+pool, so a warning that the `default` action prints once prints once per
+worker for the life of the process, as the one-process path prints it once.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from functools import partial, reduce
 from typing import Callable
@@ -33,15 +49,86 @@ __all__ = ["ensemble_mean"]
 # worker at two workers, and fig4's 32 sweeps a single block, which runs in
 # one process.  Measured on fig3 (2-core host), a block costs ~2.3 ms per
 # trajectory at 32 and ~3.3 ms at 2, so a short remainder block costs
-# little more per trajectory than a full one
+# little more per trajectory than a full one.  The pool that runs the
+# blocks outlives the run, since starting one added ~30 ms under fork and
+# ~0.25 s under forkserver to a ~70 ms fig3 run of 64 at two workers
 _BLOCK = 32
 
+# the kept pool and the (workers, printer, filters) it was started under;
+# the lock makes choosing, replacing and using it one step per thread
+_pool = None
+_pool_key = None
+_pool_lock = threading.RLock()
 
-def _show_warnings_with(showwarning) -> None:
-    """Start a pool worker with the parent's warning printer, which only a
-    forked worker inherits; None keeps the worker's own."""
+
+def _forget_pool() -> None:
+    """In a forked child the parent's pool is not its own: forget it unused."""
+    global _pool, _pool_key, _pool_lock
+    _pool, _pool_key, _pool_lock = None, None, threading.RLock()
+
+
+# a platform without fork (Windows) has nothing to forget
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down and forget it; the next pooled run starts anew."""
+    global _pool, _pool_key
+    with _pool_lock:
+        pool, _pool, _pool_key = _pool, None, None
+        if pool is not None:
+            pool.shutdown()
+
+
+def _exit_with_parent(sentinel) -> None:
+    """End this worker as soon as `sentinel`, its parent's, is ready: the
+    parent has died without shutting the pool down."""
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
+def _start_worker(showwarning) -> None:
+    """Start a pool worker: watch its parent, and print warnings with the
+    parent's printer, which only a forked worker inherits; None keeps the
+    worker's own."""
+    import multiprocessing
+
+    # None where a test runs the pool as threads of this process
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with_parent, args=(parent.sentinel,), daemon=True).start()
     if showwarning is not None:
         warnings.showwarning = showwarning
+
+
+def _kept_pool(workers: int):
+    """The kept pool of `workers` processes, started anew if it is missing or
+    was started under another worker count, printer or warning filters;
+    the caller holds _pool_lock."""
+    global _pool, _pool_key
+    # a forked worker keeps the printer and filters it was forked under,
+    # whether the printer pickles or not, so the key holds both as they are
+    key = (workers, warnings.showwarning, tuple(warnings.filters))
+    if _pool is not None and _pool_key == key:
+        return _pool
+    _drop_pool()
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a worker that is not forked is sent the printer by pickle, which
+    # fails for a lambda or a nested function; such a printer stays home
+    showwarning = warnings.showwarning
+    try:
+        pickle.dumps(showwarning)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        showwarning = None
+    _pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                initargs=(showwarning,))
+    _pool_key = key
+    return _pool
 
 
 def _run_block(block: Callable[[range], np.ndarray], ks: range) -> tuple[np.ndarray, np.ndarray]:
@@ -85,19 +172,14 @@ def ensemble_mean(
     if workers == 1:
         parts = list(map(run, blocks))
     else:
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        # a worker that is not forked is sent the printer by pickle, which
-        # fails for a lambda or a nested function; such a printer stays home
-        showwarning = warnings.showwarning
-        try:
-            pickle.dumps(showwarning)
-        except (pickle.PicklingError, AttributeError, TypeError):
-            showwarning = None
-        with ProcessPoolExecutor(max_workers=workers, initializer=_show_warnings_with,
-                                 initargs=(showwarning,)) as pool:
-            parts = list(pool.map(run, blocks))
+        with _pool_lock:
+            try:
+                parts = list(_kept_pool(workers).map(run, blocks))
+            except BrokenProcessPool:
+                _drop_pool()
+                raise
     mean = reduce(np.add, [sums for sums, _ in parts]) / n_traj
     if n_traj == 1:
         return mean, np.zeros_like(mean)

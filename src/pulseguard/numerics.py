@@ -20,6 +20,7 @@ on_nodes, which name the offending field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,8 +78,8 @@ class TimeGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        """Cell midpoints, length n_steps."""
-        return (np.arange(self.n_steps) + 0.5) * self.dt
+        """Cell midpoints, length n_steps; one read-only array per grid."""
+        return _midpoints(self)
 
     def on_cells(self, values, name: str, dtype=float, batched: bool = False) -> np.ndarray:
         """`values` as an array of shape (n_steps,), or (B, n_steps) if batched."""
@@ -87,6 +88,14 @@ class TimeGrid:
     def on_nodes(self, values, name: str, dtype=float, batched: bool = False) -> np.ndarray:
         """`values` as an array of shape (n_steps + 1,), or (B, n_steps + 1) if batched."""
         return _sampled(values, name, dtype, batched, self.n_steps + 1, "one value per node")
+
+
+@lru_cache(maxsize=8)
+def _midpoints(grid: TimeGrid) -> np.ndarray:
+    # cached beside the grid, not on it, so that a pickled config stays small
+    t = (np.arange(grid.n_steps) + 0.5) * grid.dt
+    t.flags.writeable = False
+    return t
 
 
 def _sampled(values, name: str, dtype, batched: bool, n: int, what: str) -> np.ndarray:

@@ -23,6 +23,7 @@ distributed over workers.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from typing import Optional, Union
@@ -54,6 +55,9 @@ Seed = Union[int, np.random.SeedSequence]
 _MIN_DUTY = 1.0e-9
 # largest shot rate * dt whose arrivals the grid still resolves
 _SHOT_RATE_DT_MAX = 0.1
+# modules whose frames a warning skips to reach its caller: the package's,
+# and the stdlib's dataclasses, through which replace() builds a config
+_INSIDE = ("pulseguard", "dataclasses")
 # largest mean numpy's Poisson sampler accepts ("lam value too large" above it)
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
@@ -358,8 +362,24 @@ class SignalFamily:
                 f"signal.rate = {shot.rate!r} is not resolved by the grid step "
                 f"dt = {grid.dt!r}; raise grid.n_steps or lower signal.rate",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=_outside_stacklevel(),
             )
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel that takes a warning raised by this function's caller to
+    the first frame outside pulseguard, where a config was built.
+
+    A frame walk, since warnings.warn's skip_file_prefixes needs Python 3.12.
+    A dataclass's generated __init__ runs in its module's globals, so a
+    config's own constructor counts as inside.
+    """
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] in _INSIDE:
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def _pulse_train(family: SignalFamily, seed: Seed, t_max: float):

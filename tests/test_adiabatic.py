@@ -178,6 +178,30 @@ class TestPhases:
         cell_area = trapezoid(FAST.radial(tt), tt)
         np.testing.assert_allclose(diff[j + 1 :], -2.0 * 40.0 * cell_area, atol=1e-12)
 
+    def test_shared_geometry_keeps_every_bit(self):
+        """The sweep's control-free geometry is formed once per (sweep, grid);
+        the phases and kernel factors equal, bit for bit, those formed from
+        it afresh on every call."""
+
+        def afresh(sweep, control, grid):
+            if control is None:
+                kappa = np.full(grid.n_steps, sweep.base_freq)
+            else:
+                kappa = sweep.base_freq + np.maximum(control.values, -0.9 * sweep.base_freq)
+            r = sweep.radial(np.arange(4 * grid.n_steps + 1) * (0.25 * grid.dt))
+            h = 0.5 * grid.dt
+            half_areas = (h / 6.0) * (r[:-1:2] + 4.0 * r[1::2] + r[2::2])
+            lam = np.concatenate([[0.0], np.cumsum(-2.0 * np.repeat(kappa, 2) * half_areas)])
+            half = 0.5 * sweep.angle_velocity(grid.times)
+            return lam, half * np.exp(1j * lam[::2]), half * np.exp(-1j * lam[::2])
+
+        shot = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=20.0))
+        for control in (None, shot.sample(substream(3, 0), GRID_FAST), None):
+            expected = afresh(FAST, control, GRID_FAST)
+            found = (dynamical_phases(FAST, control, GRID_FAST),
+                     *_kernel_factors(FAST, control, GRID_FAST))
+            assert [a.tobytes() for a in found] == [a.tobytes() for a in expected]
+
     def test_propagator_equal_time_positive(self):
         """g(t, s) = u(t) v(s); at t = s it is real and (thetadot/2)^2."""
         u, v = _kernel_factors(FAST, None, GRID_FAST)

@@ -9,6 +9,7 @@ step-by-step loop it replaced, kept below as a reference, and against that
 loop run in extended precision.
 """
 
+import pickle
 import re
 from pathlib import Path
 
@@ -64,6 +65,18 @@ class TestTimeGrid:
         mids = grid.midpoints
         assert np.all(mids > times[:-1])
         assert np.all(mids < times[1:])
+
+    def test_midpoints_formed_once_per_grid(self):
+        """One read-only array per grid, equal bit for bit to the formula, and
+        kept off the grid, whose pickle does not grow."""
+        grid = TimeGrid(t_max=7.3, n_steps=997)
+        payload = pickle.dumps(grid)
+        mids = grid.midpoints
+        assert TimeGrid(t_max=7.3, n_steps=997).midpoints is mids
+        assert mids.tobytes() == ((np.arange(997) + 0.5) * grid.dt).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            mids[0] = 0.0
+        assert pickle.dumps(grid) == payload
 
     def test_sampling_format(self):
         """on_cells takes n_steps midpoint samples, on_nodes n_steps + 1 node

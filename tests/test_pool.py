@@ -1,0 +1,235 @@
+"""The process pool that ensemble_mean keeps for the life of the process.
+
+One pool serves every pooled run in a process; it is replaced when the
+worker count, the warning printer or the warning filters change, dropped
+when it breaks, and its workers end with their parent however the parent
+ends.  None of this may move a byte of any output.
+"""
+
+import dataclasses
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import active_children
+
+import pytest
+from test_runner import ENSEMBLE_RAW, OVERFLOWING_SHOT, ROOT, raw, run_python
+
+from pulseguard import ensemble
+from pulseguard.ensemble import _BLOCK
+from pulseguard.numerics import NumericOverflowError
+from pulseguard.runner import ExperimentConfig, emit_csv, run_experiment
+
+# two batched blocks and a remainder block of three
+CONFIG_RAW = raw(ENSEMBLE_RAW, n_traj=2 * _BLOCK + 3)
+CONFIG = ExperimentConfig.from_dict(CONFIG_RAW)
+# trajectory 0 draws two arrivals in one cell, whose height overflows, in a
+# pool worker: strength / dt = 1e307
+OVERFLOWING_RAW = raw(OVERFLOWING_SHOT[0][0], **OVERFLOWING_SHOT[0][1],
+                      kind="memory-ensemble", n_traj=_BLOCK + 3, workers=2)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Every process pool started during the test, in order; each records
+    whether it was shut down."""
+    started = []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.max_workers = kwargs["max_workers"]
+            self.was_shut_down = False
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.was_shut_down = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
+    return started
+
+
+def csv_bytes(config, path) -> bytes:
+    emit_csv(run_experiment(config), path)
+    return path.read_bytes()
+
+
+def running(pid: int) -> bool:
+    """Whether process pid runs; a zombie, dead but not yet reaped, does not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def wait_until_gone(pids, seconds: float) -> list:
+    """The pids still running after up to `seconds` of waiting for them to end."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline and any(map(running, pids)):
+        time.sleep(0.05)
+    return [pid for pid in pids if running(pid)]
+
+
+def test_consecutive_pooled_runs_share_one_pool(tmp_path, pools):
+    other = dataclasses.replace(CONFIG, master_seed=7)
+    serial = [csv_bytes(config, tmp_path / f"w1-{i}.csv")
+              for i, config in enumerate((CONFIG, other))]
+    pooled = [csv_bytes(dataclasses.replace(config, workers=2), tmp_path / f"w2-{i}.csv")
+              for i, config in enumerate((CONFIG, other))]
+    assert len(pools) == 1 and not pools[0].was_shut_down
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("change", ["workers", "filters", "printer"])
+def test_a_changed_key_replaces_the_pool(tmp_path, pools, change):
+    serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
+    assert csv_bytes(dataclasses.replace(CONFIG, workers=2), tmp_path / "a.csv") == serial
+    with warnings.catch_warnings():
+        config = dataclasses.replace(CONFIG, workers=2)
+        if change == "workers":
+            config = dataclasses.replace(CONFIG, workers=3)
+        elif change == "filters":
+            warnings.filterwarnings("ignore", message="an unrelated warning")
+        else:
+            warnings.showwarning = lambda *args: None
+        assert csv_bytes(config, tmp_path / "b.csv") == serial
+    assert len(pools) == 2
+    assert pools[0].was_shut_down and not pools[1].was_shut_down
+    assert pools[1].max_workers == (3 if change == "workers" else 2)
+
+
+def test_a_killed_worker_leaves_a_fresh_pool(tmp_path, pools):
+    config = dataclasses.replace(CONFIG, workers=2)
+    serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
+    assert csv_bytes(config, tmp_path / "a.csv") == serial
+    victim = active_children()[0].pid
+    os.kill(victim, signal.SIGKILL)
+    assert wait_until_gone([victim], 10.0) == []
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(config)
+    assert ensemble._pool is None
+    assert csv_bytes(config, tmp_path / "b.csv") == serial
+    assert len(pools) == 2 and pools[0].was_shut_down
+
+
+@pytest.mark.filterwarnings("ignore:shot rate")
+def test_an_overflow_in_a_worker_leaves_the_pool_usable(tmp_path, pools):
+    with pytest.raises(NumericOverflowError, match="trajectory 0: "):
+        run_experiment(ExperimentConfig.from_dict(OVERFLOWING_RAW))
+    config = dataclasses.replace(CONFIG, workers=2)
+    assert csv_bytes(config, tmp_path / "w2.csv") == csv_bytes(CONFIG, tmp_path / "w1.csv")
+    assert len(pools) == 1 and not pools[0].was_shut_down
+
+
+def test_threads_share_the_pool(tmp_path, pools):
+    """Threads that run pooled experiments at once choose, use and keep one
+    pool between them, and each gets the one-process bytes."""
+    serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
+    config = dataclasses.replace(CONFIG, workers=2)
+    results = {}
+
+    def run(i):
+        results[i] = csv_bytes(config, tmp_path / f"thread-{i}.csv")
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: serial for i in range(4)}
+    assert len(pools) == 1
+
+
+def write_config(path, config_raw):
+    path.write_text(json.dumps(config_raw))
+    return path
+
+
+def test_a_forked_child_starts_its_own_pool(tmp_path):
+    # the parent's pool is not the child's to use: a child that used it
+    # would wait for ever on workers that never see its blocks.  Under
+    # forkserver a forked child cannot start a pool at all, so the pools fork
+    code = (
+        "import multiprocessing, os, signal, sys\n"
+        "from pulseguard.runner import load_config, run_experiment\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "config = load_config(sys.argv[1], workers=2)\n"
+        "before = run_experiment(config).data['mean'].tobytes()\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(20)\n"
+        "    os._exit(0 if run_experiment(config).data['mean'].tobytes() == before else 1)\n"
+        "print(os.waitpid(pid, 0)[1])\n"
+    )
+    done = run_python("-c", code, write_config(tmp_path / "config.json", CONFIG_RAW))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n", done.stderr
+
+
+ENDINGS = {
+    "exit": "",
+    "overflow": (
+        "try:\n"
+        "    run_experiment(load_config(sys.argv[2]))\n"
+        "except NumericOverflowError:\n"
+        "    pass\n"
+    ),
+    "sigkill": "time.sleep(120)\n",
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_no_worker_outlives_its_parent(tmp_path, ending):
+    """The workers end with the process that ran a pooled experiment,
+    whether it exits, exits after a worker's overflow, or is killed."""
+    code = (
+        "import multiprocessing, sys, time, warnings\n"
+        "from pulseguard.numerics import NumericOverflowError\n"
+        "from pulseguard.runner import load_config, run_experiment\n"
+        "warnings.simplefilter('ignore')\n"
+        "run_experiment(load_config(sys.argv[1], workers=2))\n"
+        "print(*[child.pid for child in multiprocessing.active_children()], flush=True)\n"
+        + ENDINGS[ending]
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        path for path in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, write_config(tmp_path / "config.json", CONFIG_RAW),
+         write_config(tmp_path / "overflowing.json", OVERFLOWING_RAW)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        if ending == "sigkill":
+            proc.kill()
+        returncode = proc.wait(timeout=60)
+        assert len(pids) == 2, proc.stderr.read()
+        assert returncode == (-signal.SIGKILL if ending == "sigkill" else 0)
+        assert wait_until_gone(pids, 10.0) == []
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)

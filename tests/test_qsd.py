@@ -425,11 +425,8 @@ class TestEnsemble:
             def __init__(self, max_workers, **kwargs):
                 pass
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True):
+                pass
 
             def map(self, fn, *iterables):
                 results = list(map(fn, *iterables))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulseguard import BathSpec, PulseTrainSpec, SignalFamily, SweepSpec, runner
+from pulseguard import BathSpec, PulseTrainSpec, ShotNoiseSpec, SignalFamily, SweepSpec, runner
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
@@ -220,7 +220,18 @@ class TestConfigValidation:
         with pytest.warns(RuntimeWarning, match=r"signal\.rate = 100\.0 .* grid step"):
             ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=COARSE_SHOT))
 
-    def test_shot_noise_at_the_limit_is_silent(self):
+    @pytest.mark.parametrize("path", ["from_dict", "replace"])
+    def test_shot_noise_warning_points_at_the_caller(self, path):
+        # rate * dt = 2.5; a library caller is shown its own line, not the package's
+        config = ExperimentConfig.from_dict(copy.deepcopy(MEMORY_RAW))
+        shot = SignalFamily(kind="shot", shot=ShotNoiseSpec(strength=0.1, rate=500.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if path == "from_dict":
+                ExperimentConfig.from_dict(raw(MEMORY_RAW, signal=dict(COARSE_SHOT, rate=500.0)))
+            else:
+                dataclasses.replace(config, signal=shot)
+        assert [w.filename for w in caught] == [__file__]
         config = load_config(ROOT / "configs" / "fig3.json")
         assert config.signal.shot.rate * config.grid.dt == 0.1
         with warnings.catch_warnings():
@@ -687,11 +698,8 @@ class TestRunExperiment:
             def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True):
+                pass
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
