@@ -232,6 +232,8 @@ class TestConfigValidation:
             else:
                 dataclasses.replace(config, signal=shot)
         assert [w.filename for w in caught] == [__file__]
+
+    def test_shot_noise_at_the_limit_is_silent(self):
         config = load_config(ROOT / "configs" / "fig3.json")
         assert config.signal.shot.rate * config.grid.dt == 0.1
         with warnings.catch_warnings():
