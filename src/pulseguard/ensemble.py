@@ -18,8 +18,11 @@ pooled run starts it, and later runs reuse it while three things stay as
 they were when it started, the worker count, `warnings.showwarning` and
 `warnings.filters`.  When one changes, the old pool is shut down before a
 new one starts, so that no worker is forked while the old pool's threads
-run; a pool that breaks (a worker killed, say) is dropped, and the next
-pooled run starts a fresh one.  At a normal exit `concurrent.futures`
+run.  A pool that broke while idle (a worker killed between runs, say)
+refuses a run's first block at once, before any block reached it, so that
+run drops it and starts on a fresh pool, once; a pool that breaks after a
+block reached it is dropped and the break is raised, and the next pooled
+run starts a fresh one.  At a normal exit `concurrent.futures`
 joins the workers, and a worker whose parent dies exits by itself.  A
 child forked from a process that keeps a pool does not use it: its first
 pooled run starts its own.
@@ -131,6 +134,36 @@ def _kept_pool(workers: int):
     return _pool
 
 
+def _pooled(run: Callable[[range], tuple], blocks: list, workers: int) -> list:
+    """run(ks) for each of blocks, in order, on the kept pool of `workers`.
+
+    A pool that broke while idle refuses the first block at once, before
+    any block reached it, so it is dropped and the run starts on a fresh
+    pool, once.  A break after that drops the pool and is raised.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _pool_lock:
+        try:
+            pool = _kept_pool(workers)
+            try:
+                futures = [pool.submit(run, blocks[0])]
+            except BrokenProcessPool:
+                _drop_pool()
+                pool = _kept_pool(workers)
+                futures = [pool.submit(run, blocks[0])]
+            try:
+                futures += [pool.submit(run, ks) for ks in blocks[1:]]
+                return [future.result() for future in futures]
+            finally:
+                # as Executor.map: a block that failed leaves none queued
+                for future in futures:
+                    future.cancel()
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+
+
 def _run_block(block: Callable[[range], np.ndarray], ks: range) -> tuple[np.ndarray, np.ndarray]:
     """The sum of the rows of the trajectories ks, and the sum of their squared
     deviations from the block mean, each of one trajectory's shape.
@@ -169,17 +202,7 @@ def ensemble_mean(
     # a worker past the number of blocks would sit idle, and a fork start
     # method would still start it
     workers = min(workers, len(blocks))
-    if workers == 1:
-        parts = list(map(run, blocks))
-    else:
-        from concurrent.futures.process import BrokenProcessPool
-
-        with _pool_lock:
-            try:
-                parts = list(_kept_pool(workers).map(run, blocks))
-            except BrokenProcessPool:
-                _drop_pool()
-                raise
+    parts = list(map(run, blocks)) if workers == 1 else _pooled(run, blocks, workers)
     mean = reduce(np.add, [sums for sums, _ in parts]) / n_traj
     if n_traj == 1:
         return mean, np.zeros_like(mean)

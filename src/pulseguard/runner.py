@@ -20,7 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -369,12 +369,24 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@lru_cache(maxsize=8)
+def _body_format(t: bytes, n_columns: int) -> str:
+    """The %-format of a CSV body on the times whose float64 bytes are `t`,
+    each row's time already written and its `n_columns` values left as %.12g."""
+    return "\n".join(["%.12g" % t_k + ",%.12g" * n_columns
+                      for t_k in np.frombuffer(t).tolist()])
+
+
 def emit_csv(table: ResultTable, path) -> None:
     """Write `# metadata` comment lines, a header row, then the data.
 
     Numbers carry 12 significant digits; newlines are LF regardless of
     platform.  No timestamps or environment details enter the file, so a
-    fixed (config, seed) always hashes identically.
+    fixed (config, seed) always hashes identically.  The time column is
+    formatted once per grid: a row template with each t already written is
+    kept for the 8 (times, column count) pairs written most recently, so a
+    later CSV on the same grid formats only its data columns, and its bytes
+    are those of formatting every cell afresh.
     """
     lines = ["# metadata"]
     for key in sorted(table.metadata):
@@ -382,10 +394,12 @@ def emit_csv(table: ResultTable, path) -> None:
     lines.append(",".join(("t",) + table.columns))
     if table.columns and table.n_rows:
         # Python floats through one %-format for the whole body: the bytes of
-        # formatting each numpy scalar with f"{x:.12g}", at a fraction of the cost
-        cols = [table.t] + [table.data[name] for name in table.columns]
-        row_format = ",".join(["%.12g"] * len(cols))
-        body = "\n".join([row_format] * table.n_rows)
+        # formatting each numpy scalar with f"{x:.12g}", at a fraction of the
+        # cost.  The format is keyed on the exact bytes of t, not on a grid,
+        # so a hand-built table gets its own rows; a formatted float holds no
+        # %, so the written times need no escaping
+        body = _body_format(np.asarray(table.t, dtype=float).tobytes(), len(table.columns))
+        cols = [table.data[name] for name in table.columns]
         lines.append(body % tuple(np.column_stack(cols).ravel().tolist()))
     payload = "\n".join(lines) + "\n"
     try:
@@ -420,12 +434,9 @@ def emit_plot(table: ResultTable, path, title: Optional[str] = None) -> None:
     x1, y1 = _PLOT_W - _MARGIN, _MARGIN
     t = np.asarray(table.t, dtype=float)
     span = t[-1] - t[0]
-
-    def x_px(v):
-        return x0 + (v - t[0]) / span * (x1 - x0)
-
-    def y_px(v):
-        return y0 + (v - _Y_LO) / (_Y_HI - _Y_LO) * (y1 - y0)
+    xs = x0 + (t - t[0]) / span * (x1 - x0)
+    # one %-format per polyline, as the body of a CSV
+    points_format = " ".join(["%.2f,%.2f"] * len(t))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_W}" height="{_PLOT_H}" '
@@ -457,9 +468,8 @@ def emit_plot(table: ResultTable, path, title: Optional[str] = None) -> None:
             )
             values = np.clip(values, _Y_LO, _Y_HI)
         color = _PLOT_COLORS[idx % len(_PLOT_COLORS)]
-        points = " ".join(
-            f"{x_px(tv):.2f},{y_px(vv):.2f}" for tv, vv in zip(t, values)
-        )
+        ys = y0 + (values - _Y_LO) / (_Y_HI - _Y_LO) * (y1 - y0)
+        points = points_format % tuple(np.column_stack((xs, ys)).ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>'
         )

@@ -41,10 +41,6 @@ __all__ = [
     "SignalFamily",
     "FAMILY_SPECS",
     "substream",
-    "draw_jittered_pulses",
-    "jittered_height_bound",
-    "logistic_intensities",
-    "sample_shot_noise",
     "sample_family",
     "effective_frequency",
 ]
@@ -175,7 +171,7 @@ class SampledSignal:
         object.__setattr__(self, "values", values)
 
 
-def draw_jittered_pulses(
+def _draw_jittered_pulses(
     spec: PulseTrainSpec,
     jitter: JitterSpec,
     seed: Seed,
@@ -222,8 +218,8 @@ def draw_jittered_pulses(
         n += chunk
 
 
-def jittered_height_bound(spec: PulseTrainSpec, jitter: JitterSpec) -> float:
-    """Upper bound on the heights draw_jittered_pulses can draw.
+def _jittered_height_bound(spec: PulseTrainSpec, jitter: JitterSpec) -> float:
+    """Upper bound on the heights _draw_jittered_pulses can draw.
 
     The largest area over the shortest duration the clamp lets through;
     meaningful only for period_dev < period.  A shortest duration that
@@ -236,7 +232,7 @@ def jittered_height_bound(spec: PulseTrainSpec, jitter: JitterSpec) -> float:
     return (spec.area + jitter.area_dev) / shortest if shortest > 0.0 else np.inf
 
 
-def logistic_intensities(chaos: ChaoticSpec, count: int) -> np.ndarray:
+def _logistic_intensities(chaos: ChaoticSpec, count: int) -> np.ndarray:
     """First `count` iterates L_1..L_count of the logistic map."""
     out = np.empty(count)
     x = chaos.seed_intensity
@@ -246,7 +242,7 @@ def logistic_intensities(chaos: ChaoticSpec, count: int) -> np.ndarray:
     return out
 
 
-def sample_shot_noise(
+def _sample_shot_noise(
     spec: ShotNoiseSpec, seed: Seed, grid: TimeGrid
 ) -> SampledSignal:
     """Poisson impulse train binned on the grid.
@@ -340,7 +336,7 @@ class SignalFamily:
                 f"signal.area = {pulse.area!r} over signal.duration = {pulse.duration!r} "
                 "gives a pulse height beyond the float range"
             )
-        if jitter is not None and not math.isfinite(jittered_height_bound(pulse, jitter)):
+        if jitter is not None and not math.isfinite(_jittered_height_bound(pulse, jitter)):
             raise ValueError(
                 f"signal.area_dev = {jitter.area_dev!r} lets a drawn pulse height, area + "
                 "area_dev over the shortest drawn duration, exceed the float range"
@@ -386,12 +382,12 @@ def _pulse_train(family: SignalFamily, seed: Seed, t_max: float):
     """(end_time, duration, height) arrays of a pulse family's train on [0, t_max]."""
     spec = family.pulse
     if family.kind == "jittered":
-        return draw_jittered_pulses(spec, family.jitter, seed, t_max)
+        return _draw_jittered_pulses(spec, family.jitter, seed, t_max)
     count = math.ceil(t_max / spec.period) + 1
     heights = np.full(count, spec.height)
     if family.kind == "chaotic":
         # pulse n's height times L_n, so seed_intensity = 0 is silent
-        heights *= logistic_intensities(family.chaos, count)
+        heights *= _logistic_intensities(family.chaos, count)
     return np.arange(1, count + 1) * spec.period, np.full(count, spec.duration), heights
 
 
@@ -420,7 +416,7 @@ def _sample_pulses(pulses, grid: TimeGrid) -> SampledSignal:
 
 def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSignal:
     if family.kind == "shot":
-        return sample_shot_noise(family.shot, seed, grid)
+        return _sample_shot_noise(family.shot, seed, grid)
     if family.kind == "none":
         return SampledSignal(grid, np.zeros(grid.n_steps))
     return _sample_pulses(_pulse_train(family, seed, grid.t_max), grid)

@@ -1,9 +1,10 @@
 """The process pool that ensemble_mean keeps for the life of the process.
 
 One pool serves every pooled run in a process; it is replaced when the
-worker count, the warning printer or the warning filters change, dropped
-when it breaks, and its workers end with their parent however the parent
-ends.  None of this may move a byte of any output.
+worker count, the warning printer or the warning filters change, replaced
+by the next run when it broke while idle, dropped when it breaks under a
+run, and its workers end with their parent however the parent ends.  None
+of this may move a byte of any output.
 """
 
 import dataclasses
@@ -17,12 +18,13 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from multiprocessing import active_children
 
 import pytest
 from test_runner import ENSEMBLE_RAW, OVERFLOWING_SHOT, ROOT, raw, run_python
 
-from pulseguard import ensemble
+from pulseguard import ensemble, runner
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError
 from pulseguard.runner import ExperimentConfig, emit_csv, run_experiment
@@ -112,17 +114,43 @@ def test_a_changed_key_replaces_the_pool(tmp_path, pools, change):
 
 
 def test_a_killed_worker_leaves_a_fresh_pool(tmp_path, pools):
+    """A pool that broke while idle is replaced by the next run, which
+    never used it; that run writes the one-process bytes."""
     config = dataclasses.replace(CONFIG, workers=2)
     serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
     assert csv_bytes(config, tmp_path / "a.csv") == serial
-    victim = active_children()[0].pid
-    os.kill(victim, signal.SIGKILL)
-    assert wait_until_gone([victim], 10.0) == []
-    with pytest.raises(BrokenProcessPool):
-        run_experiment(config)
-    assert ensemble._pool is None
+    workers = [child.pid for child in active_children()]
+    assert len(workers) == 2
+    os.kill(workers[0], signal.SIGKILL)
+    # the pool marks itself broken before it ends the surviving worker, so
+    # once both are gone its next submit is refused at once
+    assert wait_until_gone(workers, 10.0) == []
     assert csv_bytes(config, tmp_path / "b.csv") == serial
-    assert len(pools) == 2 and pools[0].was_shut_down
+    assert len(pools) == 2
+    assert pools[0].was_shut_down and not pools[1].was_shut_down
+    assert ensemble._pool is pools[1]
+
+
+def end_worker_at_block(block, ks):
+    """A block that ends its worker when it holds trajectory 0, and otherwise
+    runs `block`."""
+    if ks[0] == 0:
+        os._exit(1)
+    return block(ks)
+
+
+def test_a_worker_that_dies_mid_run_breaks_that_run(tmp_path, pools):
+    """A break after a block reached the pool is raised, and the pool is
+    dropped; the next run starts afresh with the one-process bytes."""
+    config = dataclasses.replace(CONFIG, workers=2)
+    serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
+    with pytest.raises(BrokenProcessPool):
+        ensemble.ensemble_mean(partial(end_worker_at_block, partial(runner._block, config)),
+                               config.n_traj, workers=2)
+    assert ensemble._pool is None
+    assert len(pools) == 1 and pools[0].was_shut_down
+    assert csv_bytes(config, tmp_path / "b.csv") == serial
+    assert len(pools) == 2 and not pools[1].was_shut_down
 
 
 @pytest.mark.filterwarnings("ignore:shot rate")

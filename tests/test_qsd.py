@@ -12,6 +12,7 @@ other.
 """
 
 import dataclasses
+from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
 
@@ -428,10 +429,11 @@ class TestEnsemble:
             def shutdown(self, wait=True):
                 pass
 
-            def map(self, fn, *iterables):
-                results = list(map(fn, *iterables))
-                shipped.extend(results)
-                return results
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                shipped.append(future.result())
+                return future
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         ensemble_mean(self.rows, 67, workers=2)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,21 @@ def legacy_csv(table) -> bytes:
             row = [f"{t:.12g}"] + [f"{c[i]:.12g}" for c in cols]
             lines.append(",".join(row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def legacy_points(t, values) -> str:
+    """emit_plot's polyline points as first written: each point through two
+    closures over numpy scalars and an f-string."""
+    x0, y0, x1, y1 = 50.0, 390.0, 590.0, 50.0
+    span = t[-1] - t[0]
+
+    def x_px(v):
+        return x0 + (v - t[0]) / span * (x1 - x0)
+
+    def y_px(v):
+        return y0 + (v - 0.0) / (1.05 - 0.0) * (y1 - y0)
+
+    return " ".join(f"{x_px(tv):.2f},{y_px(vv):.2f}" for tv, vv in zip(t, values))
 
 
 def _with(base, section, **values):
@@ -703,8 +719,10 @@ class TestRunExperiment:
             def shutdown(self, wait=True):
                 pass
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         config = dataclasses.replace(config, workers=workers)
@@ -836,6 +854,51 @@ class TestCsvFormat:
         emit_csv(table, tmp_path / "special.csv")
         assert (tmp_path / "special.csv").read_bytes() == legacy_csv(table)
 
+    def emitted(self, table, tmp_path) -> bytes:
+        emit_csv(table, tmp_path / "out.csv")
+        return (tmp_path / "out.csv").read_bytes()
+
+    @pytest.mark.parametrize("t", [
+        np.arange(300) * (1e-7 / 3),
+        1e13 + np.arange(300) * 0.37,
+        np.linspace(0.0, 10.0, 301) / 7.0,
+    ], ids=["tiny", "huge", "twelve-digits"])
+    def test_times_in_any_form_keep_the_numpy_scalar_bytes(self, t, tmp_path):
+        values = np.sin(np.arange(len(t)) * 0.1)
+        table = ResultTable(t, {"x": values, "y": values / 3}, {"config": {}})
+        assert self.emitted(table, tmp_path) == legacy_csv(table)
+
+    def test_grids_of_one_length_keep_their_own_times(self, tmp_path):
+        values = np.linspace(0.0, 1.0, 101)
+        for t in (np.linspace(0.0, 1.0, 101), np.linspace(0.0, 2.0, 101)):
+            table = ResultTable(t, {"x": values}, {"config": {}})
+            assert self.emitted(table, tmp_path) == legacy_csv(table)
+
+    def test_one_grid_with_any_column_count(self, tmp_path):
+        t = np.linspace(0.0, 3.0, 257)
+        columns = {name: np.cos(t * k) for k, name in enumerate("abc", start=1)}
+        for count in (1, 2, 3, 1):
+            table = ResultTable(t, dict(list(columns.items())[:count]), {"config": {}})
+            hits = runner._body_format.cache_info().hits
+            assert self.emitted(table, tmp_path) == legacy_csv(table)
+        # the last write reused the first one's template
+        assert runner._body_format.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("names", [("n",), ("f",), ("n", "f")])
+    def test_int_and_float32_columns_keep_the_numpy_scalar_bytes(self, names, tmp_path):
+        t = np.linspace(0.0, 1.0, 64)
+        data = {"n": np.arange(64) * 987654321012345 - 3,
+                "f": (np.arange(64) / 7.0).astype(np.float32)}
+        table = ResultTable(t, {name: data[name] for name in names}, {"config": {}})
+        assert self.emitted(table, tmp_path) == legacy_csv(table)
+
+    def test_templates_are_bounded(self, tmp_path):
+        for n_rows in range(10, 20):
+            table = ResultTable(np.arange(float(n_rows)), {"x": np.ones(n_rows)},
+                                {"config": {}})
+            assert self.emitted(table, tmp_path) == legacy_csv(table)
+        assert runner._body_format.cache_info().currsize <= 8
+
     def test_missing_embedded_config_rejected(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("t,x\n0,1\n")
@@ -902,6 +965,33 @@ class TestSvgPlot:
         emit_plot(table, a)
         emit_plot(table, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def polyline_points(path) -> list:
+        return [el.get("points") for el in ET.parse(path).iter() if el.tag.endswith("polyline")]
+
+    @pytest.mark.filterwarnings("ignore:column")
+    @pytest.mark.parametrize("seed", range(20))
+    def test_points_are_the_per_point_form(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 600))
+        t = np.cumsum(rng.uniform(0.0, 1.0, n) + 1e-6) * 10.0 ** rng.integers(-6, 7)
+        table = ResultTable(t, {"a": rng.uniform(-0.1, 1.2, n), "b": rng.uniform(0.0, 1.0, n)},
+                            {})
+        emit_plot(table, tmp_path / "plot.svg")
+        polylines = self.polyline_points(tmp_path / "plot.svg")
+        assert polylines == [legacy_points(t, np.clip(table.data[name], 0.0, 1.05))
+                             for name in table.columns]
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_preset_points_are_the_per_point_form(self, path, tmp_path):
+        config = load_config(path)
+        table = run_experiment(dataclasses.replace(config, n_traj=min(config.n_traj, 2)))
+        emit_plot(table, tmp_path / "plot.svg")
+        polylines = self.polyline_points(tmp_path / "plot.svg")
+        assert polylines == [legacy_points(table.t, np.asarray(table.data[name]))
+                             for name in table.columns]
 
 
 class TestCli:

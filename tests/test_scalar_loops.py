@@ -26,13 +26,13 @@ from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoi
 from pulseguard.qsd import DEFAULT_STATES, _KERNEL_BOUND, _cell_maps, solve_kernel_riccati
 from pulseguard.signals import (
     _MIN_DUTY,
+    _draw_jittered_pulses,
     _rng,
     ChaoticSpec,
     JitterSpec,
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
-    draw_jittered_pulses,
     effective_frequency,
     substream,
 )
@@ -131,7 +131,7 @@ def extended_born(states, E, bath, grid):
 
 
 def reference_jittered(spec, jitter, seed, t_max):
-    """draw_jittered_pulses with one size-3 draw per pulse."""
+    """_draw_jittered_pulses with one size-3 draw per pulse."""
     rng = _rng(seed)
     ends = []
     durations = []
@@ -351,13 +351,13 @@ class TestJitteredDraw:
     def test_bitwise_equal_to_per_pulse_draws(self, pulse, jitter):
         for seed in range(30):
             stream = substream(11, seed)
-            actual = draw_jittered_pulses(pulse, jitter, stream, GRID.t_max)
+            actual = _draw_jittered_pulses(pulse, jitter, stream, GRID.t_max)
             expected = reference_jittered(pulse, jitter, stream, GRID.t_max)
             for a, e in zip(actual, expected):
                 assert_bitwise(a, e)
 
     def test_multi_chunk_case_outruns_one_chunk(self):
-        counts = [len(draw_jittered_pulses(FIG2_PULSE, WIDE_JITTER, substream(11, seed),
+        counts = [len(_draw_jittered_pulses(FIG2_PULSE, WIDE_JITTER, substream(11, seed),
                                            GRID.t_max)[0])
                   for seed in range(30)]
         assert max(counts) > int(GRID.t_max / FIG2_PULSE.period) + 2
@@ -372,10 +372,10 @@ class TestJitteredDraw:
                 expected = reference_jittered(FIG2_PULSE, jitter, stream, 0.2)
             except ValueError:
                 with pytest.raises(ValueError, match="non-positive pulse periods"):
-                    draw_jittered_pulses(FIG2_PULSE, jitter, stream, 0.2)
+                    _draw_jittered_pulses(FIG2_PULSE, jitter, stream, 0.2)
                 outcomes.add("raised")
             else:
-                for a, e in zip(draw_jittered_pulses(FIG2_PULSE, jitter, stream, 0.2), expected):
+                for a, e in zip(_draw_jittered_pulses(FIG2_PULSE, jitter, stream, 0.2), expected):
                     assert_bitwise(a, e)
                 outcomes.add("drawn")
         assert outcomes == {"raised", "drawn"}

@@ -21,13 +21,13 @@ from pulseguard.signals import (
     SampledSignal,
     ShotNoiseSpec,
     SignalFamily,
+    _draw_jittered_pulses,
+    _jittered_height_bound,
+    _logistic_intensities,
     _pulse_train,
     _sample_pulses,
-    draw_jittered_pulses,
+    _sample_shot_noise,
     effective_frequency,
-    jittered_height_bound,
-    logistic_intensities,
-    sample_shot_noise,
     substream,
 )
 
@@ -251,7 +251,7 @@ class TestJittered:
     def test_area_mean_unbiased(self):
         """Per-pulse area has mean psi when the clamps never engage."""
         jit = JitterSpec(period_dev=0.004, duration_dev=0.004, area_dev=0.18)
-        ends, durations, heights = draw_jittered_pulses(BASE, jit, substream(42, 0), 200.0)
+        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(42, 0), 200.0)
         areas = durations * heights
         three_se = 3.0 * jit.area_dev / np.sqrt(3.0) / np.sqrt(len(areas))
         assert abs(areas.mean() - BASE.area) < three_se
@@ -260,20 +260,20 @@ class TestJittered:
         # full-duty base with duration jitter forces the upper clamp
         spec = PulseTrainSpec(period=0.02, duration=0.02, area=0.2)
         jit = JitterSpec(duration_dev=0.01)
-        ends, durations, heights = draw_jittered_pulses(spec, jit, substream(1, 0), 5.0)
+        ends, durations, heights = _draw_jittered_pulses(spec, jit, substream(1, 0), 5.0)
         periods = np.diff(np.concatenate([[0.0], ends]))
         assert np.all(durations <= periods + 1e-15)
         assert np.all(durations > 0.0)
 
     def test_area_clamped_nonnegative(self):
         jit = JitterSpec(area_dev=0.5)
-        ends, durations, heights = draw_jittered_pulses(BASE, jit, substream(2, 0), 5.0)
+        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(2, 0), 5.0)
         assert np.all(heights >= 0.0)
 
     def test_excessive_period_dev_raises(self):
         jit = JitterSpec(period_dev=0.05)
         with pytest.raises(ValueError, match="period"):
-            draw_jittered_pulses(BASE, jit, substream(3, 0), 5.0)
+            _draw_jittered_pulses(BASE, jit, substream(3, 0), 5.0)
 
     @pytest.mark.parametrize(
         "jit",
@@ -282,17 +282,17 @@ class TestJittered:
          JitterSpec(period_dev=0.019, duration_dev=0.02)],  # upper clamp, short periods
     )
     def test_height_bound_holds(self, jit):
-        ends, durations, heights = draw_jittered_pulses(BASE, jit, substream(4, 0), 20.0)
-        assert heights.max() <= jittered_height_bound(BASE, jit)
+        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(4, 0), 20.0)
+        assert heights.max() <= _jittered_height_bound(BASE, jit)
 
     def test_height_bound_infinite_when_duration_underflows(self):
         spec = PulseTrainSpec(period=1e-300, duration=1e-300, area=1.0)
         jit = JitterSpec(period_dev=np.nextafter(1e-300, 0.0), duration_dev=1e-300)
-        assert jittered_height_bound(spec, jit) == np.inf
+        assert _jittered_height_bound(spec, jit) == np.inf
 
     def test_pulse_edges_follow_period_draws(self):
         jit = JitterSpec(period_dev=0.004)
-        ends, durations, heights = draw_jittered_pulses(BASE, jit, substream(9, 0), 2.0)
+        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(9, 0), 2.0)
         # every end time moves by the running sum of deviations, so gaps
         # between consecutive ends are the individual drawn periods
         gaps = np.diff(np.concatenate([[0.0], ends]))
@@ -302,7 +302,7 @@ class TestJittered:
 
 class TestChaotic:
     def test_first_iterates(self):
-        L = logistic_intensities(ChaoticSpec(logistic_r=3.9, seed_intensity=0.5), 2)
+        L = _logistic_intensities(ChaoticSpec(logistic_r=3.9, seed_intensity=0.5), 2)
         assert L[0] == pytest.approx(0.975)
         assert L[1] == pytest.approx(0.0950625)
 
@@ -315,7 +315,7 @@ class TestChaotic:
         x0=st.floats(min_value=0.01, max_value=0.99),
     )
     def test_iterates_stay_in_unit_interval(self, r, x0):
-        L = logistic_intensities(ChaoticSpec(logistic_r=r, seed_intensity=x0), 200)
+        L = _logistic_intensities(ChaoticSpec(logistic_r=r, seed_intensity=x0), 200)
         assert np.all(L > 0.0)
         assert np.all(L < 1.0)
 
@@ -323,7 +323,7 @@ class TestChaotic:
         grid = TimeGrid(t_max=0.2, n_steps=2000)
         chaos = ChaoticSpec(logistic_r=3.9, seed_intensity=0.5)
         values = chaotic(BASE, chaos, grid)
-        L = logistic_intensities(chaos, 11)
+        L = _logistic_intensities(chaos, 11)
         t = grid.midpoints
         for n in range(1, 6):
             mask = (t > n * BASE.period - BASE.duration) & (t <= n * BASE.period)
@@ -335,7 +335,7 @@ class TestChaotic:
         t = EDGE_GRID.midpoints
         # pulse n ends at n*period, so an on-cell at t belongs to pulse ceil(t/period)
         n = np.ceil(t / EDGE.period).astype(int)
-        L = logistic_intensities(chaos, n.max())
+        L = _logistic_intensities(chaos, n.max())
         np.testing.assert_array_equal(chaotic(EDGE, chaos, EDGE_GRID),
                                       regular(EDGE, EDGE_GRID) * L[n - 1])
 
@@ -348,14 +348,14 @@ class TestChaotic:
 class TestShotNoise:
     def test_zero_rate_silent(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
-        signal = sample_shot_noise(ShotNoiseSpec(strength=1.0, rate=0.0), substream(0, 0), grid)
+        signal = _sample_shot_noise(ShotNoiseSpec(strength=1.0, rate=0.0), substream(0, 0), grid)
         assert np.all(signal.values == 0.0)
 
     def test_same_seed_bitwise(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
         spec = ShotNoiseSpec(strength=1.0, rate=2.0)
-        a = sample_shot_noise(spec, substream(4, 1), grid)
-        b = sample_shot_noise(spec, substream(4, 1), grid)
+        a = _sample_shot_noise(spec, substream(4, 1), grid)
+        b = _sample_shot_noise(spec, substream(4, 1), grid)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_time_average_matches_mean_drive(self):
@@ -364,7 +364,7 @@ class TestShotNoise:
         spec = ShotNoiseSpec(strength=1.0, rate=2.0)
         total, count = 0.0, 0
         for i in range(100):
-            v = sample_shot_noise(spec, substream(99, i), grid).values
+            v = _sample_shot_noise(spec, substream(99, i), grid).values
             total += v.sum()
             count += v.size
         mean = total / count
@@ -389,7 +389,7 @@ class TestShotNoise:
         grid = TimeGrid(t_max=1.0, n_steps=100)
         spec = ShotNoiseSpec(strength=1e306, rate=1000.0)
         with pytest.raises(NumericOverflowError, match=r"signal\.strength = 1e\+306"):
-            sample_shot_noise(spec, substream(0, 0), grid)
+            _sample_shot_noise(spec, substream(0, 0), grid)
 
     def test_poisson_limit_is_numpy_s(self):
         rng = np.random.default_rng(0)
@@ -400,7 +400,7 @@ class TestShotNoise:
     def test_values_quantised_by_strength(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
         spec = ShotNoiseSpec(strength=0.3, rate=50.0)
-        v = sample_shot_noise(spec, substream(8, 0), grid).values
+        v = _sample_shot_noise(spec, substream(8, 0), grid).values
         counts = v * grid.dt / spec.strength
         np.testing.assert_allclose(counts, np.rint(counts), atol=1e-9)
         assert v.max() > 0.0
@@ -419,7 +419,7 @@ class TestFamilyAndFrequency:
         # the drawn train put on the grid pulse by pulse, window by window
         t = self.GRID.midpoints
         expected = np.zeros_like(t)
-        for end, duration, height in zip(*draw_jittered_pulses(BASE, jit, substream(6, 2), 1.0)):
+        for end, duration, height in zip(*_draw_jittered_pulses(BASE, jit, substream(6, 2), 1.0)):
             expected[(t > end - duration) & (t <= end)] = height
         np.testing.assert_array_equal(values, expected)
 
