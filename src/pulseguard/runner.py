@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -369,12 +370,35 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# a body of more numbers than this is always formatted afresh, so a kept
+# template, with its key, holds at most about 1 MB
+_CACHED_CELLS = 1 << 16
+# hashes of the (t bytes, column count) pairs written most recently; a pair
+# gets a template on its second write, so a grid written once costs nothing
+# more.  A hash collision only builds a template early: the bytes are the same
+_written: deque = deque(maxlen=8)
+
+
 @lru_cache(maxsize=8)
 def _body_format(t: bytes, n_columns: int) -> str:
     """The %-format of a CSV body on the times whose float64 bytes are `t`,
     each row's time already written and its `n_columns` values left as %.12g."""
-    return "\n".join(["%.12g" % t_k + ",%.12g" * n_columns
-                      for t_k in np.frombuffer(t).tolist()])
+    times = np.frombuffer(t).tolist()
+    return "\n".join(["%.12g" + ",%%.12g" * n_columns] * len(times)) % tuple(times)
+
+
+def _body(table: ResultTable) -> str:
+    """The CSV body of `table`, from its (t, column count) template from the
+    second write of the pair on, every cell formatted afresh before that."""
+    cols = [table.data[name] for name in table.columns]
+    if table.n_rows * (1 + len(cols)) <= _CACHED_CELLS:
+        key = (np.asarray(table.t, dtype=float).tobytes(), len(cols))
+        if hash(key) in _written:
+            return _body_format(*key) % tuple(np.column_stack(cols).ravel().tolist())
+        _written.append(hash(key))
+    row_format = ",".join(["%.12g"] * (1 + len(cols)))
+    body = "\n".join([row_format] * table.n_rows)
+    return body % tuple(np.column_stack([table.t] + cols).ravel().tolist())
 
 
 def emit_csv(table: ResultTable, path) -> None:
@@ -382,11 +406,13 @@ def emit_csv(table: ResultTable, path) -> None:
 
     Numbers carry 12 significant digits; newlines are LF regardless of
     platform.  No timestamps or environment details enter the file, so a
-    fixed (config, seed) always hashes identically.  The time column is
-    formatted once per grid: a row template with each t already written is
-    kept for the 8 (times, column count) pairs written most recently, so a
-    later CSV on the same grid formats only its data columns, and its bytes
-    are those of formatting every cell afresh.
+    fixed (config, seed) always hashes identically.  A grid written again
+    has its time column formatted once: from the second CSV on the same
+    times and column count, the body comes from a row template with each t
+    already written, so only the data columns are formatted.  Templates
+    are kept for the 8 such pairs used most recently, and only for bodies
+    of at most 65536 numbers, so each holds about 1 MB at most with its
+    key.  The bytes are those of formatting every cell afresh.
     """
     lines = ["# metadata"]
     for key in sorted(table.metadata):
@@ -395,12 +421,10 @@ def emit_csv(table: ResultTable, path) -> None:
     if table.columns and table.n_rows:
         # Python floats through one %-format for the whole body: the bytes of
         # formatting each numpy scalar with f"{x:.12g}", at a fraction of the
-        # cost.  The format is keyed on the exact bytes of t, not on a grid,
+        # cost.  A template is keyed on the exact bytes of t, not on a grid,
         # so a hand-built table gets its own rows; a formatted float holds no
         # %, so the written times need no escaping
-        body = _body_format(np.asarray(table.t, dtype=float).tobytes(), len(table.columns))
-        cols = [table.data[name] for name in table.columns]
-        lines.append(body % tuple(np.column_stack(cols).ravel().tolist()))
+        lines.append(_body(table))
     payload = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="\n") as fh:

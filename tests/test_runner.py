@@ -854,9 +854,19 @@ class TestCsvFormat:
         emit_csv(table, tmp_path / "special.csv")
         assert (tmp_path / "special.csv").read_bytes() == legacy_csv(table)
 
-    def emitted(self, table, tmp_path) -> bytes:
-        emit_csv(table, tmp_path / "out.csv")
-        return (tmp_path / "out.csv").read_bytes()
+    def emitted(self, table, tmp_path) -> set:
+        """The distinct payloads of three writes of `table`: the first
+        formats every cell, the second builds its template, the third reuses it."""
+        payloads = set()
+        for _ in range(3):
+            emit_csv(table, tmp_path / "out.csv")
+            payloads.add((tmp_path / "out.csv").read_bytes())
+        return payloads
+
+    @pytest.fixture()
+    def fresh_templates(self):
+        runner._body_format.cache_clear()
+        runner._written.clear()
 
     @pytest.mark.parametrize("t", [
         np.arange(300) * (1e-7 / 3),
@@ -866,23 +876,29 @@ class TestCsvFormat:
     def test_times_in_any_form_keep_the_numpy_scalar_bytes(self, t, tmp_path):
         values = np.sin(np.arange(len(t)) * 0.1)
         table = ResultTable(t, {"x": values, "y": values / 3}, {"config": {}})
-        assert self.emitted(table, tmp_path) == legacy_csv(table)
+        assert self.emitted(table, tmp_path) == {legacy_csv(table)}
 
     def test_grids_of_one_length_keep_their_own_times(self, tmp_path):
         values = np.linspace(0.0, 1.0, 101)
         for t in (np.linspace(0.0, 1.0, 101), np.linspace(0.0, 2.0, 101)):
             table = ResultTable(t, {"x": values}, {"config": {}})
-            assert self.emitted(table, tmp_path) == legacy_csv(table)
+            assert self.emitted(table, tmp_path) == {legacy_csv(table)}
 
-    def test_one_grid_with_any_column_count(self, tmp_path):
+    def test_a_grid_written_once_builds_no_template(self, fresh_templates, tmp_path):
+        table = ResultTable(np.linspace(0.0, 1.0, 101), {"x": np.ones(101)}, {"config": {}})
+        emit_csv(table, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == legacy_csv(table)
+        assert runner._body_format.cache_info().currsize == 0
+
+    def test_one_grid_with_any_column_count(self, fresh_templates, tmp_path):
         t = np.linspace(0.0, 3.0, 257)
         columns = {name: np.cos(t * k) for k, name in enumerate("abc", start=1)}
         for count in (1, 2, 3, 1):
             table = ResultTable(t, dict(list(columns.items())[:count]), {"config": {}})
-            hits = runner._body_format.cache_info().hits
-            assert self.emitted(table, tmp_path) == legacy_csv(table)
-        # the last write reused the first one's template
-        assert runner._body_format.cache_info().hits == hits + 1
+            assert self.emitted(table, tmp_path) == {legacy_csv(table)}
+        # one template per column count, and the last three writes reused the first one's
+        info = runner._body_format.cache_info()
+        assert (info.misses, info.hits) == (3, 3 + 3)
 
     @pytest.mark.parametrize("names", [("n",), ("f",), ("n", "f")])
     def test_int_and_float32_columns_keep_the_numpy_scalar_bytes(self, names, tmp_path):
@@ -890,14 +906,24 @@ class TestCsvFormat:
         data = {"n": np.arange(64) * 987654321012345 - 3,
                 "f": (np.arange(64) / 7.0).astype(np.float32)}
         table = ResultTable(t, {name: data[name] for name in names}, {"config": {}})
-        assert self.emitted(table, tmp_path) == legacy_csv(table)
+        assert self.emitted(table, tmp_path) == {legacy_csv(table)}
 
-    def test_templates_are_bounded(self, tmp_path):
+    def test_templates_are_bounded(self, fresh_templates, tmp_path):
         for n_rows in range(10, 20):
             table = ResultTable(np.arange(float(n_rows)), {"x": np.ones(n_rows)},
                                 {"config": {}})
-            assert self.emitted(table, tmp_path) == legacy_csv(table)
-        assert runner._body_format.cache_info().currsize <= 8
+            assert self.emitted(table, tmp_path) == {legacy_csv(table)}
+        assert runner._body_format.cache_info().currsize == 8
+        assert len(runner._written) == 8
+
+    def test_a_large_body_builds_no_template(self, fresh_templates, monkeypatch, tmp_path):
+        monkeypatch.setattr(runner, "_CACHED_CELLS", 2 * 100)
+        for n_rows in (100, 101):
+            table = ResultTable(np.linspace(0.0, 1.0, n_rows), {"x": np.ones(n_rows)},
+                                {"config": {}})
+            assert self.emitted(table, tmp_path) == {legacy_csv(table)}
+        # 100 rows of t and x sit at the bound and 101 above it
+        assert runner._body_format.cache_info().misses == 1
 
     def test_missing_embedded_config_rejected(self, tmp_path):
         path = tmp_path / "plain.csv"
