@@ -20,7 +20,6 @@ from .signals import (
     ShotNoiseSpec,
     SignalFamily,
     effective_frequency,
-    sample_family,
     substream,
 )
 from .qsd import (
@@ -28,16 +27,10 @@ from .qsd import (
     FidelityCurve,
     KernelCurve,
     qsd_fidelity,
-    solve_kernel_quadrature,
     solve_kernel_riccati,
 )
 from .me2 import accumulated_phase, me2_fidelity
-from .adiabatic import (
-    Psi0Curve,
-    SweepSpec,
-    solve_psi0,
-    tdse_oracle,
-)
+from .adiabatic import Psi0Curve, SweepSpec, solve_psi0
 from .runner import (
     ConfigError,
     ExperimentConfig,
@@ -63,20 +56,17 @@ __all__ = [
     "ShotNoiseSpec",
     "SignalFamily",
     "effective_frequency",
-    "sample_family",
     "substream",
     "DEFAULT_STATES",
     "FidelityCurve",
     "KernelCurve",
     "qsd_fidelity",
-    "solve_kernel_quadrature",
     "solve_kernel_riccati",
     "accumulated_phase",
     "me2_fidelity",
     "Psi0Curve",
     "SweepSpec",
     "solve_psi0",
-    "tdse_oracle",
     "ConfigError",
     "ExperimentConfig",
     "ResultTable",

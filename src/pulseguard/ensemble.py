@@ -24,8 +24,10 @@ run drops it and starts on a fresh pool, once; a pool that breaks after a
 block reached it is dropped and the break is raised, and the next pooled
 run starts a fresh one.  At a normal exit `concurrent.futures`
 joins the workers, and a worker whose parent dies exits by itself.  A
-child forked from a process that keeps a pool does not use it: its first
-pooled run starts its own.
+child forked from a process that keeps a pool does not use it: under the
+`fork` and `spawn` start methods its first pooled run starts its own, but
+under `forkserver` that run raises `ChildProcessError`, since the child
+inherits a handle on its parent's forkserver process, which it cannot use.
 
 A pool worker prints its warnings with the parent's `warnings.showwarning`
 under any start method, where that printer pickles; otherwise a `spawn` or

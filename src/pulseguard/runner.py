@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -370,13 +369,9 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# a body of more numbers than this is always formatted afresh, so a kept
-# template, with its key, holds at most about 1 MB
+# a body of more numbers than this gets a template built for that write
+# alone, so a kept template, with its key, holds at most about 1 MB
 _CACHED_CELLS = 1 << 16
-# hashes of the (t bytes, column count) pairs written most recently; a pair
-# gets a template on its second write, so a grid written once costs nothing
-# more.  A hash collision only builds a template early: the bytes are the same
-_written: deque = deque(maxlen=8)
 
 
 @lru_cache(maxsize=8)
@@ -387,18 +382,14 @@ def _body_format(t: bytes, n_columns: int) -> str:
     return "\n".join(["%.12g" + ",%%.12g" * n_columns] * len(times)) % tuple(times)
 
 
-def _body(table: ResultTable) -> str:
-    """The CSV body of `table`, from its (t, column count) template from the
-    second write of the pair on, every cell formatted afresh before that."""
-    cols = [table.data[name] for name in table.columns]
-    if table.n_rows * (1 + len(cols)) <= _CACHED_CELLS:
-        key = (np.asarray(table.t, dtype=float).tobytes(), len(cols))
-        if hash(key) in _written:
-            return _body_format(*key) % tuple(np.column_stack(cols).ravel().tolist())
-        _written.append(hash(key))
-    row_format = ",".join(["%.12g"] * (1 + len(cols)))
-    body = "\n".join([row_format] * table.n_rows)
-    return body % tuple(np.column_stack([table.t] + cols).ravel().tolist())
+def _write(path, payload: str, what: str) -> None:
+    """Write `payload` to `path` with LF newlines; an OSError naming `what`
+    and the path if it cannot."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def emit_csv(table: ResultTable, path) -> None:
@@ -406,13 +397,14 @@ def emit_csv(table: ResultTable, path) -> None:
 
     Numbers carry 12 significant digits; newlines are LF regardless of
     platform.  No timestamps or environment details enter the file, so a
-    fixed (config, seed) always hashes identically.  A grid written again
-    has its time column formatted once: from the second CSV on the same
-    times and column count, the body comes from a row template with each t
-    already written, so only the data columns are formatted.  Templates
-    are kept for the 8 such pairs used most recently, and only for bodies
-    of at most 65536 numbers, so each holds about 1 MB at most with its
-    key.  The bytes are those of formatting every cell afresh.
+    fixed (config, seed) always hashes identically.  The body comes from a
+    row template with each t already written, so only the data columns
+    are formatted per call.  The first CSV on a grid and column count
+    builds the template, and later ones on the same pair reuse it.
+    Templates are kept for the 8 pairs used most recently, and only for
+    bodies of at most 65536 numbers, so each holds about 1 MB at most with
+    its key; a larger body builds its own for that write.  The bytes are
+    those of formatting every cell afresh.
     """
     lines = ["# metadata"]
     for key in sorted(table.metadata):
@@ -424,13 +416,12 @@ def emit_csv(table: ResultTable, path) -> None:
         # cost.  A template is keyed on the exact bytes of t, not on a grid,
         # so a hand-built table gets its own rows; a formatted float holds no
         # %, so the written times need no escaping
-        lines.append(_body(table))
-    payload = "\n".join(lines) + "\n"
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write result to {path}: {exc}") from exc
+        cols = [table.data[name] for name in table.columns]
+        kept = table.n_rows * (1 + len(cols)) <= _CACHED_CELLS
+        template = (_body_format if kept else _body_format.__wrapped__)(
+            np.asarray(table.t, dtype=float).tobytes(), len(cols))
+        lines.append(template % tuple(np.column_stack(cols).ravel().tolist()))
+    _write(path, "\n".join(lines) + "\n", "result")
 
 
 def read_embedded_config(path) -> ExperimentConfig:
@@ -502,9 +493,4 @@ def emit_plot(table: ResultTable, path, title: Optional[str] = None) -> None:
             f'font-size="12" fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
-    payload = "\n".join(parts) + "\n"
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write plot to {path}: {exc}") from exc
+    _write(path, "\n".join(parts) + "\n", "plot")

@@ -40,7 +40,6 @@ from pulseguard import (
     ensemble_mean,
     me2_fidelity,
     qsd_fidelity,
-    solve_kernel_quadrature,
     solve_kernel_riccati,
     substream,
 )
@@ -50,6 +49,7 @@ from pulseguard.adiabatic import (
     tdse_components,
     tdse_oracle,
 )
+from pulseguard.qsd import solve_kernel_quadrature
 from pulseguard.runner import ExperimentConfig, _block, emit_csv, load_config, run_experiment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
