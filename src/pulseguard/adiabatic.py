@@ -29,7 +29,7 @@ independent oracle, defect included: there the defect is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -132,12 +132,14 @@ def dynamical_phases(
 class Psi0Curve:
     """Complex amplitude on the target eigenstate along the sweep.
 
-    defect is the adiabaticity defect |int_0^t g psi_0| on the nodes.
+    defect is the adiabaticity defect |int_0^t g psi_0| on the nodes, and
+    magnitudes |psi_0|, formed once for the checks and kept read-only.
     """
 
     grid: TimeGrid
     amplitudes: np.ndarray
     defect: np.ndarray
+    magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         amp = self.grid.on_nodes(self.amplitudes, "amplitudes", complex)
@@ -152,12 +154,10 @@ class Psi0Curve:
                 f"|psi_0| exceeded 1 by more than {_ABS_TOLERANCE:g}; "
                 "refine the grid or check the kernel"
             )
+        mags.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "defect", defect)
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.amplitudes)
+        object.__setattr__(self, "magnitudes", mags)
 
 
 def _kernel_factors(sweep, control, grid):

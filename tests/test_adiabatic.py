@@ -290,6 +290,16 @@ class TestSolvers:
         with pytest.raises(ValueError, match="defect must have shape"):
             Psi0Curve(grid, np.ones(5, dtype=complex), defect=np.zeros(4))
 
+    def test_magnitudes_are_formed_once_and_read_only(self):
+        curve = solve_psi0(FAST, None, GRID_FAST)
+        assert curve.magnitudes is curve.magnitudes
+        assert curve.magnitudes.tobytes() == np.abs(curve.amplitudes).tobytes()
+        assert not curve.magnitudes.flags.writeable
+        # not an argument, and left out of the repr and of comparisons
+        assert "magnitudes" not in repr(curve)
+        with pytest.raises(TypeError):
+            Psi0Curve(curve.grid, curve.amplitudes, curve.defect, curve.magnitudes)
+
 
 class TestDefect:
     def test_frozen_hamiltonian_has_none(self):

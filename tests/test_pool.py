@@ -4,17 +4,21 @@ One pool serves every pooled run in a process; it is replaced when the
 worker count, the warning printer or the warning filters change, replaced
 by the next run when it broke while idle, dropped when it breaks under a
 run, and its workers end with their parent however the parent ends.  None
-of this may move a byte of any output.
+of this may move a byte of any output.  The process keeps its freed heap
+memory as it keeps the pool, so that a repeated run reuses its pages.
 """
 
+import ctypes
 import dataclasses
 import json
 import os
+import platform
 import signal
 import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -261,3 +265,50 @@ def test_no_worker_outlives_its_parent(tmp_path, ending):
         for pid in pids:
             if running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+def _raising(error):
+    def load(name):
+        raise error
+    return load
+
+
+@pytest.mark.parametrize("load", [
+    _raising(TypeError("no C library to load")),  # Windows
+    _raising(OSError("cannot load")),
+    lambda name: object(),  # a C library without mallopt, as macOS's
+], ids=["TypeError", "OSError", "no-mallopt"])
+def test_keeping_freed_memory_is_skipped_without_mallopt(monkeypatch, load):
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    ensemble._keep_freed_memory()
+
+
+def test_keeping_freed_memory_sets_both_thresholds(monkeypatch):
+    calls = []
+    library = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
+    ensemble._keep_freed_memory()
+    # M_MMAP_THRESHOLD to glibc's 64-bit maximum, M_TRIM_THRESHOLD above it
+    assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_a_repeated_sweep_reuses_its_memory(tmp_path):
+    """By its third run, a fig4 ensemble takes its arrays from the freed heap
+    of the runs before it, not from fresh pages."""
+    code = (
+        "import resource, sys\n"
+        "from pulseguard.runner import emit_csv, load_config, run_experiment\n"
+        "config = load_config(sys.argv[1], n_traj=4)\n"
+        "faults = []\n"
+        "for k in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    table = run_experiment(config)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "    emit_csv(table, sys.argv[2])\n"
+        "print(*faults)\n"
+    )
+    done = run_python("-c", code, ROOT / "configs" / "fig4.json", tmp_path / "fig4.csv")
+    assert done.returncode == 0, done.stderr
+    faults = [int(count) for count in done.stdout.split()]
+    assert faults[2] < 100, faults
