@@ -74,8 +74,7 @@ def _cmd_validate(args) -> int:
 
 def _show_warning(message, *_) -> None:
     """Print a warning as its message, as an error is printed, not as the
-    package line that raised it.  Module-level, so that a pool worker can be
-    sent it whatever the start method."""
+    package line that raised it."""
     print(f"warning: {message}", file=sys.stderr)
 
 

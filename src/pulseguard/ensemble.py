@@ -14,26 +14,22 @@ any bit of the result.
 worker per block, or in this process when that is one; the pool module is
 imported only when a pool starts, so a one-process run never loads
 multiprocessing.  The pool is kept for the life of the process: the first
-pooled run starts it, and later runs reuse it while three things stay as
-they were when it started, the worker count, `warnings.showwarning` and
-`warnings.filters`.  When one changes, the old pool is shut down before a
-new one starts, so that no worker is forked while the old pool's threads
-run.  A pool that broke while idle (a worker killed between runs, say)
-refuses a run's first block at once, before any block reached it, so that
-run drops it and starts on a fresh pool, once; a pool that breaks after a
-block reached it is dropped and the break is raised, and the next pooled
-run starts a fresh one.  At a normal exit `concurrent.futures`
-joins the workers, and a worker whose parent dies exits by itself.  A
-child forked from a process that keeps a pool does not use it: under the
-`fork` and `spawn` start methods its first pooled run starts its own, but
-under `forkserver` that run raises `ChildProcessError`, since the child
-inherits a handle on its parent's forkserver process, which it cannot use.
+pooled run starts it, and later runs of its worker count reuse it.  A run of
+another count shuts it down before a new one starts, so that no worker is
+forked while the old pool's threads run.  A pool that broke while idle (a
+worker killed between runs, say) refuses a run's first block at once, before
+any block reached it, so that run drops it and starts on a fresh pool, once;
+a pool that breaks after a block reached it is dropped and the break is
+raised, and the next pooled run starts a fresh one.  At a normal exit
+`concurrent.futures` joins the workers, and a worker whose parent dies exits
+by itself.  A child forked from a process that keeps a pool does not use it:
+under the `fork` and `spawn` start methods its first pooled run starts its
+own, but under `forkserver` that run raises `ChildProcessError`, since the
+child inherits its parent's forkserver handle, which it cannot use.
 
-A pool worker prints its warnings with the parent's `warnings.showwarning`
-under any start method, where that printer pickles; otherwise a `spawn` or
-`forkserver` worker keeps Python's own.  A worker lives as long as the
-pool, so a warning that the `default` action prints once prints once per
-worker for the life of the process, as the one-process path prints it once.
+A pool worker sends its block's warnings back with its sums, and this
+process issues them in block order under its own filters and printer, as a
+one-process run would; a block that raises sends back only its error.
 
 The process keeps its freed memory as it keeps the pool.  On glibc this
 module's import has `mallopt` keep up to 128 MiB of freed heap in the
@@ -50,6 +46,7 @@ process that needs other settings calls `mallopt` itself after the import.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import warnings
 from functools import partial, reduce
@@ -70,17 +67,19 @@ __all__ = ["ensemble_mean"]
 # ~0.25 s under forkserver to a ~70 ms fig3 run of 64 at two workers
 _BLOCK = 32
 
-# the kept pool and the (workers, printer, filters) it was started under;
-# the lock makes choosing, replacing and using it one step per thread
+# the kept pool and its worker count; the lock makes choosing, replacing
+# and using it, and issuing its warnings, one step per thread
 _pool = None
-_pool_key = None
+_pool_workers = None
 _pool_lock = threading.RLock()
+# the pooled warnings that the `default` and `module` actions have shown
+_registry: dict = {}
 
 
 def _forget_pool() -> None:
     """In a forked child the parent's pool is not its own: forget it unused."""
-    global _pool, _pool_key, _pool_lock
-    _pool, _pool_key, _pool_lock = None, None, threading.RLock()
+    global _pool, _pool_workers, _pool_lock
+    _pool, _pool_workers, _pool_lock = None, None, threading.RLock()
 
 
 # a platform without fork (Windows) has nothing to forget
@@ -120,9 +119,9 @@ _keep_freed_memory()
 
 def _drop_pool() -> None:
     """Shut the kept pool down and forget it; the next pooled run starts anew."""
-    global _pool, _pool_key
+    global _pool, _pool_workers
     with _pool_lock:
-        pool, _pool, _pool_key = _pool, None, None
+        pool, _pool, _pool_workers = _pool, None, None
         if pool is not None:
             pool.shutdown()
 
@@ -136,45 +135,39 @@ def _exit_with_parent(sentinel) -> None:
     os._exit(1)
 
 
-def _start_worker(showwarning) -> None:
-    """Start a pool worker: watch its parent, and print warnings with the
-    parent's printer, which only a forked worker inherits; None keeps the
-    worker's own."""
+def _start_worker() -> None:
+    """Start a pool worker: watch its parent."""
     import multiprocessing
 
     # None where a test runs the pool as threads of this process
     parent = multiprocessing.parent_process()
     if parent is not None:
         threading.Thread(target=_exit_with_parent, args=(parent.sentinel,), daemon=True).start()
-    if showwarning is not None:
-        warnings.showwarning = showwarning
 
 
 def _kept_pool(workers: int):
     """The kept pool of `workers` processes, started anew if it is missing or
-    was started under another worker count, printer or warning filters;
-    the caller holds _pool_lock."""
-    global _pool, _pool_key
-    # a forked worker keeps the printer and filters it was forked under,
-    # whether the printer pickles or not, so the key holds both as they are
-    key = (workers, warnings.showwarning, tuple(warnings.filters))
-    if _pool is not None and _pool_key == key:
+    was started with another worker count; the caller holds _pool_lock."""
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers == workers:
         return _pool
     _drop_pool()
-    import pickle
     from concurrent.futures import ProcessPoolExecutor
 
-    # a worker that is not forked is sent the printer by pickle, which
-    # fails for a lambda or a nested function; such a printer stays home
-    showwarning = warnings.showwarning
-    try:
-        pickle.dumps(showwarning)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        showwarning = None
-    _pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                initargs=(showwarning,))
-    _pool_key = key
+    _pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+    _pool_workers = workers
     return _pool
+
+
+def _recorded(run: Callable[[range], tuple], ks: range) -> tuple[tuple, list]:
+    """run(ks) in a pool worker, and the warnings it raised as arguments of
+    warnings.warn_explicit, with the module name that a filter matches."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        part = run(ks)
+    names = {getattr(module, "__file__", None): name for name, module in list(sys.modules.items())}
+    return part, [(w.message, w.category, w.filename, w.lineno, names.get(w.filename))
+                  for w in caught]
 
 
 def _pooled(run: Callable[[range], tuple], blocks: list, workers: int) -> list:
@@ -186,6 +179,7 @@ def _pooled(run: Callable[[range], tuple], blocks: list, workers: int) -> list:
     """
     from concurrent.futures.process import BrokenProcessPool
 
+    run = partial(_recorded, run)
     with _pool_lock:
         try:
             pool = _kept_pool(workers)
@@ -197,7 +191,11 @@ def _pooled(run: Callable[[range], tuple], blocks: list, workers: int) -> list:
                 futures = [pool.submit(run, blocks[0])]
             try:
                 futures += [pool.submit(run, ks) for ks in blocks[1:]]
-                return [future.result() for future in futures]
+                # each block's warnings are issued here as it is collected
+                for future in futures:
+                    for args in future.result()[1]:
+                        warnings.warn_explicit(*args, registry=_registry)
+                return [future.result()[0] for future in futures]
             finally:
                 # as Executor.map: a block that failed leaves none queued
                 for future in futures:
@@ -238,8 +236,9 @@ def ensemble_mean(
     one trajectory's rows; the stderr is the sample standard error (ddof=1)
     and zero for a single trajectory, whose mean is its rows bit for bit.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    for name, value in (("n_traj", n_traj), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     blocks = [range(lo, min(lo + _BLOCK, n_traj)) for lo in range(0, n_traj, _BLOCK)]
     run = partial(_run_block, block)
     # a worker past the number of blocks would sit idle, and a fork start

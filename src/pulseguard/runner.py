@@ -448,6 +448,8 @@ def emit_plot(table: ResultTable, path, title: Optional[str] = None) -> None:
     x0, y0 = _MARGIN, _PLOT_H - _MARGIN
     x1, y1 = _PLOT_W - _MARGIN, _MARGIN
     t = np.asarray(table.t, dtype=float)
+    if len(t) < 2:
+        raise ValueError(f"a plot needs at least 2 rows, got {len(t)}")
     span = t[-1] - t[0]
     xs = x0 + (t - t[0]) / span * (x1 - x0)
     # one %-format per polyline, as the body of a CSV

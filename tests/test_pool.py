@@ -1,11 +1,13 @@
 """The process pool that ensemble_mean keeps for the life of the process.
 
 One pool serves every pooled run in a process; it is replaced when the
-worker count, the warning printer or the warning filters change, replaced
-by the next run when it broke while idle, dropped when it breaks under a
-run, and its workers end with their parent however the parent ends.  None
-of this may move a byte of any output.  The process keeps its freed heap
-memory as it keeps the pool, so that a repeated run reuses its pages.
+worker count changes, replaced by the next run when it broke while idle,
+dropped when it breaks under a run, and its workers end with their parent
+however the parent ends.  A worker sends its block's warnings back to the
+parent, which shows them under its own filters and printer, as a
+one-process run does.  None of this may move a byte of any output.  The
+process keeps its freed heap memory as it keeps the pool, so that a
+repeated run reuses its pages.
 """
 
 import ctypes
@@ -26,7 +28,7 @@ from functools import partial
 from multiprocessing import active_children
 
 import pytest
-from test_runner import ENSEMBLE_RAW, OVERFLOWING_SHOT, ROOT, raw, run_python
+from test_runner import DIPPING_RAW, ENSEMBLE_RAW, OVERFLOWING_SHOT, ROOT, raw, run_python
 
 from pulseguard import ensemble, runner
 from pulseguard.ensemble import _BLOCK
@@ -40,6 +42,9 @@ CONFIG = ExperimentConfig.from_dict(CONFIG_RAW)
 # pool worker: strength / dt = 1e307
 OVERFLOWING_RAW = raw(OVERFLOWING_SHOT[0][0], **OVERFLOWING_SHOT[0][1],
                       kind="memory-ensemble", n_traj=_BLOCK + 3, workers=2)
+# three blocks, the first of which warns that Re int F dipped below zero
+# (trajectories 17 and 27); they stop short of trajectory 66, which diverges
+DIPPING = ExperimentConfig.from_dict(raw(DIPPING_RAW, n_traj=2 * _BLOCK + 2))
 
 
 @pytest.fixture()
@@ -99,22 +104,76 @@ def test_consecutive_pooled_runs_share_one_pool(tmp_path, pools):
     assert pooled == serial
 
 
-@pytest.mark.parametrize("change", ["workers", "filters", "printer"])
-def test_a_changed_key_replaces_the_pool(tmp_path, pools, change):
+def test_a_changed_worker_count_replaces_the_pool(tmp_path, pools):
     serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
     assert csv_bytes(dataclasses.replace(CONFIG, workers=2), tmp_path / "a.csv") == serial
-    with warnings.catch_warnings():
-        config = dataclasses.replace(CONFIG, workers=2)
-        if change == "workers":
-            config = dataclasses.replace(CONFIG, workers=3)
-        elif change == "filters":
-            warnings.filterwarnings("ignore", message="an unrelated warning")
-        else:
-            warnings.showwarning = lambda *args: None
-        assert csv_bytes(config, tmp_path / "b.csv") == serial
+    assert csv_bytes(dataclasses.replace(CONFIG, workers=3), tmp_path / "b.csv") == serial
     assert len(pools) == 2
     assert pools[0].was_shut_down and not pools[1].was_shut_down
-    assert pools[1].max_workers == (3 if change == "workers" else 2)
+    assert pools[1].max_workers == 3
+
+
+@pytest.mark.parametrize("change", ["printer", "ignore", "error"])
+def test_a_changed_filter_or_printer_keeps_the_pool(tmp_path, pools, change):
+    """A new printer or filter applies to the kept pool's warnings, as to a
+    one-process run's: the printer is shown each warning with the file and
+    line a one-process run gives it, and a filter naming the warning's
+    module ignores it, or raises it."""
+    serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
+    assert csv_bytes(dataclasses.replace(CONFIG, workers=2), tmp_path / "a.csv") == serial
+    pooled = dataclasses.replace(DIPPING, workers=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        shown = []
+        warnings.showwarning = lambda message, category, filename, lineno, *_: shown.append(
+            (str(message), category, filename, lineno))
+        if change == "printer":
+            one_process = run_experiment(DIPPING).data["mean"]
+            assert len(shown) == 2
+            expected, shown[:] = shown[:], []
+            assert run_experiment(pooled).data["mean"].tobytes() == one_process.tobytes()
+            assert shown == expected
+        elif change == "ignore":
+            warnings.filterwarnings("ignore", message="Re int F", module=r"pulseguard\.runner")
+            run_experiment(pooled)
+            assert shown == []
+        else:
+            warnings.filterwarnings("error", message="Re int F")
+            with pytest.raises(RuntimeWarning, match="Re int F dipped below zero"):
+                run_experiment(pooled)
+    assert csv_bytes(dataclasses.replace(CONFIG, workers=2), tmp_path / "b.csv") == serial
+    assert len(pools) == 1 and not pools[0].was_shut_down
+
+
+def test_pooled_warnings_print_as_one_process_prints_them(tmp_path):
+    """Under `default`, two runs in one process print the warning once, at
+    the file and line a one-process run prints, whatever the worker count
+    or start method; a forked pool once printed it once per worker that
+    met it."""
+    code = (
+        "import multiprocessing, sys\n"
+        "from pulseguard.runner import load_config, run_experiment\n"
+        "multiprocessing.set_start_method(sys.argv[2])\n"
+        "for _ in range(2):\n"
+        "    run_experiment(load_config(sys.argv[1], workers=int(sys.argv[3])))\n"
+    )
+    config = write_config(tmp_path / "config.json", raw(DIPPING_RAW, n_traj=DIPPING.n_traj))
+    one_process = run_python("-W", "default", "-c", code, config, "fork", 1)
+    assert one_process.returncode == 0, one_process.stderr
+    assert one_process.stderr.count("Re int F dipped below zero") == 1, one_process.stderr
+    for method, workers in [("fork", 2), ("fork", 3), ("spawn", 2), ("spawn", 3)]:
+        done = run_python("-W", "default", "-c", code, config, method, workers)
+        assert (done.returncode, done.stderr) == (0, one_process.stderr), (method, workers)
+
+
+def test_workers_below_one_leave_the_kept_pool(tmp_path, pools):
+    """ensemble_mean refuses a worker count below one before it looks at the
+    kept pool, which once was shut down before the pool start failed."""
+    csv_bytes(dataclasses.replace(CONFIG, workers=2), tmp_path / "w2.csv")
+    pool = ensemble._pool
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        ensemble.ensemble_mean(partial(runner._block, CONFIG), 70, workers=0)
+    assert ensemble._pool is pool and not pool.was_shut_down
 
 
 def test_a_killed_worker_leaves_a_fresh_pool(tmp_path, pools):

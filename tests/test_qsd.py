@@ -438,5 +438,6 @@ class TestEnsemble:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         ensemble_mean(self.rows, 67, workers=2)
         assert len(shipped) == 3
-        for sums, squares in shipped:
+        for (sums, squares), caught in shipped:
             assert sums.shape == squares.shape == (2, 5)
+            assert caught == []

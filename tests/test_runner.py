@@ -995,6 +995,18 @@ class TestSvgPlot:
         with pytest.warns(RuntimeWarning, match="clipped"):
             emit_plot(table, tmp_path / "clip.svg")
 
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_fewer_than_two_rows_raise_naming_the_count(self, tmp_path, n_rows):
+        # one row once drew nan coordinates after a divide-by-zero warning,
+        # and none raised IndexError
+        table = ResultTable(np.arange(n_rows, dtype=float), {"x": np.full(n_rows, 0.5)}, {})
+        path = tmp_path / "plot.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"at least 2 rows, got {n_rows}"):
+                emit_plot(table, path)
+        assert not path.exists()
+
     def test_deterministic_bytes(self, table, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         emit_plot(table, a)
@@ -1200,8 +1212,8 @@ class TestCli:
         # a strong, long-memory bath at omega = 0: shot noise pumps Re int F
         # below zero in trajectories 17 and 27, which the first block, in a
         # pool worker, solves; a worker that is not forked (spawn here, and
-        # forkserver, Python 3.14's default, alike) must still print the
-        # warning with the CLI's handler
+        # forkserver, Python 3.14's default, alike) sends the warning back,
+        # and the CLI's handler prints it
         cfg = self.write(tmp_path, DIPPING_RAW)
         code = ("import multiprocessing, sys\n"
                 "from pulseguard.cli import main\n"
@@ -1215,18 +1227,40 @@ class TestCli:
             assert line.startswith("warning: "), done.stderr
 
     def test_a_printer_that_cannot_pickle_does_not_stop_a_spawned_pool(self, tmp_path):
-        # a library caller's lambda cannot be sent to a spawned worker, which
-        # then prints in Python's own format
+        # a library caller's lambda never leaves the parent, which prints a
+        # spawned worker's warning with it; it once fell back to Python's
+        # own format in the worker
         cfg = self.write(tmp_path, DIPPING_RAW)
         code = ("import multiprocessing, sys, warnings\n"
                 "from pulseguard.runner import load_config, run_experiment\n"
                 "multiprocessing.set_start_method('spawn')\n"
-                "warnings.showwarning = lambda message, *_: print('unsent')\n"
+                "warnings.showwarning = lambda message, *_: print('shown:', message)\n"
                 "print(run_experiment(load_config(sys.argv[1], workers=2)).n_rows)\n")
         done = run_python("-c", code, cfg)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "1001\n"
-        assert "RuntimeWarning: Re int F dipped below zero" in done.stderr
+        assert done.stdout == (
+            "shown: Re int F dipped below zero; fidelity is not guaranteed to stay in [0, 1]\n"
+            "1001\n"
+        )
+        assert done.stderr == ""
+
+    def test_a_pooled_failure_prints_what_one_process_prints(self, tmp_path):
+        # 128 dipping trajectories are four blocks: the first warns, and
+        # trajectory 66, in the third, diverges; the worker's warning comes
+        # before the parent's error, as in one process
+        cfg = self.write(tmp_path, raw(DIPPING_RAW, n_traj=128))
+        errs = []
+        for workers in ("1", "2"):
+            done = run_cli("run", "--config", cfg, "--out", tmp_path / "res.csv",
+                           "--workers", workers)
+            assert done.returncode == 3, done.stderr
+            errs.append(done.stderr)
+        assert errs[1] == errs[0]
+        lines = errs[0].splitlines()
+        assert len(lines) == 2, errs[0]
+        assert lines[0].startswith("warning: Re int F dipped below zero")
+        assert lines[1] == ("numerical failure: memory-ensemble experiment: trajectory 66: "
+                            "memory kernel diverged at t = 6.42")
 
     def test_validate_prints_the_shot_warning_as_its_message(self, tmp_path):
         cfg = self.write(tmp_path, raw(MEMORY_RAW, signal=COARSE_SHOT))
