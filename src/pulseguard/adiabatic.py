@@ -161,10 +161,17 @@ class Psi0Curve:
 
 
 def _kernel_factors(sweep, control, grid):
-    """u(t), v(s) on the nodes, with g(t, s) = u(t) v(s)."""
+    """u(t), v(s) on the nodes, with g(t, s) = u(t) v(s).
+
+    Lambda and thetadot / 2 are real, so v = (thetadot/2) exp(-i Lambda) is
+    the conjugate of u, which costs no second complex exp.  Adding 0 turns
+    the conjugate's -0 imaginary part at Lambda = 0 into the +0 that
+    exp(-i 0) gives, so v keeps every bit of the exp form.
+    """
     lam = dynamical_phases(sweep, control, grid)[::2]
     half = _sweep_geometry(sweep, grid)[1]
-    return half * np.exp(1j * lam), half * np.exp(-1j * lam)
+    u = half * np.exp(1j * lam)
+    return u, np.conj(u) + 0.0
 
 
 def solve_psi0(

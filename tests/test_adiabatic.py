@@ -10,6 +10,7 @@ end-point Hamiltonian.
 
 import dataclasses
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from pulseguard.adiabatic import (
 )
 from pulseguard.ensemble import ensemble_mean
 from pulseguard.numerics import TimeGrid, volterra_solve
-from pulseguard.runner import ExperimentConfig, _block
+from pulseguard.runner import ExperimentConfig, _block, load_config
 from pulseguard.signals import SampledSignal, ShotNoiseSpec, SignalFamily, substream
 from pulseguard.sweep_oracle import (
     build_eigen_frame,
@@ -201,6 +202,20 @@ class TestPhases:
             found = (dynamical_phases(FAST, control, GRID_FAST),
                      *_kernel_factors(FAST, control, GRID_FAST))
             assert [a.tobytes() for a in found] == [a.tobytes() for a in expected]
+
+    @pytest.mark.parametrize("sweep", [None, *range(8)])
+    def test_v_is_the_conjugate_of_u_bit_for_bit_on_fig4(self, sweep):
+        """v is formed as conj(u); on fig4's free sweep and its shot sweeps
+        0-7 it equals (thetadot/2) exp(-i Lambda) bit for bit."""
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "fig4.json")
+        grid = config.grid
+        control = (None if sweep is None
+                   else config.signal.sample(substream(config.master_seed, sweep), grid))
+        lam = dynamical_phases(config.sweep, control, grid)[::2]
+        half = 0.5 * config.sweep.angle_velocity(grid.times)
+        u, v = _kernel_factors(config.sweep, control, grid)
+        assert u.tobytes() == (half * np.exp(1j * lam)).tobytes()
+        assert v.tobytes() == (half * np.exp(-1j * lam)).tobytes()
 
     def test_propagator_equal_time_positive(self):
         """g(t, s) = u(t) v(s); at t = s it is real and (thetadot/2)^2."""

@@ -378,7 +378,8 @@ class TestVolterraScan:
         assert np.max(np.abs(y - ref_y)) <= 1e-14
         assert np.max(np.abs(memory - ref_memory)) <= 1e-14
 
-    # the edges of the doubling rounds: 1 map, powers of two and one past
+    # the edges of the scan's levels: 1 map, powers of two and one past,
+    # odd lengths whose last map goes up unpaired
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 1000, 4097])
     def test_matches_step_loop_on_random_factors(self, n_steps):
         rng = np.random.default_rng(n_steps)
@@ -390,6 +391,35 @@ class TestVolterraScan:
         assert np.max(np.abs(y - ref_y)) <= 1e-13
         assert np.max(np.abs(memory - ref_memory)) <= 1e-13
         assert memory[0] == 0.0
+
+    # u[j] and v[j] enter the steps onto nodes j and j + 1.  j = n changes
+    # only the last step, which at odd n goes up unpaired from level 0; at
+    # n = 12 the last four steps go up unpaired from level 2 (3 maps of 4)
+    @pytest.mark.parametrize("n_steps, j", [
+        (n, j) for n in (5, 12, 17, 4097) for j in sorted({1, n // 2, n - 1, n})
+    ])
+    def test_node_j_sees_no_map_after_it(self, n_steps, j):
+        rng = np.random.default_rng(n_steps + j)
+        grid = TimeGrid(t_max=3.0, n_steps=n_steps)
+        nodes = n_steps + 1
+        u, v = (rng.normal(size=nodes) + 1j * rng.normal(size=nodes) for _ in range(2))
+        y, memory = volterra_solve(u, v, grid, 0.6 - 0.8j)
+        for which in (0, 1):
+            factors = [u.copy(), v.copy()]
+            factors[which][j] = 2.0 * factors[which][j] + (0.5 - 0.25j)
+            y_new, memory_new = volterra_solve(*factors, grid, 0.6 - 0.8j)
+            assert y_new[:j].tobytes() == y[:j].tobytes()
+            assert memory_new[:j].tobytes() == memory[:j].tobytes()
+            assert y_new[j] != y[j]
+
+        u_nan = u.copy()
+        u_nan[j] = np.nan
+        with pytest.raises(NumericOverflowError) as loop:
+            _step_loop_reference(u_nan, v, grid, 0.6 - 0.8j)
+        message = f"Volterra solution exceeded 1e+06 at t = {j * grid.dt:.6g}"
+        assert str(loop.value) == message
+        with pytest.raises(NumericOverflowError, match=re.escape(message) + "$"):
+            volterra_solve(u_nan, v, grid, 0.6 - 0.8j)
 
     @pytest.mark.skipif(
         not np.finfo(np.longdouble).eps < np.finfo(float).eps,
