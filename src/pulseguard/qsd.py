@@ -13,7 +13,10 @@ correlation is exponential, F obeys a closed Riccati equation
 E is constant in each grid cell, where the substitution F = -z'/z makes the
 equation linear and one cell's solution an exact Moebius map of F; the
 production path composes those maps as a scan, so it has no time-step
-error.  An O(n^2) quadrature solver that never forms the Riccati equation
+error.  A pulse train holds E constant over whole stretches of cells, and
+a stretch of L cells has the same closed-form map with dt replaced by
+L dt, so the scan's first pass multiplies one map per stretch, not one per
+cell.  An O(n^2) quadrature solver that never forms the Riccati equation
 is kept alongside as a cross-method oracle.
 
 Given the kernel, the fidelity of an initial state mu|1> + nu|0> follows in
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -117,11 +121,15 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     so the kernel carries no time-step error, only rounding.  The maps
     compose as 2x2 matrices, and the solve is a two-level scan (Blelloch
     1990) over chunks of _CHUNK cells, each pass vectorised over rows and
-    chunks: pass 1 multiplies the maps of each chunk, pass 2 carries F
-    across the chunk ends, and pass 3 applies each chunk's maps one by one
-    from its start value, writing F into the output and checking each
-    cell.  No pass holds a map per cell: the block's distinct levels of E
-    get one map each, in one table that the cells of every row index.
+    chunks.  Pass 1 multiplies each chunk's maps, but one per constant
+    stretch of E rather than one per cell: a stretch of L cells at one
+    level has the cell map with dt replaced by L dt, and a stretch is cut
+    at every chunk start (see _stretch_maps).  Pass 2 carries F across the
+    chunk ends, and pass 3 applies each chunk's cell maps one by one from
+    its start value, writing F into the output and checking each cell.  No
+    pass holds a map per cell: the block's distinct levels of E get one
+    cell map each, and its distinct (level, L) one stretch map each, in two
+    tables that every row indexes.
 
     E holds one drive, shape (n_steps,), or a batch of B drives, shape
     (B, n_steps), and the kernel has the matching shape (n_steps + 1,) or
@@ -135,8 +143,13 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     """
     E = grid.on_cells(E, "E", batched=True)
     n = grid.n_steps
-    maps, cells = _cell_maps(E.reshape(-1, n), bath, grid)
-    values, good = _scan(maps, cells, n)
+    drives = E.reshape(-1, n)
+    maps, cells = _cell_maps(drives, bath, grid)
+    # the products are allocated before the stretch table is built, so that the
+    # table's temporaries leave one free stretch of heap for the scan's output
+    Q = np.empty((4, len(drives), cells.shape[1] - 1), dtype=complex)
+    _chunk_products(Q, *_stretch_maps(drives, cells, bath, grid))
+    values, good = _scan(maps, cells, Q, n)
     chunk = cells.shape[2]
     bad = np.argwhere(good < chunk)
     if len(bad):
@@ -151,12 +164,10 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
 def _cell_maps(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """The cell maps of the (B, n_steps) drives E, as a table and an index.
 
-    Each map is held as I + D, with D = (a - 1, b, c, d - 1) taken from
-    C - 1 = 2 sinh^2(delta dt / 2), so that the identity stays out of the
-    rounding of the O(dt) entries.  The table is (4, U + 1): the D of the
-    U distinct levels of the whole block, then D = 0.  The index is
-    (B, chunks, chunk) int32, each cell's column of the table, padded with
-    the identity up to whole chunks of min(_CHUNK, n_steps) cells.
+    The table is (4, U + 1): the D of the U distinct levels of the whole
+    block (see _span_maps), then D = 0.  The index is (B, chunks, chunk)
+    int32, each cell's column of the table, padded with the identity up to
+    whole chunks of min(_CHUNK, n_steps) cells.
     """
     n = grid.n_steps
     chunk = min(_CHUNK, n)
@@ -173,32 +184,168 @@ def _cell_maps(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple[np.ndarra
     flat[:, :n][starts] = np.diff(inverse, prepend=0)
     np.cumsum(cells, dtype=np.int32, out=cells.reshape(-1))
     flat[:, n:] = len(level)
-    r = 1j * level - bath.cutoff
     maps = np.zeros((4, len(level) + 1), dtype=complex)
-    # an overflow here leaves a non-finite map, and the scan reports its cell
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        delta = np.sqrt(0.25 * r * r - bath.weight)
-        S = np.sinh(grid.dt * delta) / delta
-        S[delta == 0.0] = grid.dt
-        C1 = 2.0 * np.sinh(0.5 * grid.dt * delta) ** 2
-        half = 0.5 * r * S
-        maps[:, :-1] = (C1 - half, S, -bath.weight * S, C1 + half)
-        # a cell far longer than the memory time has entries ~ e^{cutoff dt / 2};
-        # dividing such an I + D by its largest entry leaves F's map unchanged
-        # and keeps every product of _CHUNK maps below 2 * 4**(_CHUNK - 1)
-        eye = np.array([[1.0], [0.0], [0.0], [1.0]])
-        scale = np.abs(maps + eye).max(axis=0)
-        big = scale > 2.0
-        maps[:, big] = (maps[:, big] + eye) / scale[big] - eye
+    _span_maps(level, grid.dt, bath, maps[:, :-1])
     return maps, cells
 
 
-def _scan(maps: np.ndarray, cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _span_maps(level: np.ndarray, span, bath: BathSpec, out: np.ndarray) -> np.ndarray:
+    """Write into `out`, (4, len(level)), the map I + D of each level of E
+    held for `span` (a time, or one time per level), and return each map's
+    largest entry before rescaling.
+
+    D = (a - 1, b, c, d - 1) is taken from C - 1 = 2 sinh^2(delta span / 2),
+    so that the identity stays out of the rounding of the O(span) entries.
+    A map whose largest entry exceeds 2 is divided by it, which leaves F's
+    map unchanged.
+    """
+    # an overflow here leaves a non-finite map, and the scan reports its cell
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the formula in solve_kernel_riccati's order of operations, with rows
+        # 0 and 3 of `out` as scratch, so that few temporaries are alive at
+        # once; numpy multiplies a one-element array in place by another
+        # rule, so no product is written over one of its operands
+        D0, S, D2, D3 = out
+        r = 1j * level - bath.cutoff
+        np.multiply(0.25, r, out=D0)
+        np.multiply(D0, r, out=D3)
+        D3 -= bath.weight
+        delta = np.sqrt(D3, out=D3)
+        np.multiply(span, delta, out=S)
+        np.sinh(S, out=S)
+        S /= delta
+        zero = delta == 0.0
+        S[zero] = np.broadcast_to(span, S.shape)[zero]
+        np.multiply(0.5 * span, delta, out=D0)
+        np.sinh(D0, out=D0)
+        np.square(D0, out=D3)
+        C1 = np.multiply(2.0, D3, out=D0)
+        half = np.multiply(np.multiply(0.5, r, out=D3), S, out=r)
+        np.add(C1, half, out=D3)
+        np.subtract(C1, half, out=D0)
+        np.multiply(-bath.weight, S, out=D2)
+        # a span far longer than the memory time has entries ~ e^{cutoff span / 2};
+        # rescaling keeps every product of _CHUNK maps below 2 * 4**(_CHUNK - 1)
+        scale = np.abs(np.add(D0, 1.0, out=r))
+        size = np.empty_like(scale)
+        for entry in (S, D2, np.add(D3, 1.0, out=r)):
+            np.maximum(scale, np.abs(entry, out=size), out=scale)
+        big = scale > 2.0
+        eye = np.array([[1.0], [0.0], [0.0], [1.0]])
+        out[:, big] = (out[:, big] + eye) / scale[big] - eye
+    return scale
+
+
+def _stretch_maps(
+    E: np.ndarray, cells: np.ndarray, bath: BathSpec, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 1's operands for the (B, n_steps) drives E and their cell index:
+    the maps of the pieces of every chunk but the last, whose product pass 2
+    never reads, as a table, an index and a mask.
+
+    A piece is a constant stretch of E cut at the chunk starts, so no piece
+    crosses a chunk, and its map is the cell map held for L dt, L its
+    cells.  A piece of L > 1 cells whose map is not finite or would need
+    _span_maps' rescaling stays L pieces of one cell, whose maps are the
+    cell maps, so pass 1 multiplies there what it would per cell.  The
+    table is (4, M + 1): one map per distinct (level, L) of the block, then
+    the identity.  The index is (S, B, chunks - 1) int32, each chunk's
+    pieces in order, S the most pieces of a chunk, and the identity where a
+    chunk has fewer; the mask, of the same shape, is true where a slot
+    holds a piece.
+    """
+    rows, chunks, chunk = cells.shape
+    run = (chunks - 1) * chunk  # the cells of a row's chunks but the last
+    first = _piece_starts(E[:, :run], chunk)
+    row = np.repeat(np.arange(rows), chunks - 1)  # each chunk's row
+    # each per-piece array is dropped once used, and the table is formed
+    # last, so that the build never holds more than the scan's output will
+    while True:
+        count = first.reshape(-1, chunk).sum(axis=1)  # each chunk's pieces
+        start = np.flatnonzero(first)
+        del first
+        length = np.diff(start, append=rows * run)
+        group = np.repeat(np.arange(len(count)), count)  # each piece's chunk
+        # one key per (level, L): the level's column of the cell table, and L,
+        # exact in float64, so that np.unique sorts with the kernel it already
+        # runs on the levels (a second sort kernel's code adds ~0.3 MB of RSS)
+        key = cells.reshape(-1).take(start + row.take(group) * chunk) * float(chunk + 1) + length
+        key, slot = np.unique(key, return_inverse=True)
+        # each key's level and L, read from one of its pieces
+        piece = np.empty(len(key), dtype=np.intp)
+        piece[slot] = np.arange(len(slot))
+        del key
+        span = length.take(piece) * grid.dt
+        del length
+        level = E.reshape(-1).take(
+            start.take(piece) + row.take(group.take(piece)) * (E.shape[1] - run)
+        )
+        del piece, start
+        # each chunk's pieces in order, then the identity
+        depth = count.max(initial=1)
+        rank = np.arange(len(group)) - np.repeat(np.cumsum(count) - count, count)
+        index = np.full((depth, len(count)), len(level), dtype=np.int32)
+        index[rank, group] = slot
+        del rank, group, slot
+        active = np.arange(depth)[:, np.newaxis] < count
+        table = np.zeros((4, len(level) + 1), dtype=complex)
+        # a map of more than one cell that is not finite or was rescaled
+        split = ~(_span_maps(level, span, bath, table[:, :-1]) <= 2.0) & (span > grid.dt)
+        if not split.any():
+            break
+        # every cell of a piece that splits starts a piece of its own; the
+        # pieces, in the order of their cells, are the chunks' active slots
+        first = _piece_starts(E[:, :run], chunk)
+        start = np.flatnonzero(first)
+        first |= np.repeat(split.take(index.T[active.T]), np.diff(start, append=rows * run))
+    shape = (depth, rows, chunks - 1)
+    return table, index.reshape(shape), active.reshape(shape)
+
+
+def _piece_starts(body: np.ndarray, chunk: int) -> np.ndarray:
+    """Whether each cell of the (B, cells) drives `body` starts a piece: a
+    new level of E, or a chunk; flat, in the cells' order."""
+    first = np.empty(body.shape, dtype=bool)
+    np.not_equal(body[:, 1:], body[:, :-1], out=first[:, 1:])
+    first[:, ::chunk] = True
+    return first.reshape(-1)
+
+
+def _chunk_products(Q: np.ndarray, table: np.ndarray, index: np.ndarray, active: np.ndarray) -> None:
+    """Pass 1: write into Q, (4, B, chunks - 1), each chunk's product I + Q
+    of the stretch maps that _stretch_maps gives, the later map on the left.
+
+    Slot by slot, a chunk's product takes the slot's map only where the mask
+    holds.  A padding slot holds the identity, and the mask keeps even that
+    out, since I + D + Q + D Q with D = 0 would turn a -0 of Q into +0; so a
+    chunk with fewer pieces than the block's most keeps its product bit for
+    bit, and a row's products do not depend on its batch.
+    """
+    # every index is in range, and "clip" skips take's bounds check
+    table.take(index[0], axis=1, out=Q, mode="clip")
+    D, DQ, term = (np.empty_like(Q) for _ in range(3))
+    # as 2x2 matrices of (B, chunks - 1) arrays, (D Q)[i, j] = D[i, 0] Q[0, j] + D[i, 1] Q[1, j]
+    d, q, dq, t = (a.reshape((2, 2) + Q.shape[1:]) for a in (D, Q, DQ, term))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, len(index)):
+            table.take(index[s], axis=1, out=D, mode="clip")
+            # (I + D)(I + Q) = I + D + Q + D Q
+            np.multiply(d[:, :1], q[:1], out=dq)
+            np.multiply(d[:, 1:], q[1:], out=t)
+            DQ += term
+            np.add(D, Q, out=term)
+            np.add(term, DQ, out=Q, where=active[s])
+
+
+def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The kernels F, shape (B, n + 1), of the cell maps indexed by `cells`,
-    shape (B, chunks, chunk), and how many good cells lead each chunk.
+    shape (B, chunks, chunk), from the chunk products I + Q of pass 1, and
+    how many good cells lead each chunk.
 
     A map I + D takes F to F + (F (D3 - D0 + D1 F) - D2) / (1 + x), with
-    x = D0 - D1 F, and a product (I + D)(I + Q) is I + D + Q + D Q.
+    x = D0 - D1 F.  Pass 2 carries F across the chunk ends through the
+    products, and pass 3 applies each chunk's cell maps one by one from its
+    start, through buffers that every step reuses.
 
     Pass 3 marks cell k bad where Re x <= -1, that is Re(a - b F_k) <= 0,
     or where |F| after it exceeds the kernel bound or is nan.  In the cell,
@@ -223,29 +370,39 @@ def _scan(maps: np.ndarray, cells: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     out[:, 0] = 0.0
     nodes = out[:, 1:].reshape(cells.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # pass 1: each chunk's product of maps, I + Q, the later map on the left
-        Q0, Q1, Q2, Q3 = maps.take(cells[:, :, 0], axis=1)
-        for k in range(1, chunk):
-            D0, D1, D2, D3 = maps.take(cells[:, :, k], axis=1)
-            Q0, Q1, Q2, Q3 = (
-                D0 + Q0 + (D0 * Q0 + D1 * Q2),
-                D1 + Q1 + (D0 * Q1 + D1 * Q3),
-                D2 + Q2 + (D2 * Q0 + D3 * Q2),
-                D3 + Q3 + (D2 * Q1 + D3 * Q3),
-            )
-        Q = np.stack((Q0, Q1, Q2, Q3))
         # pass 2: F at each chunk's start
         F = np.zeros((rows, chunks), dtype=complex)
         for j in range(1, chunks):
             F[:, j] = _advance(Q[:, :, j - 1], F[:, j - 1])[0]
         # pass 3: each chunk's maps one by one from its start
-        ok = np.ones((rows, chunks), dtype=bool)
-        good = np.zeros((rows, chunks), dtype=np.int32)
+        D = np.empty((4, rows, chunks), dtype=complex)
+        D0, D1, D2, D3 = D
+        D1F, x, step, den = (np.empty_like(F) for _ in range(4))
+        size = np.empty(F.shape)
+        ok = np.ones(F.shape, dtype=bool)
+        fine = np.empty_like(ok)
+        good = np.zeros(F.shape, dtype=np.int32)
         for k in range(chunk):
-            F, x = _advance(maps.take(cells[:, :, k], axis=1), F)
+            maps.take(cells[:, :, k], axis=1, out=D, mode="clip")
+            np.multiply(D1, F, out=D1F)
+            np.subtract(D0, D1F, out=x)
+            # F + (F (D3 - D0 + D1 F) - D2) / (1 + x), each product in _advance's
+            # order and none written over its own operand: numpy multiplies an
+            # array of one element in place by another rule
+            np.subtract(D3, D0, out=den)
+            den += D1F
+            np.multiply(F, den, out=step)
+            step -= D2
+            np.add(1.0, x, out=den)
+            step /= den
+            F += step
             nodes[:, :, k] = F
             # a nan compares false, so it is bad
-            ok &= (x.real > -1.0) & (np.abs(F) <= _KERNEL_BOUND)
+            np.greater(x.real, -1.0, out=fine)
+            ok &= fine
+            np.abs(F, out=size)
+            np.less_equal(size, _KERNEL_BOUND, out=fine)
+            ok &= fine
             good += ok
     return out[:, : n + 1], good
 
@@ -318,7 +475,7 @@ def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
     is physically admissible for strongly non-Markovian baths, so it is
     reported as a warning rather than an error.
     """
-    p = np.array(states, dtype=float)
+    population, decay, coherence = _state_coefficients(tuple(states))
     integral = running_trapezoid(kernel.values, kernel.grid.dt)
     re_int = integral.real
     if np.min(re_int) < 0.0:
@@ -329,9 +486,17 @@ def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
         )
     # the written-out formula's evaluation order, so one state reproduces it bit for bit
     values = (
-        np.mean(1.0 - p)
-        - np.mean(p - 2.0 * p * p) * np.exp(-2.0 * re_int)
-        + np.mean(2.0 * (p - p * p)) * (np.exp(-re_int) * np.cos(integral.imag))
+        population
+        - decay * np.exp(-2.0 * re_int)
+        + coherence * (np.exp(-re_int) * np.cos(integral.imag))
     )
     return FidelityCurve(kernel.grid, values)
+
+
+@lru_cache(maxsize=8)
+def _state_coefficients(states: tuple) -> tuple:
+    """The state averages of 1 - p, p - 2 p^2 and 2 (p - p^2), formed once
+    per states tuple, not once per row of a block."""
+    p = np.array(states, dtype=float)
+    return np.mean(1.0 - p), np.mean(p - 2.0 * p * p), np.mean(2.0 * (p - p * p))
 

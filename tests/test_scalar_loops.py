@@ -14,7 +14,10 @@ The Riccati kernel is a scan over exact per-cell Moebius maps, so it has no
 bitwise original.  It is held to the same maps applied one by one in
 extended precision, to 1e-13, and to the classical RK4 loop it replaced, to
 within that loop's own error, estimated by halving its step.  A row's
-kernel is bit for bit the same whatever batch it is solved in.
+kernel is bit for bit the same whatever batch it is solved in.  Pass 1 of
+the scan multiplies one closed-form map per constant stretch of a chunk,
+not one per cell; the stretch drives below put stretches where it cuts,
+merges or splits them, and hold the kernel to the same 1e-13.
 """
 
 import numpy as np
@@ -23,7 +26,14 @@ import pytest
 from pulseguard.bath import BathSpec
 from pulseguard.me2 import accumulated_phase, me2_fidelity
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from pulseguard.qsd import DEFAULT_STATES, _KERNEL_BOUND, _cell_maps, solve_kernel_riccati
+from pulseguard.qsd import (
+    DEFAULT_STATES,
+    _KERNEL_BOUND,
+    _cell_maps,
+    _chunk_products,
+    _stretch_maps,
+    solve_kernel_riccati,
+)
 from pulseguard.signals import (
     _MIN_DUTY,
     _draw_jittered_pulses,
@@ -187,6 +197,44 @@ def drive(name, k=3):
     return splitting(CONTROLS[name], substream(SEEDS.get(name, 11), k)), bath
 
 
+# the grid of GRID's dt whose last chunk is half identity padding
+PADDED = TimeGrid(t_max=1.25, n_steps=1250)
+# memory time 1 / cutoff = 10 cells: a stretch of up to 13 cells merges into
+# one map, one of 14 or more would be rescaled, so it stays single cells
+SHORT_MEMORY_BATH = BathSpec(coupling=1.0, cutoff=100.0)
+
+
+def stretch_drive(name):
+    """A drive, its bath and its grid, with stretches where pass 1 cuts,
+    merges or splits them."""
+    n = GRID.n_steps
+    if name == "free":  # one stretch, cut at every chunk start
+        return np.ones(n), FIG1_BATH, GRID
+    if name == "constant":
+        return np.full(n, 3.7), FIG2_BATH, GRID
+    if name == "across-chunk-starts":  # 40-cell pulses over cells 90..129, 790..829, ...
+        E = np.ones(n)
+        for first in range(90, n - 40, 700):
+            E[first : first + 40] = 21.0
+        return E, FIG1_BATH, GRID
+    if name == "one-cell":  # every cell its own level
+        return np.random.default_rng(5).uniform(0.5, 1.5, n), FIG1_BATH, GRID
+    if name == "padded-last-chunk":
+        E, bath = drive("jittered")
+        return E[: PADDED.n_steps], bath, PADDED
+    if name == "spans-around-the-memory-time":
+        # 5-cell pulses every 37 cells: the pulses merge, and so does a gap
+        # piece that a chunk start cuts below 14 cells; the rest of the
+        # 32-cell gaps stay single cells
+        pulse = PulseTrainSpec(period=0.037, duration=0.005, area=0.2)
+        return splitting(SignalFamily("regular", pulse=pulse)), SHORT_MEMORY_BATH, GRID
+    raise KeyError(name)
+
+
+STRETCH_DRIVES = ("free", "constant", "across-chunk-starts", "one-cell", "padded-last-chunk",
+                  "spans-around-the-memory-time")
+
+
 # E = 0 on FIG1_BATH has a pole of F at t ~ 4.8368; each grid's dt puts the
 # cell that holds it at one edge of a chunk of 100 cells, and names the node
 # after that cell
@@ -204,6 +252,24 @@ class TestRiccatiKernel:
         E, bath = drive(name)
         kernel = solve_kernel_riccati(E, bath, GRID)
         assert np.max(np.abs(kernel.values - extended_kernel(E, bath, GRID))) <= 1e-13
+
+    @pytest.mark.parametrize("name", STRETCH_DRIVES)
+    def test_stretch_maps_match_the_maps_one_by_one(self, name):
+        E, bath, grid = stretch_drive(name)
+        kernel = solve_kernel_riccati(E, bath, grid)
+        assert np.max(np.abs(kernel.values - extended_kernel(E, bath, grid))) <= 1e-13
+
+    def test_a_stretch_merges_unless_its_map_would_be_rescaled(self):
+        E, bath, grid = stretch_drive("spans-around-the-memory-time")
+        _, cells = _cell_maps(E[np.newaxis], bath, grid)
+        table, index, active = _stretch_maps(E[np.newaxis], cells, bath, grid)
+        stretches = 1 + np.count_nonzero(np.diff(cells[0, :-1]), axis=1)
+        pieces = np.count_nonzero(active, axis=0)[0]
+        # every chunk has pulses that merge and gaps that stay single cells
+        assert np.all((stretches < pieces) & (pieces < cells.shape[2]))
+        # a merged map is finite and needs no rescaling, so its I + D has entries up to 2
+        eye = np.array([[1.0], [0.0], [0.0], [1.0]])
+        assert np.all(np.abs(table + eye) <= 2.0)
 
     @pytest.mark.parametrize("name", sorted(CONTROLS))
     def test_within_rk4_error_of_the_rk4_loop(self, name):
@@ -309,6 +375,42 @@ class TestBatchedKernel:
         assert actual.value.row == 2
         assert str(actual.value) == str(expected.value)
         assert str(actual.value).endswith(f"t = {grid.times[node]:.6g}")
+
+    @pytest.mark.parametrize("grid", [GRID, PADDED], ids=["whole-chunks", "padded-last-chunk"])
+    def test_rows_with_different_stretch_counts_are_independent_of_the_batch(self, grid):
+        """A chunk of free decay has 1 piece, of a regular train 10, of fig2's
+        jittered trains about 11 and of fig3's shot noise up to 37; pass 1
+        pads each chunk to the block's most with a masked identity.  The
+        bath has no pole at E = 0, so a row of real maps joins the block."""
+        bath = BathSpec(coupling=0.1, cutoff=0.3)
+        E = np.stack(
+            [np.zeros(GRID.n_steps), splitting(CONTROLS["free"]), splitting(CONTROLS["regular"])]
+            + [drive("jittered", k)[0] for k in range(3)]
+            + [drive("shot", k)[0] for k in range(3)]
+        )[:, : grid.n_steps]
+        full = solve_kernel_riccati(E, bath, grid).values
+        for row, F in zip(E, full):
+            assert solve_kernel_riccati(row, bath, grid).values.tobytes() == F.tobytes()
+        for size in (1, 2, 7):
+            for first in range(0, len(E), size):
+                batch = solve_kernel_riccati(E[first : first + size], bath, grid).values
+                assert batch.tobytes() == full[first : first + size].tobytes()
+
+    def test_a_padded_slot_leaves_a_product_bit_for_bit(self):
+        """Chunk 0 has two pieces and chunk 1 one, so slot 1 pads chunk 1 with
+        the identity, masked: its product keeps the first map's -0 entries,
+        which 0 + (-0) = +0 would not."""
+        first = np.array([complex(-0.0, -0.0), 0.25, complex(0.0, -0.0), 0.1])
+        second = np.array([0.01, 0.02, -0.03, 0.04j])
+        table = np.stack([first, second, np.zeros(4)], axis=1)
+        index = np.array([[[0, 0]], [[1, 2]]], dtype=np.int32)
+        active = np.array([[[True, True]], [[True, False]]])
+        Q = np.empty((4, 1, 2), dtype=complex)
+        _chunk_products(Q, table, index, active)
+        assert Q[:, 0, 1].tobytes() == first.tobytes()
+        # I + Q is the product (I + second)(I + first), the later map on the left
+        product = (np.eye(2) + second.reshape(2, 2)) @ (np.eye(2) + first.reshape(2, 2))
+        np.testing.assert_allclose(Q[:, 0, 0], (product - np.eye(2)).ravel(), rtol=0, atol=1e-16)
 
     def test_one_table_column_per_distinct_level_of_the_block(self):
         grid = TimeGrid(t_max=1.25, n_steps=1250)  # GRID's dt; the last chunk is half padding
