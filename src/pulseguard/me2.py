@@ -33,7 +33,7 @@ import numpy as np
 
 from .bath import BathSpec
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from .qsd import FidelityCurve
+from .qsd import FidelityCurve, _check_states
 
 # cells per chunk of the j(u) scan; the numbers depend on it only by rounding
 _CHUNK = 100
@@ -63,14 +63,15 @@ def me2_fidelity(
 ) -> FidelityCurve:
     """Perturbative fidelity exp{-2 int_0^t Re[K(u)] du} with
     K(u) = int_0^u dt' alpha(t') A(u, u - t'), uniformly averaged over
-    `states`, each its excited probability p; one state is (p,).
+    `states`, each its excited probability p in [0, 1]; one state is (p,),
+    and an empty or out-of-range `states` is a ValueError.
 
     E is the full shifted splitting omega + c(t), sampled at cell midpoints
     (see accumulated_phase).  A state's factor that underflows to 0 or is
     nan marks a bath too strong for the expansion: NumericOverflowError at
     its first node.
     """
-    factors = _born_factors(states, E, bath, grid)
+    factors = _born_factors(_check_states(states), E, bath, grid)
     bad = ~(factors > 0.0).all(axis=0)  # nan compares false
     if bad.any():
         raise NumericOverflowError(f"Born factor exp(-exponent) is not a positive float at t = "

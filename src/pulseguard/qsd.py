@@ -16,8 +16,9 @@ production path composes those maps as a scan, so it has no time-step
 error.  A pulse train holds E constant over whole stretches of cells, and
 a stretch of L cells has the same closed-form map with dt replaced by
 L dt, so the scan's first pass multiplies one map per stretch, not one per
-cell.  An O(n^2) quadrature solver that never forms the Riccati equation
-is kept alongside as a cross-method oracle.
+cell; the maps of cells and of stretches are the columns of one table.
+An O(n^2) quadrature solver that never forms the Riccati equation is kept
+alongside as a cross-method oracle.
 
 Given the kernel, the fidelity of an initial state mu|1> + nu|0> follows in
 closed form from the running integrals of F:
@@ -121,15 +122,14 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     so the kernel carries no time-step error, only rounding.  The maps
     compose as 2x2 matrices, and the solve is a two-level scan (Blelloch
     1990) over chunks of _CHUNK cells, each pass vectorised over rows and
-    chunks.  Pass 1 multiplies each chunk's maps, but one per constant
-    stretch of E rather than one per cell: a stretch of L cells at one
-    level has the cell map with dt replaced by L dt, and a stretch is cut
-    at every chunk start (see _stretch_maps).  Pass 2 carries F across the
-    chunk ends, and pass 3 applies each chunk's cell maps one by one from
-    its start value, writing F into the output and checking each cell.  No
-    pass holds a map per cell: the block's distinct levels of E get one
-    cell map each, and its distinct (level, L) one stretch map each, in two
-    tables that every row indexes.
+    chunks.  Pass 1 multiplies each chunk's maps, but one per piece, a
+    constant stretch of E cut at every chunk start, rather than one per
+    cell: a piece of L cells at one level has the cell map with dt replaced
+    by L dt.  Pass 2 carries F across the chunk ends, and pass 3 applies
+    each chunk's cell maps one by one from its start value, writing F into
+    the output and checking each cell.  No pass holds a map per cell: the
+    block's distinct levels and distinct (level, L) get one map each, in
+    one table that every row indexes (see _map_table).
 
     E holds one drive, shape (n_steps,), or a batch of B drives, shape
     (B, n_steps), and the kernel has the matching shape (n_steps + 1,) or
@@ -144,11 +144,15 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     E = grid.on_cells(E, "E", batched=True)
     n = grid.n_steps
     drives = E.reshape(-1, n)
-    maps, cells = _cell_maps(drives, bath, grid)
-    # the products are allocated before the stretch table is built, so that the
-    # table's temporaries leave one free stretch of heap for the scan's output
-    Q = np.empty((4, len(drives), cells.shape[1] - 1), dtype=complex)
-    _chunk_products(Q, *_stretch_maps(drives, cells, bath, grid))
+    # the products are allocated before the table is built, so that the
+    # build's temporaries leave one free stretch of heap for the scan's output
+    Q = np.empty((4, len(drives), -(-n // min(_CHUNK, n)) - 1), dtype=complex)
+    table, maps, cells, index, active = _map_table(drives, bath, grid)
+    _chunk_products(Q, table, index, active)
+    # pass 3 reads only `maps`, a copy of the cell maps and the identity, so
+    # the table is freed before the scan allocates its output; kept, it added
+    # ~1.3 MB to the peak RSS of a process that solves fig2's blocks of 20
+    del table, index, active
     values, good = _scan(maps, cells, Q, n)
     chunk = cells.shape[2]
     bad = np.argwhere(good < chunk)
@@ -161,32 +165,87 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     return KernelCurve(grid, values.reshape(E.shape[:-1] + (n + 1,)))
 
 
-def _cell_maps(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The cell maps of the (B, n_steps) drives E, as a table and an index.
+def _map_table(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple:
+    """The maps of the (B, n_steps) drives E in one table, pass 3's copy of
+    its first U + 1 columns and its cell index, and pass 1's piece index
+    and mask.
 
-    The table is (4, U + 1): the D of the U distinct levels of the whole
-    block (see _span_maps), then D = 0.  The index is (B, chunks, chunk)
-    int32, each cell's column of the table, padded with the identity up to
-    whole chunks of min(_CHUNK, n_steps) cells.
+    A piece is a constant stretch of E cut at the starts of the chunks of
+    min(_CHUNK, n_steps) cells; a piece of L cells has the cell map held for
+    L dt.  The table is (4, U + 1 + M): the I + D (see _span_maps) of the U
+    distinct levels of the block, the identity, then one map per distinct
+    (level, L) of its pieces of L > 1 cells.  Such a piece whose map is not
+    finite or would need rescaling becomes L pieces of one cell, so pass 1
+    multiplies there the cell maps; its own map stays in the table, unread.
+    The int32 indexes are (B, chunks, chunk), each cell's column, padded
+    with the identity, and (S, B, chunks - 1), the pieces of every chunk
+    but the last, in order, padded with the identity up to S, the most of
+    a chunk; the mask is true where a slot holds a piece.
     """
-    n = grid.n_steps
+    rows, n = E.shape
     chunk = min(_CHUNK, n)
-    # E runs in constant stretches, so one level per stretch is de-duplicated
-    starts = np.empty(E.shape, dtype=bool)
-    starts[:, 0] = True
+    # the cell index and pass 3's maps live through the scan, so each is
+    # allocated before the temporaries that follow, which then leave one
+    # free stretch of heap for the scan's output
+    cells = np.zeros((rows, -(-n // chunk), chunk), dtype=np.int32)
+    # whether each cell starts a piece: a new level of E, or a chunk
+    first = np.zeros(cells.shape, dtype=bool)
+    starts = first.reshape(rows, -1)[:, :n]
     np.not_equal(E[:, 1:], E[:, :-1], out=starts[:, 1:])
-    level, inverse = np.unique(E[starts], return_inverse=True)
-    cells = np.zeros((len(E), -(-n // chunk), chunk), dtype=np.int32)
-    flat = cells.reshape(len(E), -1)
-    # each stretch's first cell holds its column less that of the stretch
-    # before it in the block, every other cell 0, so a running sum over the
-    # block gives every cell its column, in place
-    flat[:, :n][starts] = np.diff(inverse, prepend=0)
+    first[:, :, 0] = True
+    level, column = np.unique(E[starts], return_inverse=True)  # each piece's column
+    identity = len(level)
+    maps = np.empty((4, identity + 1), dtype=complex)
+    flat = cells.reshape(rows, -1)
+    # each piece's first cell holds its column less that of the piece before
+    # it in the block, every other cell 0, so a running sum over the block
+    # gives every cell its column, in place
+    flat[:, :n][starts] = np.diff(column, prepend=0)
     np.cumsum(cells, dtype=np.int32, out=cells.reshape(-1))
-    flat[:, n:] = len(level)
-    maps = np.zeros((4, len(level) + 1), dtype=complex)
-    _span_maps(level, grid.dt, bath, maps[:, :-1])
-    return maps, cells
+    flat[:, n:] = identity
+    # pass 1 reads the pieces of every chunk but the last: their L, column and chunk
+    count = first.sum(axis=2)
+    length = np.diff(np.flatnonzero(first), append=first.size)
+    del first, starts
+    body = np.ones(count.shape, dtype=bool)
+    body[:, -1] = False
+    body = np.repeat(body.reshape(-1), count.reshape(-1))
+    length, column = length[body], column[body]
+    del body
+    count = count[:, :-1].reshape(-1)
+    group = np.repeat(np.arange(len(count)), count)
+    # one key per (level, L) of more than one cell, formed in float64, where it
+    # is exact, so that np.unique sorts with the kernel it already runs on the
+    # levels (a second sort kernel's code adds ~0.3 MB of RSS)
+    long = length > 1
+    key, slot = np.unique(column[long] * float(chunk + 1) + length[long], return_inverse=True)
+    # each key's level and L, read from one of its pieces
+    piece = np.empty(len(key), dtype=np.intp)
+    piece[slot] = np.flatnonzero(long)
+    table = np.zeros((4, identity + 1 + len(piece)), dtype=complex)
+    _span_maps(level, grid.dt, bath, table[:, :identity])
+    span = length.take(piece) * grid.dt
+    # a map of more than one cell that is not finite or was rescaled
+    split = ~(_span_maps(level.take(column.take(piece)), span, bath, table[:, identity + 1 :]) <= 2.0)
+    if split.any():
+        # a piece whose key splits becomes L pieces of one cell, in its place
+        cut = np.zeros(len(length), dtype=bool)
+        cut[long] = split.take(slot)
+        slot = slot[~split.take(slot)]
+        each = np.where(cut, length, 1)
+        column, group, long = (np.repeat(a, each) for a in (column, group, long & ~cut))
+        count = np.bincount(group, minlength=len(count))
+    column[long] = identity + 1 + slot
+    del length, long, slot
+    maps[...] = table[:, : identity + 1]
+    # each chunk's pieces in order, then the identity
+    depth = count.max(initial=1)
+    rank = np.arange(len(group)) - np.repeat(np.cumsum(count) - count, count)
+    index = np.full((depth, len(count)), identity, dtype=np.int32)
+    index[rank, group] = column
+    active = np.arange(depth)[:, np.newaxis] < count
+    shape = (depth, rows, len(count) // rows)
+    return table, maps, cells, index.reshape(shape), active.reshape(shape)
 
 
 def _span_maps(level: np.ndarray, span, bath: BathSpec, out: np.ndarray) -> np.ndarray:
@@ -236,84 +295,9 @@ def _span_maps(level: np.ndarray, span, bath: BathSpec, out: np.ndarray) -> np.n
     return scale
 
 
-def _stretch_maps(
-    E: np.ndarray, cells: np.ndarray, bath: BathSpec, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pass 1's operands for the (B, n_steps) drives E and their cell index:
-    the maps of the pieces of every chunk but the last, whose product pass 2
-    never reads, as a table, an index and a mask.
-
-    A piece is a constant stretch of E cut at the chunk starts, so no piece
-    crosses a chunk, and its map is the cell map held for L dt, L its
-    cells.  A piece of L > 1 cells whose map is not finite or would need
-    _span_maps' rescaling stays L pieces of one cell, whose maps are the
-    cell maps, so pass 1 multiplies there what it would per cell.  The
-    table is (4, M + 1): one map per distinct (level, L) of the block, then
-    the identity.  The index is (S, B, chunks - 1) int32, each chunk's
-    pieces in order, S the most pieces of a chunk, and the identity where a
-    chunk has fewer; the mask, of the same shape, is true where a slot
-    holds a piece.
-    """
-    rows, chunks, chunk = cells.shape
-    run = (chunks - 1) * chunk  # the cells of a row's chunks but the last
-    first = _piece_starts(E[:, :run], chunk)
-    row = np.repeat(np.arange(rows), chunks - 1)  # each chunk's row
-    # each per-piece array is dropped once used, and the table is formed
-    # last, so that the build never holds more than the scan's output will
-    while True:
-        count = first.reshape(-1, chunk).sum(axis=1)  # each chunk's pieces
-        start = np.flatnonzero(first)
-        del first
-        length = np.diff(start, append=rows * run)
-        group = np.repeat(np.arange(len(count)), count)  # each piece's chunk
-        # one key per (level, L): the level's column of the cell table, and L,
-        # exact in float64, so that np.unique sorts with the kernel it already
-        # runs on the levels (a second sort kernel's code adds ~0.3 MB of RSS)
-        key = cells.reshape(-1).take(start + row.take(group) * chunk) * float(chunk + 1) + length
-        key, slot = np.unique(key, return_inverse=True)
-        # each key's level and L, read from one of its pieces
-        piece = np.empty(len(key), dtype=np.intp)
-        piece[slot] = np.arange(len(slot))
-        del key
-        span = length.take(piece) * grid.dt
-        del length
-        level = E.reshape(-1).take(
-            start.take(piece) + row.take(group.take(piece)) * (E.shape[1] - run)
-        )
-        del piece, start
-        # each chunk's pieces in order, then the identity
-        depth = count.max(initial=1)
-        rank = np.arange(len(group)) - np.repeat(np.cumsum(count) - count, count)
-        index = np.full((depth, len(count)), len(level), dtype=np.int32)
-        index[rank, group] = slot
-        del rank, group, slot
-        active = np.arange(depth)[:, np.newaxis] < count
-        table = np.zeros((4, len(level) + 1), dtype=complex)
-        # a map of more than one cell that is not finite or was rescaled
-        split = ~(_span_maps(level, span, bath, table[:, :-1]) <= 2.0) & (span > grid.dt)
-        if not split.any():
-            break
-        # every cell of a piece that splits starts a piece of its own; the
-        # pieces, in the order of their cells, are the chunks' active slots
-        first = _piece_starts(E[:, :run], chunk)
-        start = np.flatnonzero(first)
-        first |= np.repeat(split.take(index.T[active.T]), np.diff(start, append=rows * run))
-    shape = (depth, rows, chunks - 1)
-    return table, index.reshape(shape), active.reshape(shape)
-
-
-def _piece_starts(body: np.ndarray, chunk: int) -> np.ndarray:
-    """Whether each cell of the (B, cells) drives `body` starts a piece: a
-    new level of E, or a chunk; flat, in the cells' order."""
-    first = np.empty(body.shape, dtype=bool)
-    np.not_equal(body[:, 1:], body[:, :-1], out=first[:, 1:])
-    first[:, ::chunk] = True
-    return first.reshape(-1)
-
-
 def _chunk_products(Q: np.ndarray, table: np.ndarray, index: np.ndarray, active: np.ndarray) -> None:
     """Pass 1: write into Q, (4, B, chunks - 1), each chunk's product I + Q
-    of the stretch maps that _stretch_maps gives, the later map on the left.
+    of the piece maps that _map_table indexes, the later map on the left.
 
     Slot by slot, a chunk's product takes the slot's map only where the mask
     holds.  A padding slot holds the identity, and the mask keeps even that
@@ -342,10 +326,9 @@ def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[n
     shape (B, chunks, chunk), from the chunk products I + Q of pass 1, and
     how many good cells lead each chunk.
 
-    A map I + D takes F to F + (F (D3 - D0 + D1 F) - D2) / (1 + x), with
-    x = D0 - D1 F.  Pass 2 carries F across the chunk ends through the
-    products, and pass 3 applies each chunk's cell maps one by one from its
-    start, through buffers that every step reuses.
+    Pass 2 carries F across the chunk ends through the products, and pass 3
+    applies each chunk's cell maps one by one from its start, both by _step,
+    through buffers that every step reuses.
 
     Pass 3 marks cell k bad where Re x <= -1, that is Re(a - b F_k) <= 0,
     or where |F| after it exceeds the kernel bound or is nan.  In the cell,
@@ -372,30 +355,23 @@ def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # pass 2: F at each chunk's start
         F = np.zeros((rows, chunks), dtype=complex)
+        # F runs on in a buffer of its own: numpy cannot rule out that two
+        # columns of F overlap, so a step from one into the next is slower
+        start, *work = np.zeros((5, rows), dtype=complex)
         for j in range(1, chunks):
-            F[:, j] = _advance(Q[:, :, j - 1], F[:, j - 1])[0]
+            _step(Q[:, :, j - 1], start, work, start)
+            F[:, j] = start
         # pass 3: each chunk's maps one by one from its start
         D = np.empty((4, rows, chunks), dtype=complex)
-        D0, D1, D2, D3 = D
-        D1F, x, step, den = (np.empty_like(F) for _ in range(4))
+        entries = list(D)  # unpacked once, not at every step
+        work = [np.empty_like(F) for _ in range(4)]
         size = np.empty(F.shape)
         ok = np.ones(F.shape, dtype=bool)
         fine = np.empty_like(ok)
         good = np.zeros(F.shape, dtype=np.int32)
         for k in range(chunk):
             maps.take(cells[:, :, k], axis=1, out=D, mode="clip")
-            np.multiply(D1, F, out=D1F)
-            np.subtract(D0, D1F, out=x)
-            # F + (F (D3 - D0 + D1 F) - D2) / (1 + x), each product in _advance's
-            # order and none written over its own operand: numpy multiplies an
-            # array of one element in place by another rule
-            np.subtract(D3, D0, out=den)
-            den += D1F
-            np.multiply(F, den, out=step)
-            step -= D2
-            np.add(1.0, x, out=den)
-            step /= den
-            F += step
+            x = _step(entries, F, work, F)
             nodes[:, :, k] = F
             # a nan compares false, so it is bad
             np.greater(x.real, -1.0, out=fine)
@@ -407,13 +383,24 @@ def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[n
     return out[:, : n + 1], good
 
 
-def _advance(D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F after the maps I + D, D = (D0, D1, D2, D3) stacked on the first
-    axis, and x = D0 - D1 F, so that 1 + x is the maps' a - b F."""
+def _step(D: Sequence, F: np.ndarray, work: Sequence, out: np.ndarray) -> np.ndarray:
+    """Write F + (F (D3 - D0 + D1 F) - D2) / (1 + x), F after the maps I + D,
+    into `out` through the four buffers `work`, and return x = D0 - D1 F,
+    so that 1 + x is the maps' a - b F.  No buffer but `out` is written
+    over its own operand: on an array of one element, numpy rounds such a
+    product by another rule, and runs any such operation slowly."""
     D0, D1, D2, D3 = D
-    D1F = D1 * F
-    x = D0 - D1F
-    return F + (F * (D3 - D0 + D1F) - D2) / (1.0 + x), x
+    D1F, x, u, v = work
+    np.multiply(D1, F, out=D1F)
+    np.subtract(D0, D1F, out=x)
+    np.subtract(D3, D0, out=u)
+    np.add(u, D1F, out=v)
+    np.multiply(F, v, out=u)
+    np.subtract(u, D2, out=v)
+    np.add(1.0, x, out=u)
+    np.divide(v, u, out=D1F)
+    np.add(F, D1F, out=out)
+    return x
 
 
 def solve_kernel_quadrature(
@@ -469,10 +456,11 @@ def solve_kernel_quadrature(
 def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
     """Closed-form noise-averaged fidelity, uniformly averaged over `states`.
 
-    Each state is its excited probability p; one state is (p,).  The curve
-    costs one evaluation whatever the number of states.  Bounded inside
-    [0, 1] whenever Re int F >= 0; a transiently negative running integral
-    is physically admissible for strongly non-Markovian baths, so it is
+    Each state is its excited probability p in [0, 1]; one state is (p,),
+    and an empty or out-of-range `states` is a ValueError.  The curve costs
+    one evaluation whatever the number of states.  Bounded inside [0, 1]
+    whenever Re int F >= 0; a transiently negative running integral is
+    physically admissible for strongly non-Markovian baths, so it is
     reported as a warning rather than an error.
     """
     population, decay, coherence = _state_coefficients(tuple(states))
@@ -496,7 +484,17 @@ def qsd_fidelity(states: Sequence[float], kernel: KernelCurve) -> FidelityCurve:
 @lru_cache(maxsize=8)
 def _state_coefficients(states: tuple) -> tuple:
     """The state averages of 1 - p, p - 2 p^2 and 2 (p - p^2), formed once
-    per states tuple, not once per row of a block."""
-    p = np.array(states, dtype=float)
+    per states tuple, not once per row of a block, and so checked once."""
+    p = np.array(_check_states(states), dtype=float)
     return np.mean(1.0 - p), np.mean(p - 2.0 * p * p), np.mean(2.0 * (p - p * p))
 
+
+def _check_states(states: Sequence[float]) -> tuple:
+    """`states` as a tuple; a ValueError if it is empty or a p is outside [0, 1]."""
+    states = tuple(states)
+    if not states:
+        raise ValueError("states must be non-empty")
+    for i, p in enumerate(states):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"states[{i}] must be an excited probability in [0, 1], got {p!r}")
+    return states

@@ -32,7 +32,7 @@ from .bath import BathSpec
 from .ensemble import ensemble_mean
 from .me2 import me2_fidelity
 from .numerics import NumericOverflowError, TimeGrid
-from .qsd import DEFAULT_STATES, KernelCurve, qsd_fidelity, solve_kernel_riccati
+from .qsd import DEFAULT_STATES, KernelCurve, _check_states, qsd_fidelity, solve_kernel_riccati
 from .signals import FAMILY_SPECS, SignalFamily, effective_frequency, substream
 
 __all__ = [
@@ -194,15 +194,10 @@ class ExperimentConfig:
                     f"{self.sweep.passage_time!r}; the sweep ends at s = 1"
                 )
             return
-        states = tuple(self.states)
-        if not states:
-            raise ConfigError("states must be non-empty")
-        for i, p in enumerate(states):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(
-                    f"states[{i}] must be an excited probability in [0, 1], got {p!r}"
-                )
-        object.__setattr__(self, "states", states)
+        try:
+            object.__setattr__(self, "states", _check_states(self.states))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -443,7 +438,8 @@ def emit_plot(table: ResultTable, path, title: Optional[str] = None) -> None:
     """Minimal deterministic SVG line plot of every column against t.
 
     Cosmetic only.  The y window is fixed to [0, 1.05]; values outside it
-    are clipped to the frame and reported with a warning.
+    are clipped to the frame and reported with a warning.  The title and
+    the column names are written as escaped text.
     """
     x0, y0 = _MARGIN, _PLOT_H - _MARGIN
     x1, y1 = _PLOT_W - _MARGIN, _MARGIN
@@ -464,7 +460,7 @@ def emit_plot(table: ResultTable, path, title: Optional[str] = None) -> None:
     if title:
         parts.append(
             f'<text x="{(x0 + x1) / 2:.1f}" y="{y1 - 10}" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{_svg_text(title)}</text>'
         )
     parts += [
         f'<text x="{(x0 + x1) / 2:.1f}" y="{_PLOT_H - 12}" text-anchor="middle" '
@@ -492,7 +488,12 @@ def emit_plot(table: ResultTable, path, title: Optional[str] = None) -> None:
         )
         parts.append(
             f'<text x="{x1 - 6}" y="{y1 + 16 + 16 * idx}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{name}</text>'
+            f'font-size="12" fill="{color}">{_svg_text(name)}</text>'
         )
     parts.append("</svg>")
     _write(path, "\n".join(parts) + "\n", "plot")
+
+
+def _svg_text(text: str) -> str:
+    """`text` as SVG character data: &, < and > escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

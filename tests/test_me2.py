@@ -241,6 +241,19 @@ class TestStateAverage:
         np.testing.assert_allclose(averaged, np.mean(curves, axis=0), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("states, message", [
+    ([], "states must be non-empty"),
+    ([1.5], "states[0] must be an excited probability in [0, 1], got 1.5"),
+    ([0.5, -0.1], "states[1] must be an excited probability in [0, 1], got -0.1"),
+])
+def test_me2_fidelity_checks_its_states(states, message):
+    """An empty list once warned "Mean of empty slice", and p = 1.5 gave a fidelity."""
+    grid = TimeGrid(t_max=1.0, n_steps=100)
+    with pytest.raises(ValueError) as raised:
+        me2_fidelity(states, np.ones(grid.n_steps), BATH, grid)
+    assert str(raised.value) == message
+
+
 def decayed_loop(b, decay):
     """j_0 = 0, j_{k+1} = decay j_k + b_k, cell by cell in np.clongdouble."""
     j = np.zeros(len(b) + 1, dtype=np.clongdouble)

@@ -81,6 +81,30 @@ class TestInitialState:
             with pytest.raises(ConfigError, match=r"^states\[0\] must be an excited probability"):
                 dataclasses.replace(config, states=(1.5,))
 
+    # each states list outside the rule and the message that names it
+    BAD_STATES = [
+        ([], "states must be non-empty"),
+        ([1.5], "states[0] must be an excited probability in [0, 1], got 1.5"),
+        ([0.5, -0.1], "states[1] must be an excited probability in [0, 1], got -0.1"),
+        ([float("nan")], "states[0] must be an excited probability in [0, 1], got nan"),
+    ]
+
+    @pytest.mark.parametrize("states, message", BAD_STATES)
+    def test_fidelity_checks_its_states(self, states, message):
+        """The public solver applies the config's rule; an empty list once
+        warned "Mean of empty slice", and p = 1.5 gave a fidelity."""
+        kernel = solve_kernel_riccati(free_splitting(GRID), BATH, GRID)
+        with pytest.raises(ValueError) as raised:
+            qsd_fidelity(states, kernel)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("states, message", BAD_STATES)
+    def test_config_messages_for_states(self, states, message):
+        with pytest.raises(ConfigError) as raised:
+            ExperimentConfig(kind="memory-qsd", grid=GRID, signal=SignalFamily(kind="none"),
+                             bath=BATH, states=states)
+        assert str(raised.value) == message
+
     def test_default_grid(self):
         assert DEFAULT_STATES == tuple(np.arange(1, 10) / 10.0)
         assert all(type(p) is float for p in DEFAULT_STATES)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+import xml.dom.minidom
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -988,6 +989,15 @@ class TestSvgPlot:
             if el.tag.endswith("text")
         ]
         assert "survival curves" in texts
+
+    def test_title_and_column_names_are_escaped(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 5)
+        table = ResultTable(t, {"F < 1 & more": np.full(5, 0.5), "b>a": np.full(5, 0.25)}, {})
+        path = tmp_path / "plot.svg"
+        emit_plot(table, path, title="F < 1 & more")
+        texts = [node.firstChild.data
+                 for node in xml.dom.minidom.parse(str(path)).getElementsByTagName("text")]
+        assert texts.count("F < 1 & more") == 2 and "b>a" in texts
 
     def test_out_of_window_values_warn_and_clip(self, tmp_path):
         t = np.array([0.0, 1.0, 2.0])

@@ -29,9 +29,8 @@ from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoi
 from pulseguard.qsd import (
     DEFAULT_STATES,
     _KERNEL_BOUND,
-    _cell_maps,
     _chunk_products,
-    _stretch_maps,
+    _map_table,
     solve_kernel_riccati,
 )
 from pulseguard.signals import (
@@ -261,15 +260,15 @@ class TestRiccatiKernel:
 
     def test_a_stretch_merges_unless_its_map_would_be_rescaled(self):
         E, bath, grid = stretch_drive("spans-around-the-memory-time")
-        _, cells = _cell_maps(E[np.newaxis], bath, grid)
-        table, index, active = _stretch_maps(E[np.newaxis], cells, bath, grid)
+        table, _, cells, index, active = _map_table(E[np.newaxis], bath, grid)
         stretches = 1 + np.count_nonzero(np.diff(cells[0, :-1]), axis=1)
         pieces = np.count_nonzero(active, axis=0)[0]
         # every chunk has pulses that merge and gaps that stay single cells
         assert np.all((stretches < pieces) & (pieces < cells.shape[2]))
-        # a merged map is finite and needs no rescaling, so its I + D has entries up to 2
+        # a map that pass 1 reads is finite and needs no rescaling, so its I + D
+        # has entries up to 2; the table also keeps the maps of the keys that split
         eye = np.array([[1.0], [0.0], [0.0], [1.0]])
-        assert np.all(np.abs(table + eye) <= 2.0)
+        assert np.all(np.abs(table[:, index[active]] + eye) <= 2.0)
 
     @pytest.mark.parametrize("name", sorted(CONTROLS))
     def test_within_rk4_error_of_the_rk4_loop(self, name):
@@ -396,6 +395,28 @@ class TestBatchedKernel:
                 batch = solve_kernel_riccati(E[first : first + size], bath, grid).values
                 assert batch.tobytes() == full[first : first + size].tobytes()
 
+    def test_rows_whose_pieces_split_are_independent_of_the_batch(self):
+        """On the short-memory bath, the train of 5-cell pulses every 37 cells
+        splits its long gap pieces and free decay its chunk-long pieces, while
+        the regular and chaotic trains' 10-cell pieces merge.  A split is
+        decided once per (level, L) of the block, for every row that has it,
+        so a row must not depend on which rows share its block."""
+        spans, bath, grid = stretch_drive("spans-around-the-memory-time")
+        free = splitting(CONTROLS["free"])
+        E = np.stack([spans, free, splitting(CONTROLS["regular"]), splitting(CONTROLS["chaotic"]),
+                      spans[::-1], spans + 0.5, 2.0 * free, spans])
+        table, maps, _, index, active = _map_table(E, bath, grid)
+        # the maps of the keys that split stay in the table, unread by pass 1
+        unread = np.setdiff1d(np.arange(maps.shape[1], table.shape[1]), index[active])
+        assert 0 < len(unread) < table.shape[1] - maps.shape[1]
+        full = solve_kernel_riccati(E, bath, grid).values
+        for row, F in zip(E, full):
+            assert solve_kernel_riccati(row, bath, grid).values.tobytes() == F.tobytes()
+        for size in (1, 2, 7):
+            for first in range(0, len(E), size):
+                batch = solve_kernel_riccati(E[first : first + size], bath, grid).values
+                assert batch.tobytes() == full[first : first + size].tobytes()
+
     def test_a_padded_slot_leaves_a_product_bit_for_bit(self):
         """Chunk 0 has two pieces and chunk 1 one, so slot 1 pads chunk 1 with
         the identity, masked: its product keeps the first map's -0 entries,
@@ -416,12 +437,14 @@ class TestBatchedKernel:
         grid = TimeGrid(t_max=1.25, n_steps=1250)  # GRID's dt; the last chunk is half padding
         E, bath = drives("jittered", 4)  # every row's off-pulse cells share omega
         E = E[:, : grid.n_steps]
-        maps, cells = _cell_maps(E, bath, grid)
+        table, maps, cells, _, _ = _map_table(E, bath, grid)
+        # pass 3 reads a copy of the table's cell maps and identity
+        assert np.array_equal(maps, table[:, : maps.shape[1]])
         levels = np.unique(E)
         index = cells.reshape(len(E), -1)
         assert maps.shape == (4, len(levels) + 1)
         assert np.array_equal(levels[index[:, : grid.n_steps]], E)
-        # the padding indexes the last column, the identity I + 0
+        # the padding indexes the identity I + 0, the column after the cell maps
         assert np.all(index[:, grid.n_steps :] == len(levels)) and not maps[:, -1].any()
 
 
