@@ -8,36 +8,22 @@ matches the regular train.  The three curves are nearly indistinguishable:
 protection needs only enough fast spectral weight, not a periodic drive.
 """
 
-import argparse
 import json
-import pathlib
 
-from pulseguard import (
-    ConfigError,
-    ExperimentConfig,
-    ResultTable,
-    emit_csv,
-    emit_plot,
-    run_experiment,
-)
+from pulseguard import ResultTable
 
-PRESET = pathlib.Path(__file__).resolve().parents[1] / "configs" / "fig3.json"
+import _figure
+
+PRESET = _figure.CONFIGS / "fig3.json"
 AREA = 0.4
 PERIOD = 0.02
 DUTY = 0.75
 
 
-def main() -> None:
-    shot = json.loads(PRESET.read_text())
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("results"))
-    parser.add_argument("--n-traj", type=int, default=shot["n_traj"])
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
-
-    shot.update(n_traj=args.n_traj, workers=args.workers)
+def curves(args) -> dict:
+    shot = {**json.loads(PRESET.read_text()), "n_traj": args.n_traj, "workers": args.workers}
     pulse = {"period": PERIOD, "duration": DUTY * PERIOD}
-    runs = {
+    return {
         # uniform strengths in [0, psi]: jitter only the area, centred at psi / 2
         "random": {**shot, "master_seed": 12, "signal": {
             "family": "jittered", **pulse, "area": AREA / 2,
@@ -47,29 +33,18 @@ def main() -> None:
             "logistic_r": 3.9, "seed_intensity": 0.5}},
         "shot": shot,
     }
-    try:
-        configs = {name: ExperimentConfig.from_dict(run) for name, run in runs.items()}
-    except ConfigError as exc:
-        parser.error(str(exc))
-    args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    columns = {}
-    for name, config in configs.items():
-        table = run_experiment(config)
-        columns[name] = table.data["mean"]
-        print(f"{name}: F(t_max) = {columns[name][-1]:.6f}")
 
-    table = ResultTable(
-        t=table.t,
-        data=columns,
-        metadata={"experiment": "fig3", "omega": shot["omega"], "area": AREA, "period": PERIOD},
-    )
-    csv_path = args.out_dir / "fig3.csv"
-    svg_path = args.out_dir / "fig3.svg"
-    emit_csv(table, csv_path)
-    emit_plot(table, svg_path, title="Memory fidelity, disordered pulse trains")
-    print(f"wrote {csv_path} and {svg_path}")
+def figure(tables) -> tuple:
+    columns = {name: table.data["mean"] for name, table in tables.items()}
+    metadata = {"experiment": "fig3", "omega": tables["shot"].metadata["config"]["omega"],
+                "area": AREA, "period": PERIOD}
+    return (ResultTable(tables["shot"].t, columns, metadata),
+            [f"{name}: F(t_max) = {values[-1]:.6f}" for name, values in columns.items()])
 
 
 if __name__ == "__main__":
-    main()
+    parser = _figure.parser(__doc__)
+    parser.add_argument("--n-traj", type=int, default=json.loads(PRESET.read_text())["n_traj"])
+    parser.add_argument("--workers", type=int, default=1)
+    _figure.main("fig3", "Memory fidelity, disordered pulse trains", parser, curves, figure)

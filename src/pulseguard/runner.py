@@ -29,10 +29,17 @@ import numpy as np
 from . import __version__
 from .adiabatic import SweepSpec, solve_psi0
 from .bath import BathSpec
-from .ensemble import ensemble_mean
-from .me2 import me2_fidelity
+from .ensemble import _BLOCK, ensemble_mean
+from .me2 import _CHUNK as _BORN_CHUNK, me2_fidelity
 from .numerics import NumericOverflowError, TimeGrid
-from .qsd import DEFAULT_STATES, KernelCurve, _check_states, qsd_fidelity, solve_kernel_riccati
+from .qsd import (
+    _CHUNK,
+    DEFAULT_STATES,
+    KernelCurve,
+    _check_states,
+    qsd_fidelity,
+    solve_kernel_riccati,
+)
 from .signals import FAMILY_SPECS, SignalFamily, effective_frequency, substream
 
 __all__ = [
@@ -47,6 +54,8 @@ __all__ = [
 ]
 
 _SWEEP_END_SLACK = 1.0e-12  # relative
+# numpy refuses, with a ValueError, an array of more bytes than an intp holds
+_ARRAY_BYTES_LIMIT = np.iinfo(np.intp).max
 
 # top-level keys that resolved() echoes for every kind, then those of each kind,
 # the first of which is the spec it requires; workers is accepted but never echoed
@@ -193,11 +202,17 @@ class ExperimentConfig:
                     f"grid.t_max = {self.grid.t_max!r} runs past sweep.passage_time = "
                     f"{self.sweep.passage_time!r}; the sweep ends at s = 1"
                 )
-            return
-        try:
-            object.__setattr__(self, "states", _check_states(self.states))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        else:
+            try:
+                object.__setattr__(self, "states", _check_states(self.states))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        size = _largest_array_bytes(self)
+        if size > _ARRAY_BYTES_LIMIT:
+            raise ConfigError(
+                f"grid.n_steps = {self.grid.n_steps!r} is too large: the run would form an "
+                f"array of {size} bytes, more than numpy's limit of {_ARRAY_BYTES_LIMIT}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -233,6 +248,32 @@ class ExperimentConfig:
                 value = asdict(value)
             out[key] = value
         return out
+
+
+def _largest_array_bytes(config: ExperimentConfig) -> int:
+    """The bytes of the largest array a run of `config` forms, from the sizes
+    in the code that forms it; arithmetic only, so nothing is allocated."""
+    n = config.grid.n_steps
+    # a stochastic family runs in blocks of up to _BLOCK trajectories, any other once
+    block = min(config.n_traj, _BLOCK) if config.signal.stochastic else 1
+    sizes = [8 * block * len(_ROWS[config.kind]) * (n + 1)]  # _block's rows
+    if config.kind == "adiabatic":
+        # the Volterra scan's maps, four complex entries each, over its levels
+        maps = level = n
+        while level > 1:
+            level = (level + 1) // 2
+            maps += level
+        sizes.append(64 * maps)
+    else:
+        # complex nodes over whole chunks: a block's kernel, or a Born
+        # curve's phase factors and decayed-sum table, one curve at a time
+        born = config.kind == "memory-me2"
+        chunk = min(_BORN_CHUNK if born else _CHUNK, n)
+        nodes = -(-n // chunk) * chunk + 1
+        sizes.append(16 * (1 if born else block) * nodes)
+        if born:
+            sizes.append(8 * len(config.states) * (n + 1))  # each state's Born factor
+    return max(sizes)
 
 
 def _read_text(path, what: str) -> str:

@@ -26,7 +26,7 @@ from pulseguard import BathSpec, PulseTrainSpec, ShotNoiseSpec, SignalFamily, Sw
 from pulseguard.cli import main
 from pulseguard.ensemble import _BLOCK
 from pulseguard.numerics import NumericOverflowError, TimeGrid
-from pulseguard.qsd import DEFAULT_STATES
+from pulseguard.qsd import DEFAULT_STATES, solve_kernel_riccati
 from pulseguard.runner import (
     ConfigError,
     ExperimentConfig,
@@ -335,6 +335,41 @@ class TestConfigValidation:
     def test_grid_step_underflow_rejected(self):
         with pytest.raises(ConfigError, match="grid: t_max / n_steps underflows"):
             ExperimentConfig.from_dict(raw(MEMORY_RAW, grid=UNDERFLOWING_GRID))
+
+    @pytest.mark.parametrize("base", [MEMORY_RAW, raw(MEMORY_RAW, kind="memory-me2"),
+                                      ENSEMBLE_RAW, ADIABATIC_RAW],
+                             ids=["memory-qsd", "memory-me2", "memory-ensemble", "adiabatic"])
+    def test_grid_past_numpys_array_limit_rejected(self, base):
+        # 2**61 cells: every kind's largest array is past numpy's limit;
+        # the rule is arithmetic, so nothing of that size is allocated
+        grid = {"t_max": base["grid"]["t_max"], "n_steps": 2**61}
+        with pytest.raises(ConfigError, match=r"grid\.n_steps = 2305843009213693952 is too "
+                                              r"large: the run would form an array of \d+ bytes"):
+            ExperimentConfig.from_dict(raw(base, grid=grid))
+
+    @pytest.mark.parametrize("base", [ENSEMBLE_RAW, raw(ADIABATIC_RAW, signal=COARSE_SHOT)],
+                             ids=["memory-ensemble", "adiabatic"])
+    def test_grid_whose_full_block_is_past_numpys_limit_rejected(self, base):
+        # at 2**54 cells a block of 31 trajectories fits numpy's limit and
+        # one of 32 does not; more trajectories still make blocks of 32
+        grid = {"t_max": base["grid"]["t_max"], "n_steps": 2**54}
+        for n_traj in (32, 64):
+            with pytest.raises(ConfigError, match=r"grid\.n_steps = 18014398509481984 "):
+                ExperimentConfig.from_dict(raw(base, grid=grid, n_traj=n_traj))
+        ExperimentConfig.from_dict(raw(base, grid=grid, n_traj=31))
+        # a deterministic control runs once, whatever n_traj
+        ExperimentConfig.from_dict(raw(base, grid=grid, n_traj=64, signal={"family": "none"}))
+
+    def test_array_limit_is_numpys(self):
+        limit = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(limit // 16 + 1, dtype=complex)
+
+    def test_largest_array_of_a_block_is_its_kernel(self):
+        # 250 cells make three chunks of 100, so the kernel's buffer has 301 nodes
+        config = ExperimentConfig.from_dict(raw(ENSEMBLE_RAW, grid={"t_max": 2.0, "n_steps": 250}))
+        kernel = solve_kernel_riccati(np.ones((3, 250)), config.bath, config.grid).values
+        assert kernel.base.nbytes == runner._largest_array_bytes(config) == 16 * 3 * 301
 
     def test_invalid_bath_values(self):
         with pytest.raises(ConfigError, match="bath"):
@@ -1066,6 +1101,16 @@ class TestCli:
         cfg = self.write(tmp_path, raw(MEMORY_RAW, kind="bogus"))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_grid_past_numpys_array_limit_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, raw(MEMORY_RAW, grid={"t_max": 10.0, "n_steps": 2**61},
+                                       signal={"family": "none"}))
+        out = tmp_path / "res.csv"
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: grid.n_steps = 2305843009213693952 is too large") == 2
+        assert not out.exists()
 
     def test_run_past_sweep_end_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, raw(ADIABATIC_RAW, grid={"t_max": 6.0, "n_steps": 600}))

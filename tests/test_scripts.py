@@ -1,9 +1,9 @@
 """The reproduction scripts, each run end to end in a subprocess at small sizes.
 
 Every script runs its curves as bundled presets plus overrides through
-run_experiment, so a script inherits the config checks and the worker
-scheduling of `pulseguard run`; these tests pin that, and the CSV columns
-each script writes.
+run_experiment, so a script inherits the config checks, the exit codes and
+the worker scheduling of `pulseguard run`; these tests pin that, and the
+CSV columns each script writes.
 """
 
 import json
@@ -61,6 +61,16 @@ def test_fig1_pulse_narrower_than_a_cell_is_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_fig1_unwritable_out_dir_exits_4(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    done = run_script("reproduce_fig1.py", "--out-dir", blocker / "out",
+                      "--t-max", 1.0, "--n-steps", 1000)
+    assert done.returncode == 4
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_fig1_headline_numbers(tmp_path):
     """Acceptance criteria 4 and 5's bounds, on the CSV of the default-size
     run; fig1's preset is the acceptance suite's bench configuration."""
@@ -97,6 +107,20 @@ def test_fig2_rejects_a_config_of_another_kind(tmp_path, preset, kind):
     assert done.returncode == 2
     assert f"kind = {kind!r}" in done.stderr
     assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_fig2_numerical_failure_exits_3(tmp_path):
+    # a strong bath on a long memory: the free-decay reference's kernel diverges
+    preset = json.loads((ROOT / "configs" / "fig2.json").read_text())
+    preset.update(grid={"t_max": 1.0, "n_steps": 1000}, n_traj=2,
+                  bath={"coupling": 1e4, "cutoff": 0.01}, omega=0.0)
+    config = tmp_path / "fig2.json"
+    config.write_text(json.dumps(preset))
+    done = run_script("reproduce_fig2.py", "--out-dir", tmp_path / "out", "--config", config)
+    assert done.returncode == 3
+    assert done.stderr == ("numerical failure: memory-qsd experiment: trajectory 0: "
+                           "memory kernel diverged at t = 0.223\n")
     assert not (tmp_path / "out").exists()
 
 
