@@ -8,7 +8,6 @@ almost all of the protection of the ideal train.  The reference is the
 preset run as memory-qsd without control.
 """
 
-import dataclasses
 import pathlib
 
 from pulseguard import ConfigError, ResultTable, load_config
@@ -19,7 +18,7 @@ PRESET = _figure.CONFIGS / "fig2.json"
 
 
 def curves(args) -> dict:
-    config = dataclasses.replace(load_config(args.config), workers=args.workers)
+    config = load_config(args.config, workers=args.workers)
     if config.kind != "memory-ensemble":
         raise ConfigError(f"{args.config}: kind = {config.kind!r}, but this script runs a "
                           "'memory-ensemble' config")

@@ -13,30 +13,22 @@ import argparse
 import itertools
 import json
 import pathlib
+import sys
 
-from pulseguard import ConfigError, ExperimentConfig, run_experiment
+from pulseguard import ExperimentConfig, run_experiment
+from pulseguard.cli import reporting
 
 PRESET = pathlib.Path(__file__).resolve().parents[1] / "configs" / "fig4.json"
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-traj", type=int, default=16)
-    parser.add_argument("--n-steps", type=int, default=5000)
-    parser.add_argument("--strengths", type=float, nargs="+", default=[0.03, 0.1, 0.3])
-    parser.add_argument("--rates", type=float, nargs="+", default=[10.0, 30.0, 100.0])
-    args = parser.parse_args()
-
+def _scan(args) -> None:
     preset = json.loads(PRESET.read_text())
     preset["n_traj"] = args.n_traj
     preset["grid"] = {**preset["grid"], "n_steps": args.n_steps}
     scan = list(itertools.product(args.strengths, args.rates))
-    try:
-        configs = [ExperimentConfig.from_dict(
-            {**preset, "signal": {"family": "shot", "strength": strength, "rate": rate}}
-        ) for strength, rate in scan]
-    except ConfigError as exc:
-        parser.error(str(exc))
+    configs = [ExperimentConfig.from_dict(
+        {**preset, "signal": {"family": "shot", "strength": strength, "rate": rate}}
+    ) for strength, rate in scan]
 
     sweep = configs[0].sweep
     print(f"T = {sweep.passage_time:g}, base_freq = {sweep.base_freq:g}, n_traj = {args.n_traj}")
@@ -48,4 +40,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--n-traj", type=int, default=16)
+    parser.add_argument("--n-steps", type=int, default=5000)
+    parser.add_argument("--strengths", type=float, nargs="+", default=[0.03, 0.1, 0.3])
+    parser.add_argument("--rates", type=float, nargs="+", default=[10.0, 30.0, 100.0])
+    sys.exit(reporting(_scan, parser.parse_args()))

@@ -7,7 +7,8 @@ Two subcommands:
   pulseguard validate --config cfg.json
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 cannot write
-output.
+output.  `reporting` holds that policy, and how a warning prints, for these
+commands and for the scripts under scripts/ alike.
 """
 
 from __future__ import annotations
@@ -47,29 +48,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     # the overrides go into the one build, so that every rule runs once
     overrides = {name: value for name, value in
                  (("master_seed", args.seed), ("workers", args.workers)) if value is not None}
     config = load_config(args.config, **overrides)
     table = run_experiment(config)
-    try:
-        emit_csv(table, args.out)
-        if args.plot is not None:
-            emit_plot(table, args.plot)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WRITE
+    emit_csv(table, args.out)
+    if args.plot is not None:
+        emit_plot(table, args.plot)
     print(f"wrote {table.n_rows} rows to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     config = load_config(args.config)
     print(f"ok: kind={config.kind} t_max={config.grid.t_max} "
           f"n_steps={config.grid.n_steps} signal={config.signal.kind} "
           f"seed={config.master_seed}")
-    return EXIT_OK
 
 
 def _show_warning(message, *_) -> None:
@@ -78,20 +73,29 @@ def _show_warning(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def reporting(command, *args) -> int:
+    """Run `command(*args)` and return its exit code: each warning printed
+    as `warning: <message>`, a bad config exit 2, a numerical failure exit 3
+    and a failed write exit 4, each as one line on stderr."""
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            if args.command == "run":
-                return _cmd_run(args)
-            return _cmd_validate(args)
+            command(*args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except NumericOverflowError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_WRITE
+    return EXIT_OK
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return reporting(_cmd_run if args.command == "run" else _cmd_validate, args)
 
 
 if __name__ == "__main__":

@@ -333,8 +333,9 @@ def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[n
     Pass 3 marks cell k bad where Re x <= -1, that is Re(a - b F_k) <= 0,
     or where |F| after it exceeds the kernel bound or is nan.  In the cell,
     z = exp(-int F) scales by exp(r dt/2) (a - b F_k), with
-    a - b F_k = 1 + x ~ 1 - dt F_k, so the first rule fires when that factor turns by more than 90 degrees, which
-    in practice means Re F_k is about 1/dt or more.  Where E = 0 the maps,
+    a - b F_k = 1 + x ~ 1 - dt F_k, so the first rule fires when that
+    factor turns by more than 90 degrees, which in practice means Re F_k
+    is about 1/dt or more.  Where E = 0 the maps,
     F and z are real, and the rule means z turned through zero inside the
     cell: F is past a pole from node k + 1 on.  For complex z, which
     generically never reaches zero, it is a threshold, not a pole: the

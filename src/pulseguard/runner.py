@@ -181,6 +181,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # stored as a float, so that equal configs echo, and write, the same bytes
+        object.__setattr__(self, "omega", _number(self.omega, "float", "omega"))
         for name, low in (("n_traj", 1), ("master_seed", 0), ("workers", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -222,13 +224,11 @@ class ExperimentConfig:
         _reject_unknown(raw, _ECHOED_KEYS + ("workers",) + _kind_keys(kind), "config")
         grid = _build(TimeGrid, _require(raw, "grid", "config"), "grid")
         signal = _build_signal(_require(raw, "signal", "config"))
-        kwargs = {key: raw[key] for key in ("n_traj", "master_seed", "with_defect", "workers")
-                  if key in raw}
+        kwargs = {key: raw[key] for key in ("omega", "n_traj", "master_seed", "with_defect",
+                                            "workers") if key in raw}
         for key, spec in (("bath", BathSpec), ("sweep", SweepSpec)):
             if key in raw:
                 kwargs[key] = _build(spec, raw[key], key)
-        if "omega" in raw:
-            kwargs["omega"] = _number(raw["omega"], "float", "omega")
         if "states" in raw:
             kwargs["states"] = _build_states(raw["states"])
         return cls(kind=kind, grid=grid, signal=signal, **kwargs)

@@ -499,6 +499,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"grid\.t_max = 10\.0 runs past sweep\.passage"):
             dataclasses.replace(config, grid=TimeGrid(10.0, 100))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1.0", True])
+    def test_replace_obeys_the_omega_rule(self, value):
+        config = load_config(ROOT / "configs" / "fig1.json")
+        with pytest.raises(ConfigError, match=r"^omega must be a finite number"):
+            dataclasses.replace(config, omega=value)
+
+    def test_an_integer_omega_echoes_as_the_loaded_float(self):
+        config = load_config(ROOT / "configs" / "fig1.json")
+        replaced = dataclasses.replace(config, omega=1)
+        assert replaced.resolved() == config.resolved()
+        # the echo in a CSV's header: 1 and 1.0 would write different bytes
+        assert json.dumps(replaced.resolved()) == json.dumps(config.resolved())
+
     @pytest.mark.parametrize("family", ["regular", "jittered", "chaotic"])
     def test_pulse_narrower_than_a_cell_rejected(self, family):
         signal = {"family": family, "period": 0.02, "duration": 0.01, "area": 0.2}

@@ -56,8 +56,9 @@ def test_fig1_pulse_narrower_than_a_cell_is_rejected(tmp_path):
     # dt = 0.1 would never sample the 5 ms pulse of duty 0.25
     done = run_script("reproduce_fig1.py", "--out-dir", tmp_path / "out", "--n-steps", 100)
     assert done.returncode == 2
-    assert "signal.duration = 0.005 is shorter than the grid step" in done.stderr
-    assert "Traceback" not in done.stderr
+    # one line, as `pulseguard run` prints it, not argparse's usage block
+    assert done.stderr == ("config error: signal.duration = 0.005 is shorter than the grid "
+                           "step dt = 0.1; the pulses would alias\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -105,9 +106,24 @@ def test_fig2_rejects_a_config_of_another_kind(tmp_path, preset, kind):
     done = run_script("reproduce_fig2.py", "--out-dir", tmp_path / "out",
                       "--config", ROOT / "configs" / preset)
     assert done.returncode == 2
-    assert f"kind = {kind!r}" in done.stderr
-    assert "Traceback" not in done.stderr
+    assert done.stderr == (f"config error: {ROOT / 'configs' / preset}: kind = {kind!r}, "
+                           "but this script runs a 'memory-ensemble' config\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_fig2_prints_the_shot_warning_as_pulseguard_run_does(tmp_path):
+    # 100 cells at rate 100: rate * dt = 1, so the config warns, once, as
+    # `warning: <message>` and not as Python's source-line format
+    config = tmp_path / "coarse.json"
+    config.write_text(json.dumps({
+        "kind": "memory-ensemble", "grid": {"t_max": 1.0, "n_steps": 100},
+        "bath": {"coupling": 1.0, "cutoff": 0.3},
+        "signal": {"family": "shot", "strength": 0.1, "rate": 100.0}, "n_traj": 4}))
+    done = run_script("reproduce_fig2.py", "--out-dir", tmp_path / "out", "--config", config)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "warning: shot rate * dt = 1 > 0.1: signal.rate = 100.0 is not resolved by the grid "
+        "step dt = 0.01; raise grid.n_steps or lower signal.rate\n")
 
 
 def test_fig2_numerical_failure_exits_3(tmp_path):
@@ -175,3 +191,12 @@ def test_tune_shot_noise():
     lines = stdout.splitlines()
     assert lines[0] == "T = 5, base_freq = 0.3, n_traj = 2"
     assert [line.split()[:2] for line in lines[2:]] == [["0.100", "10.0"], ["0.300", "10.0"]]
+
+
+def test_tune_shot_noise_prints_the_shot_warning_as_pulseguard_run_does():
+    done = run_script("tune_shot_noise.py", "--n-traj", 1, "--n-steps", 10,
+                      "--strengths", 0.1, "--rates", 10)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "warning: shot rate * dt = 5 > 0.1: signal.rate = 10.0 is not resolved by the grid "
+        "step dt = 0.5; raise grid.n_steps or lower signal.rate\n")
