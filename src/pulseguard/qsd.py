@@ -13,10 +13,10 @@ correlation is exponential, F obeys a closed Riccati equation
 E is constant in each grid cell, where the substitution F = -z'/z makes the
 equation linear and one cell's solution an exact Moebius map of F; the
 production path composes those maps as a scan, so it has no time-step
-error.  A pulse train holds E constant over whole stretches of cells, and
-a stretch of L cells has the same closed-form map with dt replaced by
-L dt, so the scan's first pass multiplies one map per stretch, not one per
-cell; the maps of cells and of stretches are the columns of one table.
+error.  A control holds E constant over runs of cells, as its sampler
+builds it, and L cells at one level have the cell map with dt replaced by
+L dt, so the scan's first pass multiplies one map per run, not one per
+cell; the maps of cells and of runs are the columns of one table.
 An O(n^2) quadrature solver that never forms the Riccati equation is kept
 alongside as a cross-method oracle.
 
@@ -49,6 +49,7 @@ import numpy as np
 
 from .bath import BathSpec
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
+from .signals import _joined
 
 __all__ = [
     "DEFAULT_STATES",
@@ -106,7 +107,7 @@ class FidelityCurve:
         object.__setattr__(self, "values", values)
 
 
-def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
+def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     """Solve the closed kernel equation exactly in each cell, as a scan of Moebius maps.
 
     E is the control-shifted splitting from effective_frequency, constant
@@ -122,32 +123,39 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
     so the kernel carries no time-step error, only rounding.  The maps
     compose as 2x2 matrices, and the solve is a two-level scan (Blelloch
     1990) over chunks of _CHUNK cells, each pass vectorised over rows and
-    chunks.  Pass 1 multiplies each chunk's maps, but one per piece, a
-    constant stretch of E cut at every chunk start, rather than one per
-    cell: a piece of L cells at one level has the cell map with dt replaced
-    by L dt.  Pass 2 carries F across the chunk ends, and pass 3 applies
-    each chunk's cell maps one by one from its start value, writing F into
-    the output and checking each cell.  No pass holds a map per cell: the
-    block's distinct levels and distinct (level, L) get one map each, in
-    one table that every row indexes (see _map_table).
+    chunks.  Pass 1 multiplies each chunk's maps, but one per piece, a run
+    of E cut at every chunk start, rather than one per cell: a piece of L
+    cells at one level has the cell map with dt replaced by L dt.  Pass 2
+    carries F across the chunk ends, and pass 3 applies each chunk's cell
+    maps one by one from its start value, writing F into the output and
+    checking each cell.  No pass holds a map per cell: the runs' levels and
+    their pieces get one map each, in one table that every row indexes
+    (see _map_table).
 
-    E holds one drive, shape (n_steps,), or a batch of B drives, shape
-    (B, n_steps), and the kernel has the matching shape (n_steps + 1,) or
-    (B, n_steps + 1).  Every operation is elementwise over the rows, so a
-    row's kernel is bit for bit the same in a batch of any length.
+    E holds one drive, shape (n_steps,), a batch of B drives, shape
+    (B, n_steps), or a batch's runs (level, column, length), as cell values
+    are turned into here and signals._effective_runs forms them: run i is
+    E = level[column[i]] for length[i] cells, row after row, no two
+    neighbours of a row at equal E.  The kernel has shape (n_steps + 1,)
+    or (B, n_steps + 1).  Every operation is elementwise over the rows, so
+    a row's kernel is bit for bit the same in any batch, from either form.
     NumericOverflowError is raised at the first node after a cell that the
     grid does not resolve (see _scan: a pole of F where E = 0, Re F of
     about 1/dt or more otherwise), or where |F| exceeds the kernel bound or
     F is not finite, in the first such row, which the error's `row` names
     (0 for one drive).
     """
-    E = grid.on_cells(E, "E", batched=True)
     n = grid.n_steps
-    drives = E.reshape(-1, n)
+    if isinstance(E, tuple):
+        runs, shape = E, (-1, n + 1)
+    else:  # each row's constant stretches, the only levels numbered by value
+        E = grid.on_cells(E, "E", batched=True)
+        starts, length = _joined(E.ravel(), np.arange(E.size), None, np.arange(0, E.size, n))
+        runs, shape = (*np.unique(E.take(starts), return_inverse=True), length), E.shape[:-1] + (n + 1,)
     # the products are allocated before the table is built, so that the
     # build's temporaries leave one free stretch of heap for the scan's output
-    Q = np.empty((4, len(drives), -(-n // min(_CHUNK, n)) - 1), dtype=complex)
-    table, maps, cells, index, active = _map_table(drives, bath, grid)
+    Q = np.empty((4, int(runs[2].sum()) // n, -(-n // min(_CHUNK, n)) - 1), dtype=complex)
+    table, maps, cells, index, active = _map_table(runs, bath, grid)
     _chunk_products(Q, table, index, active)
     # pass 3 reads only `maps`, a copy of the cell maps and the identity, so
     # the table is freed before the scan allocates its output; kept, it added
@@ -162,66 +170,61 @@ def solve_kernel_riccati(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> Kerne
         raise NumericOverflowError(
             f"memory kernel diverged at t = {grid.times[node]:.6g}", int(row)
         )
-    return KernelCurve(grid, values.reshape(E.shape[:-1] + (n + 1,)))
+    return KernelCurve(grid, values.reshape(shape))
 
 
-def _map_table(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple:
-    """The maps of the (B, n_steps) drives E in one table, pass 3's copy of
-    its first U + 1 columns and its cell index, and pass 1's piece index
-    and mask.
+def _map_table(runs: tuple, bath: BathSpec, grid: TimeGrid) -> tuple:
+    """The maps of a block's runs (level, column, length), as
+    solve_kernel_riccati takes them, in one table, pass 3's copy of its
+    first U + 1 columns and its cell index, and pass 1's piece index and
+    mask.
 
-    A piece is a constant stretch of E cut at the starts of the chunks of
-    min(_CHUNK, n_steps) cells; a piece of L cells has the cell map held for
-    L dt.  The table is (4, U + 1 + M): the I + D (see _span_maps) of the U
-    distinct levels of the block, the identity, then one map per distinct
-    (level, L) of its pieces of L > 1 cells.  Such a piece whose map is not
-    finite or would need rescaling becomes L pieces of one cell, so pass 1
-    multiplies there the cell maps; its own map stays in the table, unread.
-    The int32 indexes are (B, chunks, chunk), each cell's column, padded
-    with the identity, and (S, B, chunks - 1), the pieces of every chunk
-    but the last, in order, padded with the identity up to S, the most of
-    a chunk; the mask is true where a slot holds a piece.
+    A piece is a run cut at the starts of the chunks of min(_CHUNK, n_steps)
+    cells; a piece of L cells has the cell map held for L dt.  The table is
+    (4, U + 1 + M): the I + D (see _span_maps) of the U level ids, the
+    identity, then one map per distinct (level id, L) of its pieces of
+    L > 1 cells.  Such a piece whose map is not finite or would need
+    rescaling becomes L pieces of one cell, so pass 1 multiplies there the
+    cell maps; its own map stays in the table, unread.  The int32 indexes
+    are (B, chunks, chunk), each cell's column, padded with the identity,
+    and (S, B, chunks - 1), the pieces of every chunk but the last, in
+    order, padded with the identity up to S, the most of a chunk; the mask
+    is true where a slot holds a piece.
     """
-    rows, n = E.shape
+    level, column, length = runs
+    n = grid.n_steps
     chunk = min(_CHUNK, n)
-    # the cell index and pass 3's maps live through the scan, so each is
-    # allocated before the temporaries that follow, which then leave one
-    # free stretch of heap for the scan's output
-    cells = np.zeros((rows, -(-n // chunk), chunk), dtype=np.int32)
-    # whether each cell starts a piece: a new level of E, or a chunk
-    first = np.zeros(cells.shape, dtype=bool)
-    starts = first.reshape(rows, -1)[:, :n]
-    np.not_equal(E[:, 1:], E[:, :-1], out=starts[:, 1:])
-    first[:, :, 0] = True
-    level, column = np.unique(E[starts], return_inverse=True)  # each piece's column
+    chunks = -(-n // chunk)
     identity = len(level)
+    start = np.cumsum(length) - length
+    rows = start[-1] // n + 1
+    start += start // n * (chunks * chunk - n)  # each run's first cell, rows padded to chunks
+    # pass 3's maps live through the scan, so they are allocated before the
+    # temporaries that follow, which then leave free heap for the scan's output
     maps = np.empty((4, identity + 1), dtype=complex)
-    flat = cells.reshape(rows, -1)
-    # each piece's first cell holds its column less that of the piece before
-    # it in the block, every other cell 0, so a running sum over the block
-    # gives every cell its column, in place
-    flat[:, :n][starts] = np.diff(column, prepend=0)
-    np.cumsum(cells, dtype=np.int32, out=cells.reshape(-1))
-    flat[:, n:] = identity
+    # a piece starts at each run's first cell and at every chunk start inside a run
+    cut = np.setdiff1d(np.arange(0, rows * chunks * chunk, chunk), start, assume_unique=True)
+    at = np.searchsorted(start, cut)
+    start = np.insert(start, at, cut)
+    column = np.insert(column, at, column.take(at - 1))
+    # a row's last piece runs on over the padding, which then takes the identity
+    length = np.diff(start, append=rows * chunks * chunk)
+    cells = np.repeat(column.astype(np.int32), length).reshape(rows, chunks, chunk)
+    cells[:, -1, n - (chunks - 1) * chunk :] = identity
     # pass 1 reads the pieces of every chunk but the last: their L, column and chunk
-    count = first.sum(axis=2)
-    length = np.diff(np.flatnonzero(first), append=first.size)
-    del first, starts
-    body = np.ones(count.shape, dtype=bool)
-    body[:, -1] = False
-    body = np.repeat(body.reshape(-1), count.reshape(-1))
-    length, column = length[body], column[body]
-    del body
-    count = count[:, :-1].reshape(-1)
-    group = np.repeat(np.arange(len(count)), count)
-    # one key per (level, L) of more than one cell, formed in float64, where it
-    # is exact, so that np.unique sorts with the kernel it already runs on the
-    # levels (a second sort kernel's code adds ~0.3 MB of RSS)
+    group = start // chunk
+    count = np.bincount(group, minlength=rows * chunks).reshape(rows, chunks)[:, :-1].reshape(-1)
+    body = group % chunks != chunks - 1
+    length, column, group = length[body], column[body], group[body]
+    group -= group // chunks
+    del start, body
+    # one key per (level, L) of more than one cell
     long = length > 1
-    key, slot = np.unique(column[long] * float(chunk + 1) + length[long], return_inverse=True)
+    at = np.flatnonzero(long)
+    key, slot = np.unique(column.take(at) * (chunk + 1) + length.take(at), return_inverse=True)
     # each key's level and L, read from one of its pieces
     piece = np.empty(len(key), dtype=np.intp)
-    piece[slot] = np.flatnonzero(long)
+    piece[slot] = at
     table = np.zeros((4, identity + 1 + len(piece)), dtype=complex)
     _span_maps(level, grid.dt, bath, table[:, :identity])
     span = length.take(piece) * grid.dt
@@ -235,14 +238,15 @@ def _map_table(E: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple:
         each = np.where(cut, length, 1)
         column, group, long = (np.repeat(a, each) for a in (column, group, long & ~cut))
         count = np.bincount(group, minlength=len(count))
-    column[long] = identity + 1 + slot
-    del length, long, slot
+        at = np.flatnonzero(long)
+    column[at] = identity + 1 + slot
+    del length, long, at, slot
     maps[...] = table[:, : identity + 1]
     # each chunk's pieces in order, then the identity
     depth = count.max(initial=1)
     rank = np.arange(len(group)) - np.repeat(np.cumsum(count) - count, count)
     index = np.full((depth, len(count)), identity, dtype=np.int32)
-    index[rank, group] = column
+    index.reshape(-1)[rank * len(count) + group] = column
     active = np.arange(depth)[:, np.newaxis] < count
     shape = (depth, rows, len(count) // rows)
     return table, maps, cells, index.reshape(shape), active.reshape(shape)

@@ -40,7 +40,7 @@ from .qsd import (
     qsd_fidelity,
     solve_kernel_riccati,
 )
-from .signals import FAMILY_SPECS, SignalFamily, effective_frequency, substream
+from .signals import FAMILY_SPECS, SignalFamily, _effective_runs, effective_frequency, substream
 
 __all__ = [
     "ConfigError",
@@ -349,29 +349,28 @@ def _block(config: ExperimentConfig, ks: Sequence[int]) -> np.ndarray:
     (len(ks), rows, n_steps + 1), the rows named by _ROWS.
 
     Trajectory k's control comes from substream (master_seed, k).  The
-    memory kernels of the whole block come from one batched solve; a Born
-    curve or a sweep is solved one trajectory at a time.  An overflow, in
-    sampling or in a solve, names its position in ks as the error's `row`.
+    memory kernels of the whole block come from one batched solve of its
+    runs; a Born curve or a sweep is solved one trajectory at a time.  An
+    overflow, in sampling or in a solve, names its position in ks as the
+    error's `row`.
     """
     grid = config.grid
     shape = (len(ks), len(_ROWS[config.kind]), grid.n_steps + 1)
     batched = config.kind in ("memory-qsd", "memory-ensemble")
-    # a batched block makes its rows only after its drives are solved and
-    # freed, so that it never holds both
-    drives = np.empty((len(ks), grid.n_steps)) if batched else None
+    # a batched block keeps only its controls' runs, never their cell values
+    runs = []
     out = None if batched else np.empty(shape)
     for row, k in enumerate(ks):
         try:
             control = config.signal.sample(substream(config.master_seed, k), grid)
             if batched:
-                drives[row] = effective_frequency(control, config.omega)
+                runs.append(control._runs)
             else:
                 out[row] = _solve(config, control)
         except NumericOverflowError as exc:
             raise NumericOverflowError(str(exc), row) from exc
     if batched:
-        kernels = solve_kernel_riccati(drives, config.bath, grid).values
-        del drives
+        kernels = solve_kernel_riccati(_effective_runs(runs, config.omega), config.bath, grid).values
         out = np.empty(shape)
         for row, F in zip(out, kernels):
             row[0] = qsd_fidelity(config.states, KernelCurve(grid, F)).values

@@ -1,8 +1,8 @@
 """Control-signal generators: pulse trains and Poisson shot noise.
 
 The control enters the physics only through the shifted level splitting
-E(t) = omega + c(t).  All generators produce c(t) sampled at the midpoints of
-a TimeGrid, which sidesteps edge ambiguity for piecewise-constant signals.
+E(t) = omega + c(t).  All generators produce c(t) at the midpoints of a
+TimeGrid, which sidesteps edge ambiguity, as runs of cells (SampledSignal).
 
 Every pulse family (regular, chaotic, jittered) is a train of
 (end, duration, height) triples, and one sampler puts any train on the grid.
@@ -11,8 +11,8 @@ end - duration < t <= end, and there c(t) is that pulse's height; where
 rounding lets two windows overlap, t belongs to the first pulse that ends
 at or after it.  The sampler searches each pulse's two edges in the
 midpoints, a few hundred searches per train rather than one per midpoint,
-and fills the runs between them.  The families differ only in the triples
-they build.
+and the cells between them are its runs.  The families differ only in the
+triples they build.
 
 Randomness is drawn from numpy's PCG64 generator.  Substreams are derived
 from (master_seed, stream_index) via numpy SeedSequence spawn keys, so an
@@ -157,18 +157,56 @@ class ShotNoiseSpec:
                 raise ValueError(f"{name} must be a finite value >= 0, got {v}")
 
 
-@dataclass(frozen=True)
 class SampledSignal:
-    """Control values c(t) at the midpoints of `grid` (length n_steps)."""
+    """A piecewise-constant control c(t) on `grid`, as maximal runs of cells.
 
-    grid: TimeGrid
-    values: np.ndarray
+    _runs = (levels, ids, lengths): run i holds levels[ids[i]] for lengths[i]
+    cells, or lengths is None and cell i holds levels[ids[i]].  Ids are
+    structural: 0 is every sample's gap, c = 0, 1 a regular train's pulses;
+    each jittered or chaotic pulse and each shot count has its own.
+    `values`, c at the midpoints, is formed on first use if not given.
+    """
 
-    def __post_init__(self) -> None:
-        values = self.grid.on_cells(self.values, "values")
-        if not np.all(np.isfinite(values)):
+    def __init__(self, grid: TimeGrid, values=None, _runs=None) -> None:
+        if _runs is None:
+            values = grid.on_cells(values, "values")
+            _runs = (np.append(0.0, values), np.arange(1, grid.n_steps + 1), None)
+        if not np.all(np.isfinite(_runs[0])):
             raise ValueError("signal values must be finite")
-        object.__setattr__(self, "values", values)
+        self.grid, self._values, self._runs = grid, values, _runs
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            levels, ids, lengths = self._runs
+            self._values = np.repeat(levels.take(ids), lengths)
+        return self._values
+
+
+def _joined(level: np.ndarray, ids: np.ndarray, lengths=None, cuts=0) -> tuple:
+    """Runs (ids, lengths) joined to the run before where their `level`s are
+    equal, but not at the run indexes `cuts`; lengths None: a cell each."""
+    first = np.ones(len(level) + 1, dtype=bool)  # and one past the last run
+    np.not_equal(level[1:], level[:-1], out=first[1:-1])
+    first[cuts] = True
+    if lengths is not None and first.all():
+        return ids, lengths
+    first = np.flatnonzero(first)
+    return ids.take(first[:-1]), (np.diff(first) if lengths is None
+                                  else np.add.reduceat(lengths, first[:-1]))
+
+
+def _effective_runs(runs, omega: float) -> tuple:
+    """The runs of E = omega + c over the _runs of a block, as solve_kernel_riccati
+    takes them: the gap, each row's levels, and the runs at equal E joined.
+    A row with an id per cell is cut here where its id changes, not when sampled."""
+    levels, ids, lengths = zip(*[row if row[2] is not None else
+                                 (row[0], *_joined(row[1], row[1])) for row in runs])
+    level = omega + np.concatenate([[0.0]] + [row[1:] for row in levels])
+    shift = np.cumsum([0] + [len(row) - 1 for row in levels[:-1]])  # to each row's columns
+    column = np.concatenate([np.where(i > 0, i + f, 0) for i, f in zip(ids, shift)])
+    rows = np.cumsum([0] + [len(row) for row in ids[:-1]])
+    return (level, *_joined(level.take(column), column, np.concatenate(lengths), rows))
 
 
 def _draw_jittered_pulses(
@@ -248,10 +286,10 @@ def _sample_shot_noise(
     """Poisson impulse train binned on the grid.
 
     Each arrival adds strength/dt to the cell it lands in; cells may hold
-    several arrivals.  Resolving individual arrivals needs rate * dt well
-    below one; SignalFamily.check warns above 0.1, and this sampler does
-    not.  A cell whose arrivals stack past the float range raises
-    NumericOverflowError.
+    several arrivals, and a count is its level's id.  Resolving individual
+    arrivals needs rate * dt well below one; SignalFamily.check warns above
+    0.1, and this sampler does not.  A cell whose arrivals stack past the
+    float range raises NumericOverflowError.
     """
     rng = _rng(seed)
     counts = rng.poisson(spec.rate * grid.dt, size=grid.n_steps)
@@ -263,7 +301,9 @@ def _sample_shot_noise(
             f"{peak} shot arrivals in one cell of dt = {grid.dt!r} at signal.strength = "
             f"{spec.strength!r} give a height beyond the float range"
         )
-    return SampledSignal(grid, counts * height)
+    values = counts * height  # a level per count, unless there are more counts than cells
+    return SampledSignal(grid, values, (np.arange(peak + 1) * height, counts, None)
+                         if peak < grid.n_steps else None)
 
 
 # family -> {SignalFamily attribute: spec class}; the one place the families are listed
@@ -391,7 +431,7 @@ def _pulse_train(family: SignalFamily, seed: Seed, t_max: float):
     return np.arange(1, count + 1) * spec.period, np.full(count, spec.duration), heights
 
 
-def _sample_pulses(pulses, grid: TimeGrid) -> SampledSignal:
+def _sample_pulses(pulses, grid: TimeGrid, one_level: bool = False) -> SampledSignal:
     """Put a train of ascending (end_time, duration, height) arrays on the grid.
 
     The module's one window test, done per pulse: both edges of each pulse
@@ -400,7 +440,7 @@ def _sample_pulses(pulses, grid: TimeGrid) -> SampledSignal:
     past end.  A midpoint belongs to the first pulse that ends at or after
     it, so each start is clipped into [stop_{n-1}, stop_n]: where rounding
     lets two windows overlap, the earlier pulse keeps the shared midpoints.
-    The signal is then one run of zeros and one run of the height per pulse.
+    The runs are a gap, a pulse and so on; with `one_level` every pulse is level 1.
     """
     ends, durations, heights = pulses
     t = grid.midpoints
@@ -409,17 +449,21 @@ def _sample_pulses(pulses, grid: TimeGrid) -> SampledSignal:
     edges[1::2] = np.searchsorted(t, ends, side="right")
     # start_n <= stop_n already, so a running maximum is the clip
     np.maximum.accumulate(edges, out=edges)
-    levels = np.zeros(2 * len(ends) + 1)
-    levels[1::2] = heights
-    return SampledSignal(grid, np.repeat(levels, np.diff(edges, prepend=0, append=len(t))))
+    levels = np.concatenate(([0.0], heights[:1] if one_level else heights))
+    ids = np.zeros(2 * len(ends) + 1, dtype=np.intp)
+    ids[1::2] = 1 if one_level else np.arange(1, len(ends) + 1)
+    lengths = np.diff(edges, prepend=0, append=len(t))
+    kept = lengths > 0
+    ids, lengths = _joined(levels.take(ids[kept]), ids[kept], lengths[kept])
+    return SampledSignal(grid, _runs=(levels, ids, lengths))
 
 
 def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSignal:
     if family.kind == "shot":
         return _sample_shot_noise(family.shot, seed, grid)
     if family.kind == "none":
-        return SampledSignal(grid, np.zeros(grid.n_steps))
-    return _sample_pulses(_pulse_train(family, seed, grid.t_max), grid)
+        return _sample_pulses((np.zeros(0),) * 3, grid)
+    return _sample_pulses(_pulse_train(family, seed, grid.t_max), grid, family.kind == "regular")
 
 
 def effective_frequency(signal: SampledSignal, omega: float = 1.0) -> np.ndarray:

@@ -14,10 +14,11 @@ The Riccati kernel is a scan over exact per-cell Moebius maps, so it has no
 bitwise original.  It is held to the same maps applied one by one in
 extended precision, to 1e-13, and to the classical RK4 loop it replaced, to
 within that loop's own error, estimated by halving its step.  A row's
-kernel is bit for bit the same whatever batch it is solved in.  Pass 1 of
-the scan multiplies one closed-form map per constant stretch of a chunk,
-not one per cell; the stretch drives below put stretches where it cuts,
-merges or splits them, and hold the kernel to the same 1e-13.
+kernel is bit for bit the same whatever batch it is solved in, and whether
+it is solved from its cell values or from the runs its sampler built.
+Pass 1 of the scan multiplies one closed-form map per constant stretch of
+a chunk, not one per cell; the stretch drives below put stretches where it
+cuts, merges or splits them, and hold the kernel to the same 1e-13.
 """
 
 import numpy as np
@@ -42,6 +43,7 @@ from pulseguard.signals import (
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
+    _effective_runs,
     effective_frequency,
     substream,
 )
@@ -201,6 +203,29 @@ PADDED = TimeGrid(t_max=1.25, n_steps=1250)
 # memory time 1 / cutoff = 10 cells: a stretch of up to 13 cells merges into
 # one map, one of 14 or more would be rescaled, so it stays single cells
 SHORT_MEMORY_BATH = BathSpec(coupling=1.0, cutoff=100.0)
+# 5-cell pulses every 37 cells on GRID
+SPANS = SignalFamily("regular", pulse=PulseTrainSpec(period=0.037, duration=0.005, area=0.2))
+
+
+def controls(name, ks, grid=GRID):
+    """The sampled controls of trajectories ks under control `name`."""
+    family = SPANS if name == "spans" else CONTROLS[name]
+    return [family.sample(substream(SEEDS.get(name, 11), k), grid) for k in ks]
+
+
+def cell_runs(E):
+    """The runs of the (B, n) drives E, as solve_kernel_riccati forms them
+    from cell values: each row's constant stretches, numbered by value."""
+    first = np.ones(E.shape, dtype=bool)
+    np.not_equal(E[:, 1:], E[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    level, column = np.unique(E.take(starts), return_inverse=True)
+    return level, column, np.diff(starts, append=E.size)
+
+
+def block_runs(signals):
+    """The runs of E = 1 + c of a block of controls, as the batched path forms them."""
+    return _effective_runs([signal._runs for signal in signals], 1.0)
 
 
 def stretch_drive(name):
@@ -225,8 +250,7 @@ def stretch_drive(name):
         # 5-cell pulses every 37 cells: the pulses merge, and so does a gap
         # piece that a chunk start cuts below 14 cells; the rest of the
         # 32-cell gaps stay single cells
-        pulse = PulseTrainSpec(period=0.037, duration=0.005, area=0.2)
-        return splitting(SignalFamily("regular", pulse=pulse)), SHORT_MEMORY_BATH, GRID
+        return splitting(SPANS), SHORT_MEMORY_BATH, GRID
     raise KeyError(name)
 
 
@@ -259,8 +283,8 @@ class TestRiccatiKernel:
         assert np.max(np.abs(kernel.values - extended_kernel(E, bath, grid))) <= 1e-13
 
     def test_a_stretch_merges_unless_its_map_would_be_rescaled(self):
-        E, bath, grid = stretch_drive("spans-around-the-memory-time")
-        table, _, cells, index, active = _map_table(E[np.newaxis], bath, grid)
+        runs = block_runs(controls("spans", [0]))
+        table, _, cells, index, active = _map_table(runs, SHORT_MEMORY_BATH, GRID)
         stretches = 1 + np.count_nonzero(np.diff(cells[0, :-1]), axis=1)
         pieces = np.count_nonzero(active, axis=0)[0]
         # every chunk has pulses that merge and gaps that stay single cells
@@ -405,7 +429,7 @@ class TestBatchedKernel:
         free = splitting(CONTROLS["free"])
         E = np.stack([spans, free, splitting(CONTROLS["regular"]), splitting(CONTROLS["chaotic"]),
                       spans[::-1], spans + 0.5, 2.0 * free, spans])
-        table, maps, _, index, active = _map_table(E, bath, grid)
+        table, maps, _, index, active = _map_table(cell_runs(E), bath, grid)
         # the maps of the keys that split stay in the table, unread by pass 1
         unread = np.setdiff1d(np.arange(maps.shape[1], table.shape[1]), index[active])
         assert 0 < len(unread) < table.shape[1] - maps.shape[1]
@@ -433,19 +457,61 @@ class TestBatchedKernel:
         product = (np.eye(2) + second.reshape(2, 2)) @ (np.eye(2) + first.reshape(2, 2))
         np.testing.assert_allclose(Q[:, 0, 0], (product - np.eye(2)).ravel(), rtol=0, atol=1e-16)
 
-    def test_one_table_column_per_distinct_level_of_the_block(self):
-        grid = TimeGrid(t_max=1.25, n_steps=1250)  # GRID's dt; the last chunk is half padding
-        E, bath = drives("jittered", 4)  # every row's off-pulse cells share omega
-        E = E[:, : grid.n_steps]
-        table, maps, cells, _, _ = _map_table(E, bath, grid)
+    def test_one_table_column_per_structural_level_of_the_block(self):
+        signals = controls("jittered", range(4), PADDED)  # the last chunk is half padding
+        table, maps, cells, _, _ = _map_table(block_runs(signals), FIG2_BATH, PADDED)
         # pass 3 reads a copy of the table's cell maps and identity
         assert np.array_equal(maps, table[:, : maps.shape[1]])
-        levels = np.unique(E)
-        index = cells.reshape(len(E), -1)
+        # omega, which every row's gaps share, then each pulse of each row
+        levels = 1.0 + np.concatenate([[0.0]] + [signal._runs[0][1:] for signal in signals])
+        index = cells.reshape(len(signals), -1)
         assert maps.shape == (4, len(levels) + 1)
-        assert np.array_equal(levels[index[:, : grid.n_steps]], E)
+        E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
+        assert np.array_equal(levels[index[:, : PADDED.n_steps]], E)
         # the padding indexes the identity I + 0, the column after the cell maps
-        assert np.all(index[:, grid.n_steps :] == len(levels)) and not maps[:, -1].any()
+        assert np.all(index[:, PADDED.n_steps :] == len(levels)) and not maps[:, -1].any()
+
+    @pytest.mark.parametrize("grid", [GRID, PADDED], ids=["whole-chunks", "padded-last-chunk"])
+    @pytest.mark.parametrize("name, ks, bath", [
+        ("regular", [0], FIG1_BATH),  # fig1's drive
+        ("jittered", range(20), FIG2_BATH),  # fig2's blocks of 20 and 32
+        ("jittered", range(20, 52), FIG2_BATH),
+        ("shot", range(32), FIG1_BATH),  # a fig3 block
+        ("spans", [0], SHORT_MEMORY_BATH),  # pieces that split
+    ], ids=["fig1", "fig2-20", "fig2-32", "fig3-32", "spans-around-the-memory-time"])
+    def test_runs_give_the_kernels_of_the_cell_values(self, name, ks, bath, grid):
+        signals = controls(name, ks, grid)
+        E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
+        expected = solve_kernel_riccati(E, bath, grid).values
+        assert solve_kernel_riccati(block_runs(signals), bath, grid).values.tobytes() == \
+            expected.tobytes()
+
+    def test_runs_at_one_splitting_are_joined(self):
+        """Pulses of area 1e-20 shift E = 1 by less than its rounding, so a
+        pulse's run and the gaps around it are one stretch of E."""
+        family = SignalFamily("jittered", pulse=PulseTrainSpec(0.02, 0.005, 1e-20),
+                              jitter=JitterSpec(0.004, 0.004, 1e-20))
+        signals = [family.sample(substream(5, k), PADDED) for k in range(3)]
+        assert all(len(signal._runs[1]) > 1 for signal in signals)
+        _, column, length = runs = block_runs(signals)
+        assert len(column) == 3 and np.all(length == PADDED.n_steps)
+        E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
+        assert solve_kernel_riccati(runs, FIG2_BATH, PADDED).values.tobytes() == \
+            solve_kernel_riccati(E, FIG2_BATH, PADDED).values.tobytes()
+
+    @pytest.mark.parametrize("grid", [GRID, PADDED], ids=["whole-chunks", "padded-last-chunk"])
+    @pytest.mark.parametrize("name", ["jittered", "shot"])
+    def test_rows_of_runs_are_independent_of_the_batch(self, name, grid):
+        """The gap's level, omega, is one column for the whole block, and its
+        pieces' maps one per (level, L), so a row must not depend on which
+        rows share its block."""
+        signals = controls(name, range(9), grid)
+        bath = FIG2_BATH if name == "jittered" else FIG1_BATH
+        full = solve_kernel_riccati(block_runs(signals), bath, grid).values
+        for size in (1, 2, 7):
+            for first in range(0, len(signals), size):
+                batch = solve_kernel_riccati(block_runs(signals[first : first + size]), bath, grid)
+                assert batch.values.tobytes() == full[first : first + size].tobytes()
 
 
 class TestBornRecursion:

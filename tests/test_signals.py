@@ -22,6 +22,7 @@ from pulseguard.signals import (
     ShotNoiseSpec,
     SignalFamily,
     _draw_jittered_pulses,
+    _effective_runs,
     _jittered_height_bound,
     _logistic_intensities,
     _pulse_train,
@@ -441,3 +442,116 @@ class TestFamilyAndFrequency:
             SampledSignal(self.GRID, np.zeros(7))
         with pytest.raises(ValueError, match="finite"):
             SampledSignal(self.GRID, np.full(self.GRID.n_steps, np.nan))
+
+
+def assert_maximal_runs(signal, expected):
+    """The signal's runs, as the kernel gets them, spell the cell values
+    `expected` bit for bit, and are maximal: none empty, no two neighbours
+    at equal levels.  Returns them."""
+    levels, ids, lengths = signal._runs
+    if lengths is None:  # an id per cell: the runs a kernel block forms, at omega = 0
+        _, ids, lengths = _effective_runs([signal._runs], 0.0)
+    run_levels = levels[ids]
+    assert np.repeat(run_levels, lengths).tobytes() == np.asarray(expected, dtype=float).tobytes()
+    assert lengths.sum() == signal.grid.n_steps
+    assert np.all(lengths > 0)
+    assert np.all(run_levels[1:] != run_levels[:-1])
+    # level 0 is the gap, which every sample shares
+    assert levels[0] == 0.0
+    return levels, ids, lengths
+
+
+def shot_reference(spec, seed, grid):
+    """Shot noise as arrival counts times the height, cell by cell."""
+    counts = np.random.default_rng(seed).poisson(spec.rate * grid.dt, size=grid.n_steps)
+    return counts * (spec.strength / grid.dt)
+
+
+# dt = 1e-3 on 1250 cells: a kernel's last chunk of 100 cells is half padding
+PADDED = TimeGrid(t_max=1.25, n_steps=1250)
+JITTER = JitterSpec(period_dev=0.004, duration_dev=0.004, area_dev=0.18)
+RUN_FAMILIES = {
+    "regular": SignalFamily("regular", pulse=EDGE),
+    "jittered": SignalFamily("jittered", pulse=EDGE, jitter=JITTER),
+    "chaotic": SignalFamily("chaotic", pulse=BASE, chaos=ChaoticSpec()),
+    # area_dev > area: a third of the pulses are clamped to zero height
+    "jittered-clamped": SignalFamily("jittered", pulse=PulseTrainSpec(0.02, 0.005, 0.1),
+                                     jitter=JitterSpec(0.004, 0.004, 0.3)),
+    "chaotic-silent": SignalFamily("chaotic", pulse=BASE, chaos=ChaoticSpec(seed_intensity=0.0)),
+    "regular-zero-area": SignalFamily("regular", pulse=PulseTrainSpec(0.02, 0.01, 0.0)),
+    "full-duty": SignalFamily("regular", pulse=PulseTrainSpec(0.02, 0.02, 0.2)),
+    "jittered-full-duty": SignalFamily("jittered", pulse=PulseTrainSpec(0.02, 0.02, 0.2),
+                                       jitter=JitterSpec(0.004, 0.0, 0.1)),
+}
+
+
+class TestRuns:
+    @pytest.mark.parametrize("grid", [PADDED, TimeGrid(t_max=10.0, n_steps=10000)],
+                             ids=["padded-last-chunk", "whole-chunks"])
+    @pytest.mark.parametrize("name", sorted(RUN_FAMILIES))
+    def test_pulse_runs_spell_the_midpoint_values(self, name, grid):
+        family = RUN_FAMILIES[name]
+        for seed in (0, 7, 1003):
+            train = _pulse_train(family, substream(seed, 0), grid.t_max)
+            assert_maximal_runs(family.sample(substream(seed, 0), grid), reference_sample(train, grid))
+
+    def test_edge_trains_join_their_runs(self):
+        grid = TimeGrid(t_max=10.0, n_steps=10000)
+        for name, count in [("chaotic-silent", 1), ("regular-zero-area", 1), ("full-duty", 1)]:
+            assert len(RUN_FAMILIES[name].sample(None, grid)._runs[1]) == count, name
+        levels, ids, lengths = RUN_FAMILIES["jittered-clamped"].sample(substream(0, 0), grid)._runs
+        # a clamped pulse joins the gaps around it into one run at level 0
+        assert np.count_nonzero(levels == 0.0) > 1
+        assert len(ids) < 2 * len(levels) - 1
+
+    def test_overlapping_windows_keep_the_earlier_pulse(self):
+        grid = TimeGrid(t_max=4.0, n_steps=4)
+        train = (np.array([1.5, 2.5, 4.5]), np.array([1.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+        signal = _sample_pulses(train, grid)
+        assert_maximal_runs(signal, [0.0, 1.0, 2.0, 0.0])
+        # pulse 3 is swallowed by the clip, yet keeps its level
+        assert len(signal._runs[0]) == 4
+
+    @settings(max_examples=200)
+    @given(case=pulse_trains(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_every_drawn_train_has_maximal_runs(self, case, seed):
+        family, grid = case
+        train = _pulse_train(family, substream(seed, 0), grid.t_max)
+        assert_maximal_runs(family.sample(substream(seed, 0), grid), reference_sample(train, grid))
+
+    @pytest.mark.parametrize("grid", [PADDED, TimeGrid(t_max=10.0, n_steps=10000)],
+                             ids=["padded-last-chunk", "whole-chunks"])
+    @pytest.mark.parametrize("rate", [0.0, 100.0, 3000.0])
+    def test_shot_runs_number_their_levels_by_count(self, grid, rate):
+        spec = ShotNoiseSpec(strength=0.1, rate=rate)
+        for seed in (0, 7, 1003):
+            signal = _sample_shot_noise(spec, substream(seed, 0), grid)
+            expected = shot_reference(spec, substream(seed, 0), grid)
+            assert signal.values.tobytes() == expected.tobytes()
+            assert_maximal_runs(signal, expected)
+            # sampled per cell, by count: only a kernel block joins the runs
+            levels, counts, lengths = signal._runs
+            assert lengths is None and counts.max(initial=0) < len(levels)
+            assert levels.tobytes() == (np.arange(len(levels)) * (spec.strength / grid.dt)).tobytes()
+
+    def test_shot_counts_past_the_cell_count_make_runs_of_their_own(self):
+        grid = TimeGrid(t_max=1.0, n_steps=10)
+        spec = ShotNoiseSpec(strength=0.1, rate=1e4)  # about 1000 arrivals per cell
+        signal = _sample_shot_noise(spec, substream(3, 0), grid)
+        expected = shot_reference(spec, substream(3, 0), grid)
+        assert_maximal_runs(signal, expected)
+        assert np.array_equal(signal._runs[0], np.append(0.0, expected))
+
+    def test_shot_runs_of_zero_strength_are_one_run(self):
+        signal = _sample_shot_noise(ShotNoiseSpec(strength=0.0, rate=100.0), substream(0, 0), PADDED)
+        assert len(assert_maximal_runs(signal, np.zeros(PADDED.n_steps))[1]) == 1
+
+    def test_no_control_is_one_run(self):
+        signal = SignalFamily(kind="none").sample(None, PADDED)
+        assert_maximal_runs(signal, np.zeros(PADDED.n_steps))
+
+    def test_cell_values_make_runs_of_their_own(self):
+        values = np.array([0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0])
+        signal = SampledSignal(TimeGrid(t_max=7.0, n_steps=7), values)
+        assert_maximal_runs(signal, values)
+        assert signal._runs[0].tolist() == [0.0] + values.tolist()
