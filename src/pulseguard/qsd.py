@@ -49,7 +49,7 @@ import numpy as np
 
 from .bath import BathSpec
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from .signals import _joined
+from .signals import _cell_runs, _effective_runs
 
 __all__ = [
     "DEFAULT_STATES",
@@ -133,8 +133,8 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     (see _map_table).
 
     E holds one drive, shape (n_steps,), a batch of B drives, shape
-    (B, n_steps), or a batch's runs (level, column, length), as cell values
-    are turned into here and signals._effective_runs forms them: run i is
+    (B, n_steps), or a batch's runs (level, column, length), as
+    signals._effective_runs forms them, here from cell values: run i is
     E = level[column[i]] for length[i] cells, row after row, no two
     neighbours of a row at equal E.  The kernel has shape (n_steps + 1,)
     or (B, n_steps + 1).  Every operation is elementwise over the rows, so
@@ -148,10 +148,10 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     n = grid.n_steps
     if isinstance(E, tuple):
         runs, shape = E, (-1, n + 1)
-    else:  # each row's constant stretches, the only levels numbered by value
+    else:
         E = grid.on_cells(E, "E", batched=True)
-        starts, length = _joined(E.ravel(), np.arange(E.size), None, np.arange(0, E.size, n))
-        runs, shape = (*np.unique(E.take(starts), return_inverse=True), length), E.shape[:-1] + (n + 1,)
+        runs = _effective_runs([_cell_runs(row) for row in E.reshape(-1, n)], 0.0)
+        shape = E.shape[:-1] + (n + 1,)
     # the products are allocated before the table is built, so that the
     # build's temporaries leave one free stretch of heap for the scan's output
     Q = np.empty((4, int(runs[2].sum()) // n, -(-n // min(_CHUNK, n)) - 1), dtype=complex)

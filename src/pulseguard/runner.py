@@ -189,9 +189,14 @@ class ExperimentConfig:
                 raise ConfigError(f"config: {name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.with_defect, bool):
             raise ConfigError(f"config: with_defect must be a boolean, got {self.with_defect!r}")
-        required = _kind_keys(self.kind)[0]
-        if getattr(self, required) is None:
-            raise ConfigError(f"config: missing required key {required!r}")
+        keys = _kind_keys(self.kind)
+        for f in fields(self):  # a field its kind does not echo would be lost from the CSV
+            value = getattr(self, f.name)
+            if f.name not in _ECHOED_KEYS + ("workers",) + keys and not (value is f.default or (
+                    type(value) is type(f.default) and value == f.default)):
+                raise ConfigError(f"config: kind {self.kind!r} takes no {f.name}, got {value!r}")
+        if getattr(self, keys[0]) is None:
+            raise ConfigError(f"config: missing required key {keys[0]!r}")
         try:
             self.signal.check(self.grid)
         except ValueError as exc:

@@ -161,16 +161,16 @@ class SampledSignal:
     """A piecewise-constant control c(t) on `grid`, as maximal runs of cells.
 
     _runs = (levels, ids, lengths): run i holds levels[ids[i]] for lengths[i]
-    cells, or lengths is None and cell i holds levels[ids[i]].  Ids are
-    structural: 0 is every sample's gap, c = 0, 1 a regular train's pulses;
-    each jittered or chaotic pulse and each shot count has its own.
+    cells.  Ids are structural: 0 is every sample's gap, c = 0, 1 a regular
+    train's pulses; each jittered or chaotic pulse and each shot count has
+    its own, and cell values are numbered by value (see _cell_runs).
     `values`, c at the midpoints, is formed on first use if not given.
     """
 
     def __init__(self, grid: TimeGrid, values=None, _runs=None) -> None:
         if _runs is None:
             values = grid.on_cells(values, "values")
-            _runs = (np.append(0.0, values), np.arange(1, grid.n_steps + 1), None)
+            _runs = _cell_runs(values)
         if not np.all(np.isfinite(_runs[0])):
             raise ValueError("signal values must be finite")
         self.grid, self._values, self._runs = grid, values, _runs
@@ -196,12 +196,18 @@ def _joined(level: np.ndarray, ids: np.ndarray, lengths=None, cuts=0) -> tuple:
                                   else np.add.reduceat(lengths, first[:-1]))
 
 
+def _cell_runs(values: np.ndarray) -> tuple:
+    """Maximal runs of cell values, their levels numbered by value after the
+    gap, level 0; the values are not checked, so a nan reaches the kernel."""
+    starts, lengths = _joined(values, np.arange(len(values)))
+    levels, ids = np.unique(values.take(starts), return_inverse=True)
+    return np.append(0.0, levels), ids + 1, lengths
+
+
 def _effective_runs(runs, omega: float) -> tuple:
     """The runs of E = omega + c over the _runs of a block, as solve_kernel_riccati
-    takes them: the gap, each row's levels, and the runs at equal E joined.
-    A row with an id per cell is cut here where its id changes, not when sampled."""
-    levels, ids, lengths = zip(*[row if row[2] is not None else
-                                 (row[0], *_joined(row[1], row[1])) for row in runs])
+    takes them: the gap, each row's levels, and the runs at equal E joined."""
+    levels, ids, lengths = zip(*runs)
     level = omega + np.concatenate([[0.0]] + [row[1:] for row in levels])
     shift = np.cumsum([0] + [len(row) - 1 for row in levels[:-1]])  # to each row's columns
     column = np.concatenate([np.where(i > 0, i + f, 0) for i, f in zip(ids, shift)])
@@ -286,10 +292,11 @@ def _sample_shot_noise(
     """Poisson impulse train binned on the grid.
 
     Each arrival adds strength/dt to the cell it lands in; cells may hold
-    several arrivals, and a count is its level's id.  Resolving individual
-    arrivals needs rate * dt well below one; SignalFamily.check warns above
-    0.1, and this sampler does not.  A cell whose arrivals stack past the
-    float range raises NumericOverflowError.
+    several arrivals, and a count is its level's id, or past n_steps counts
+    the levels are numbered by value.  Resolving individual arrivals needs
+    rate * dt well below one; SignalFamily.check warns above 0.1, and this
+    sampler does not.  A cell whose arrivals stack past the float range
+    raises NumericOverflowError.
     """
     rng = _rng(seed)
     counts = rng.poisson(spec.rate * grid.dt, size=grid.n_steps)
@@ -301,8 +308,8 @@ def _sample_shot_noise(
             f"{peak} shot arrivals in one cell of dt = {grid.dt!r} at signal.strength = "
             f"{spec.strength!r} give a height beyond the float range"
         )
-    values = counts * height  # a level per count, unless there are more counts than cells
-    return SampledSignal(grid, values, (np.arange(peak + 1) * height, counts, None)
+    values = counts * height
+    return SampledSignal(grid, values, (np.arange(peak + 1) * height, *_joined(values, counts))
                          if peak < grid.n_steps else None)
 
 

@@ -505,6 +505,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"^omega must be a finite number"):
             dataclasses.replace(config, omega=value)
 
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    @pytest.mark.parametrize("preset, changes, message", [
+        ("fig2", {"kind": "memory-qsd", "n_traj": 3}, "kind 'memory-qsd' takes no n_traj, got 3"),
+        ("fig1", {"with_defect": True}, "kind 'memory-qsd' takes no with_defect, got True"),
+        ("fig2", {"with_defect": True}, "kind 'memory-ensemble' takes no with_defect, got True"),
+        ("fig4", {"omega": 2.0}, "kind 'adiabatic' takes no omega, got 2.0"),
+        ("fig4", {"states": [0.5]}, "kind 'adiabatic' takes no states, got [0.5]"),
+    ], ids=["n_traj-on-memory-qsd", "with_defect-on-memory-qsd",
+            "with_defect-on-memory-ensemble", "omega-on-adiabatic", "states-on-adiabatic"])
+    def test_a_field_the_kind_neither_takes_nor_echoes_keeps_its_default(
+            self, preset, changes, message):
+        """The CSV's header would leave the field out, so the config it
+        embeds would rebuild another run."""
+        config = load_config(ROOT / "configs" / f"{preset}.json")
+        with pytest.raises(ConfigError, match=f"^config: {re.escape(message)}$"):
+            dataclasses.replace(config, **changes)
+
+    @pytest.mark.filterwarnings("ignore:shot rate")
+    def test_a_default_is_no_field_the_kind_must_take(self):
+        config = load_config(ROOT / "configs" / "fig4.json")
+        assert dataclasses.replace(config, bath=None, omega=1, states=DEFAULT_STATES) == config
+
     def test_an_integer_omega_echoes_as_the_loaded_float(self):
         config = load_config(ROOT / "configs" / "fig1.json")
         replaced = dataclasses.replace(config, omega=1)
@@ -699,7 +721,7 @@ class TestRunExperiment:
     @pytest.mark.filterwarnings("ignore:shot rate")
     @pytest.mark.parametrize("kind, family, n_traj, with_defect, columns", DISPATCH,
                              ids=["-".join(map(str, case[:4])) for case in DISPATCH])
-    def test_dispatch_columns(self, kind, family, n_traj, with_defect, columns):
+    def test_dispatch_columns(self, kind, family, n_traj, with_defect, columns, tmp_path):
         if kind == "adiabatic":
             config = raw(ADIABATIC_RAW, signal=DISPATCH_SIGNALS[family], n_traj=n_traj,
                          with_defect=with_defect)
@@ -707,10 +729,14 @@ class TestRunExperiment:
             config = raw(MEMORY_RAW, kind=kind, signal=DISPATCH_SIGNALS[family])
             if kind == "memory-ensemble":
                 config["n_traj"] = n_traj
-        table = run_experiment(ExperimentConfig.from_dict(config))
+        config = ExperimentConfig.from_dict(config)
+        table = run_experiment(config)
         assert table.columns == columns
         if "stderr" in columns and n_traj == 1:
             assert np.all(table.data["stderr"] == 0.0)
+        # the CSV's header rebuilds the config that ran
+        emit_csv(table, tmp_path / "res.csv")
+        assert read_embedded_config(tmp_path / "res.csv") == config
 
     @pytest.mark.parametrize("family", ["none", "regular", "chaotic"])
     def test_deterministic_ensemble_runs_one_trajectory(self, family, monkeypatch):

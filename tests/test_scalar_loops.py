@@ -36,6 +36,7 @@ from pulseguard.qsd import (
 )
 from pulseguard.signals import (
     _MIN_DUTY,
+    _cell_runs,
     _draw_jittered_pulses,
     _rng,
     ChaoticSpec,
@@ -188,6 +189,11 @@ CONTROLS = {
     "jittered": SignalFamily("jittered", pulse=FIG2_PULSE, jitter=FIG2_JITTER),
     "shot": SignalFamily("shot", shot=ShotNoiseSpec(strength=0.1, rate=100.0)),
 }
+# shot rows that are one run, and rows of about 3 arrivals a cell on GRID's dt
+SHOT_EDGES = {
+    "shot-zero-strength": SignalFamily("shot", shot=ShotNoiseSpec(strength=0.0, rate=100.0)),
+    "shot-past-one-count-a-cell": SignalFamily("shot", shot=ShotNoiseSpec(strength=1e-4, rate=3000.0)),
+}
 # the master seeds of the fig2 (jittered) and fig3 (shot) presets
 SEEDS = {"jittered": 11, "shot": 13}
 
@@ -209,18 +215,14 @@ SPANS = SignalFamily("regular", pulse=PulseTrainSpec(period=0.037, duration=0.00
 
 def controls(name, ks, grid=GRID):
     """The sampled controls of trajectories ks under control `name`."""
-    family = SPANS if name == "spans" else CONTROLS[name]
+    family = {"spans": SPANS, **SHOT_EDGES, **CONTROLS}[name]
     return [family.sample(substream(SEEDS.get(name, 11), k), grid) for k in ks]
 
 
 def cell_runs(E):
     """The runs of the (B, n) drives E, as solve_kernel_riccati forms them
-    from cell values: each row's constant stretches, numbered by value."""
-    first = np.ones(E.shape, dtype=bool)
-    np.not_equal(E[:, 1:], E[:, :-1], out=first[:, 1:])
-    starts = np.flatnonzero(first)
-    level, column = np.unique(E.take(starts), return_inverse=True)
-    return level, column, np.diff(starts, append=E.size)
+    from cell values."""
+    return _effective_runs([_cell_runs(row) for row in E], 0.0)
 
 
 def block_runs(signals):
@@ -478,7 +480,10 @@ class TestBatchedKernel:
         ("jittered", range(20, 52), FIG2_BATH),
         ("shot", range(32), FIG1_BATH),  # a fig3 block
         ("spans", [0], SHORT_MEMORY_BATH),  # pieces that split
-    ], ids=["fig1", "fig2-20", "fig2-32", "fig3-32", "spans-around-the-memory-time"])
+        ("shot-zero-strength", range(4), FIG1_BATH),
+        ("shot-past-one-count-a-cell", range(4), FIG1_BATH),
+    ], ids=["fig1", "fig2-20", "fig2-32", "fig3-32", "spans-around-the-memory-time",
+            "shot-zero-strength", "shot-past-one-count-a-cell"])
     def test_runs_give_the_kernels_of_the_cell_values(self, name, ks, bath, grid):
         signals = controls(name, ks, grid)
         E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
@@ -498,6 +503,26 @@ class TestBatchedKernel:
         E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
         assert solve_kernel_riccati(runs, FIG2_BATH, PADDED).values.tobytes() == \
             solve_kernel_riccati(E, FIG2_BATH, PADDED).values.tobytes()
+
+    def test_negative_zero_cells_give_the_kernel_of_positive_zero(self):
+        grid = TimeGrid(t_max=2.0, n_steps=1000)
+        E = np.ones(grid.n_steps)
+        E[100:300] = 0.0
+        expected = solve_kernel_riccati(E, FIG1_BATH, grid).values
+        E[200:300] = -0.0
+        assert solve_kernel_riccati(E, FIG1_BATH, grid).values.tobytes() == expected.tobytes()
+        assert solve_kernel_riccati(np.stack([E, -E]), FIG1_BATH, grid).values[0].tobytes() == \
+            expected.tobytes()
+
+    def test_a_nan_cell_fails_at_its_node(self):
+        """Cell values reach the kernel unchecked, so a nan is its own run,
+        and the scan reports the node after it."""
+        grid = TimeGrid(t_max=2.0, n_steps=1000)
+        E = np.ones(grid.n_steps)
+        E[500] = np.nan
+        with pytest.raises(NumericOverflowError) as failure:
+            solve_kernel_riccati(E, FIG1_BATH, grid)
+        assert str(failure.value) == "memory kernel diverged at t = 1.002"
 
     @pytest.mark.parametrize("grid", [GRID, PADDED], ids=["whole-chunks", "padded-last-chunk"])
     @pytest.mark.parametrize("name", ["jittered", "shot"])

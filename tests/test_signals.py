@@ -22,7 +22,6 @@ from pulseguard.signals import (
     ShotNoiseSpec,
     SignalFamily,
     _draw_jittered_pulses,
-    _effective_runs,
     _jittered_height_bound,
     _logistic_intensities,
     _pulse_train,
@@ -449,8 +448,7 @@ def assert_maximal_runs(signal, expected):
     `expected` bit for bit, and are maximal: none empty, no two neighbours
     at equal levels.  Returns them."""
     levels, ids, lengths = signal._runs
-    if lengths is None:  # an id per cell: the runs a kernel block forms, at omega = 0
-        _, ids, lengths = _effective_runs([signal._runs], 0.0)
+    assert isinstance(lengths, np.ndarray) and lengths.dtype.kind == "i"
     run_levels = levels[ids]
     assert np.repeat(run_levels, lengths).tobytes() == np.asarray(expected, dtype=float).tobytes()
     assert lengths.sum() == signal.grid.n_steps
@@ -461,10 +459,14 @@ def assert_maximal_runs(signal, expected):
     return levels, ids, lengths
 
 
+def shot_counts(spec, seed, grid):
+    """The arrivals in each cell."""
+    return np.random.default_rng(seed).poisson(spec.rate * grid.dt, size=grid.n_steps)
+
+
 def shot_reference(spec, seed, grid):
     """Shot noise as arrival counts times the height, cell by cell."""
-    counts = np.random.default_rng(seed).poisson(spec.rate * grid.dt, size=grid.n_steps)
-    return counts * (spec.strength / grid.dt)
+    return shot_counts(spec, seed, grid) * (spec.strength / grid.dt)
 
 
 # dt = 1e-3 on 1250 cells: a kernel's last chunk of 100 cells is half padding
@@ -528,19 +530,21 @@ class TestRuns:
             signal = _sample_shot_noise(spec, substream(seed, 0), grid)
             expected = shot_reference(spec, substream(seed, 0), grid)
             assert signal.values.tobytes() == expected.tobytes()
-            assert_maximal_runs(signal, expected)
-            # sampled per cell, by count: only a kernel block joins the runs
-            levels, counts, lengths = signal._runs
-            assert lengths is None and counts.max(initial=0) < len(levels)
+            levels, counts, lengths = assert_maximal_runs(signal, expected)
+            # joined when sampled, a level per count, and each run's id its count
             assert levels.tobytes() == (np.arange(len(levels)) * (spec.strength / grid.dt)).tobytes()
+            assert np.array_equal(np.repeat(counts, lengths), shot_counts(spec, substream(seed, 0), grid))
 
     def test_shot_counts_past_the_cell_count_make_runs_of_their_own(self):
+        """More distinct counts than cells would give a level table longer
+        than the grid, so the cells' values are numbered by value instead."""
         grid = TimeGrid(t_max=1.0, n_steps=10)
         spec = ShotNoiseSpec(strength=0.1, rate=1e4)  # about 1000 arrivals per cell
         signal = _sample_shot_noise(spec, substream(3, 0), grid)
         expected = shot_reference(spec, substream(3, 0), grid)
-        assert_maximal_runs(signal, expected)
-        assert np.array_equal(signal._runs[0], np.append(0.0, expected))
+        assert shot_counts(spec, substream(3, 0), grid).max() >= grid.n_steps
+        levels, _, _ = assert_maximal_runs(signal, expected)
+        assert np.array_equal(levels, np.append(0.0, np.unique(expected)))
 
     def test_shot_runs_of_zero_strength_are_one_run(self):
         signal = _sample_shot_noise(ShotNoiseSpec(strength=0.0, rate=100.0), substream(0, 0), PADDED)
@@ -553,5 +557,7 @@ class TestRuns:
     def test_cell_values_make_runs_of_their_own(self):
         values = np.array([0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0])
         signal = SampledSignal(TimeGrid(t_max=7.0, n_steps=7), values)
-        assert_maximal_runs(signal, values)
-        assert signal._runs[0].tolist() == [0.0] + values.tolist()
+        levels, ids, lengths = assert_maximal_runs(signal, values)
+        # the gap, then the distinct values in order
+        assert levels.tolist() == [0.0, 0.0, 1.0, 2.0]
+        assert ids.tolist() == [1, 3, 1, 2] and lengths.tolist() == [2, 3, 1, 1]
