@@ -15,8 +15,8 @@ equation linear and one cell's solution an exact Moebius map of F; the
 production path composes those maps as a scan, so it has no time-step
 error.  A control holds E constant over runs of cells, as its sampler
 builds it, and L cells at one level have the cell map with dt replaced by
-L dt, so the scan's first pass multiplies one map per run, not one per
-cell; the maps of cells and of runs are the columns of one table.
+L dt, so the scan's first pass multiplies one map per run of a chunk, not
+one per cell, read off one index of each cell's level into one map table.
 An O(n^2) quadrature solver that never forms the Riccati equation is kept
 alongside as a cross-method oracle.
 
@@ -49,7 +49,6 @@ import numpy as np
 
 from .bath import BathSpec
 from .numerics import NumericOverflowError, TimeGrid, running_trapezoid
-from .signals import _cell_runs, _effective_runs
 
 __all__ = [
     "DEFAULT_STATES",
@@ -124,21 +123,22 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     compose as 2x2 matrices, and the solve is a two-level scan (Blelloch
     1990) over chunks of _CHUNK cells, each pass vectorised over rows and
     chunks.  Pass 1 multiplies each chunk's maps, but one per piece, a run
-    of E cut at every chunk start, rather than one per cell: a piece of L
+    of equal E within the chunk, rather than one per cell: a piece of L
     cells at one level has the cell map with dt replaced by L dt.  Pass 2
     carries F across the chunk ends, and pass 3 applies each chunk's cell
     maps one by one from its start value, writing F into the output and
-    checking each cell.  No pass holds a map per cell: the runs' levels and
-    their pieces get one map each, in one table that every row indexes
-    (see _map_table).
+    checking each cell.  No pass holds a map per cell: the levels and the
+    pieces get one map each, in one table that every row indexes.
 
     E holds one drive, shape (n_steps,), a batch of B drives, shape
     (B, n_steps), or a batch's runs (level, column, length), as
-    signals._effective_runs forms them, here from cell values: run i is
-    E = level[column[i]] for length[i] cells, row after row, no two
-    neighbours of a row at equal E.  The kernel has shape (n_steps + 1,)
-    or (B, n_steps + 1).  Every operation is elementwise over the rows, so
-    a row's kernel is bit for bit the same in any batch, from either form.
+    signals._effective_runs forms them: run i is E = level[column[i]] for
+    length[i] cells, row after row, no two neighbours of a row at equal E
+    (runs that are empty, index past `level` or leave a row short are a
+    ValueError).  Either form becomes one index of each cell's level.  The
+    kernel has shape (n_steps + 1,) or (B, n_steps + 1).  Every operation
+    is elementwise over the rows, so a row's kernel is bit for bit the same
+    in any batch, from either form.
     NumericOverflowError is raised at the first node after a cell that the
     grid does not resolve (see _scan: a pole of F where E = 0, Re F of
     about 1/dt or more otherwise), or where |F| exceeds the kernel bound or
@@ -147,15 +147,23 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     """
     n = grid.n_steps
     if isinstance(E, tuple):
-        runs, shape = E, (-1, n + 1)
+        level, column, length = E
+        if not (np.all(length > 0) and np.all((column >= 0) & (column < len(level)))
+                and len(length) and length.sum() % n == 0):
+            raise ValueError(f"E: runs must be non-empty, index the {len(level)} levels and fill "
+                             f"whole rows of n_steps = {n}, got {length.sum()} cells")
+        cells = np.repeat(column.astype(np.int32), length).reshape(-1, n)
+        shape = (-1, n + 1)
     else:
         E = grid.on_cells(E, "E", batched=True)
-        runs = _effective_runs([_cell_runs(row) for row in E.reshape(-1, n)], 0.0)
+        # the levels numbered by value, + 0.0 making a -0 cell the +0 level
+        level, cells = np.unique(E.ravel() + 0.0, return_inverse=True)
+        cells = cells.reshape(-1, n)
         shape = E.shape[:-1] + (n + 1,)
     # the products are allocated before the table is built, so that the
     # build's temporaries leave one free stretch of heap for the scan's output
-    Q = np.empty((4, int(runs[2].sum()) // n, -(-n // min(_CHUNK, n)) - 1), dtype=complex)
-    table, maps, cells, index, active = _map_table(runs, bath, grid)
+    Q = np.empty((4, len(cells), -(-n // min(_CHUNK, n)) - 1), dtype=complex)
+    table, maps, cells, index, active = _map_table(level, cells, bath, grid)
     _chunk_products(Q, table, index, active)
     # pass 3 reads only `maps`, a copy of the cell maps and the identity, so
     # the table is freed before the scan allocates its output; kept, it added
@@ -173,63 +181,53 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     return KernelCurve(grid, values.reshape(shape))
 
 
-def _map_table(runs: tuple, bath: BathSpec, grid: TimeGrid) -> tuple:
-    """The maps of a block's runs (level, column, length), as
-    solve_kernel_riccati takes them, in one table, pass 3's copy of its
-    first U + 1 columns and its cell index, and pass 1's piece index and
-    mask.
+def _map_table(level: np.ndarray, cells: np.ndarray, bath: BathSpec, grid: TimeGrid) -> tuple:
+    """The maps of the U levels of E and of a block's pieces in one table,
+    pass 3's copy of its first U + 1 columns and its cell index, and pass
+    1's piece index and mask, from `level` and the (B, n_steps) index of
+    each cell's level that solve_kernel_riccati forms.
 
-    A piece is a run cut at the starts of the chunks of min(_CHUNK, n_steps)
+    A piece is a run of equal cells within a chunk of min(_CHUNK, n_steps)
     cells; a piece of L cells has the cell map held for L dt.  The table is
-    (4, U + 1 + M): the I + D (see _span_maps) of the U level ids, the
-    identity, then one map per distinct (level id, L) of its pieces of
-    L > 1 cells.  Such a piece whose map is not finite or would need
-    rescaling becomes L pieces of one cell, so pass 1 multiplies there the
-    cell maps; its own map stays in the table, unread.  The int32 indexes
-    are (B, chunks, chunk), each cell's column, padded with the identity,
-    and (S, B, chunks - 1), the pieces of every chunk but the last, in
-    order, padded with the identity up to S, the most of a chunk; the mask
-    is true where a slot holds a piece.
+    (4, U + 1 + M): the I + D (see _span_maps) of the levels, the
+    identity, then one map per distinct (level id, L) of the pieces of
+    L > 1 cells, each read off its key.  Such a piece whose map is not
+    finite or would need rescaling becomes L pieces of one cell, so pass 1
+    multiplies there the cell maps; its own map stays in the table,
+    unread.  The cell index is padded to (B, chunks, chunk) with the
+    identity; the int32 piece index, (S, B, chunks - 1), holds the pieces
+    of every chunk but the last, in order, padded with the identity up to
+    S, the most of a chunk; the mask is true where a slot holds a piece.
     """
-    level, column, length = runs
     n = grid.n_steps
     chunk = min(_CHUNK, n)
     chunks = -(-n // chunk)
     identity = len(level)
-    start = np.cumsum(length) - length
-    rows = start[-1] // n + 1
-    start += start // n * (chunks * chunk - n)  # each run's first cell, rows padded to chunks
     # pass 3's maps live through the scan, so they are allocated before the
     # temporaries that follow, which then leave free heap for the scan's output
     maps = np.empty((4, identity + 1), dtype=complex)
-    # a piece starts at each run's first cell and at every chunk start inside a run
-    cut = np.setdiff1d(np.arange(0, rows * chunks * chunk, chunk), start, assume_unique=True)
-    at = np.searchsorted(start, cut)
-    start = np.insert(start, at, cut)
-    column = np.insert(column, at, column.take(at - 1))
-    # a row's last piece runs on over the padding, which then takes the identity
-    length = np.diff(start, append=rows * chunks * chunk)
-    cells = np.repeat(column.astype(np.int32), length).reshape(rows, chunks, chunk)
-    cells[:, -1, n - (chunks - 1) * chunk :] = identity
-    # pass 1 reads the pieces of every chunk but the last: their L, column and chunk
+    # the cell index as int32, its last chunk padded with the identity
+    padded = np.full((len(cells), chunks, chunk), identity, dtype=np.int32)
+    padded.reshape(len(cells), -1)[:, :n] = cells
+    # pass 1's pieces: the runs of equal cells in every chunk but the last
+    body = padded[:, :-1]
+    first = np.ones(body.shape, dtype=bool)
+    np.not_equal(body[..., 1:], body[..., :-1], out=first[..., 1:])
+    start = np.flatnonzero(first)
+    column = body[first]
+    length = np.diff(start, append=first.size)
     group = start // chunk
-    count = np.bincount(group, minlength=rows * chunks).reshape(rows, chunks)[:, :-1].reshape(-1)
-    body = group % chunks != chunks - 1
-    length, column, group = length[body], column[body], group[body]
-    group -= group // chunks
-    del start, body
-    # one key per (level, L) of more than one cell
+    count = np.bincount(group)
+    # one key per (level id, L) of more than one cell
     long = length > 1
     at = np.flatnonzero(long)
-    key, slot = np.unique(column.take(at) * (chunk + 1) + length.take(at), return_inverse=True)
-    # each key's level and L, read from one of its pieces
-    piece = np.empty(len(key), dtype=np.intp)
-    piece[slot] = at
-    table = np.zeros((4, identity + 1 + len(piece)), dtype=complex)
+    key, slot = np.unique(column.take(at).astype(np.intp) * (chunk + 1) + length.take(at),
+                          return_inverse=True)
+    table = np.zeros((4, identity + 1 + len(key)), dtype=complex)
     _span_maps(level, grid.dt, bath, table[:, :identity])
-    span = length.take(piece) * grid.dt
+    ids, span = np.divmod(key, chunk + 1)
     # a map of more than one cell that is not finite or was rescaled
-    split = ~(_span_maps(level.take(column.take(piece)), span, bath, table[:, identity + 1 :]) <= 2.0)
+    split = ~(_span_maps(level.take(ids), span * grid.dt, bath, table[:, identity + 1 :]) <= 2.0)
     if split.any():
         # a piece whose key splits becomes L pieces of one cell, in its place
         cut = np.zeros(len(length), dtype=bool)
@@ -237,7 +235,7 @@ def _map_table(runs: tuple, bath: BathSpec, grid: TimeGrid) -> tuple:
         slot = slot[~split.take(slot)]
         each = np.where(cut, length, 1)
         column, group, long = (np.repeat(a, each) for a in (column, group, long & ~cut))
-        count = np.bincount(group, minlength=len(count))
+        count = np.bincount(group)
         at = np.flatnonzero(long)
     column[at] = identity + 1 + slot
     del length, long, at, slot
@@ -248,8 +246,8 @@ def _map_table(runs: tuple, bath: BathSpec, grid: TimeGrid) -> tuple:
     index = np.full((depth, len(count)), identity, dtype=np.int32)
     index.reshape(-1)[rank * len(count) + group] = column
     active = np.arange(depth)[:, np.newaxis] < count
-    shape = (depth, rows, len(count) // rows)
-    return table, maps, cells, index.reshape(shape), active.reshape(shape)
+    shape = (depth, len(cells), chunks - 1)
+    return table, maps, padded, index.reshape(shape), active.reshape(shape)
 
 
 def _span_maps(level: np.ndarray, span, bath: BathSpec, out: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Experiment orchestration: JSON configs in, CSV/SVG artifacts out.
 
 A config describes one experiment (a memory-fidelity curve, an ensemble of
-them, or an adiabatic sweep).  Its rules live in `ExperimentConfig`, so a
-config built in Python or by `dataclasses.replace` obeys them too.  The
-runner dispatches it to the physics modules and serialises the result with
-the fully resolved config embedded, so any output file can be reproduced
-from its own header.
+them, or an adiabatic sweep).  Its rules live in `ExperimentConfig`, which
+rebuilds its specs and states from the form its CSV header echoes, so a
+config built in Python or by `dataclasses.replace` meets the rules of JSON
+input and echoes the bytes of its JSON.  The runner dispatches it to the
+physics modules and serialises the result with the fully resolved config
+embedded, so any output file can be reproduced from its own header.
 Only a stochastic signal family runs `n_traj` trajectories, whatever the
 kind; a deterministic control runs once, so a memory-ensemble of it writes
 that one run as its mean, with a zero stderr.
@@ -98,17 +99,20 @@ def _expect_object(value, context: str) -> dict:
 
 
 def _number(value, annotation: str, name: str):
-    """A JSON number for a field annotated float (finite) or int (integer only).
+    """A JSON number for a field annotated float (finite) or int (integer
+    only), as a Python float or int.  numpy's integer and float scalars are
+    numbers too; a bool never is.
 
     The spec modules use postponed annotations, so `annotation` is a string.
     """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if annotation == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not integer:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return value
+        return int(value)
     if annotation != "float":
         raise TypeError(f"{name}: no JSON rule for fields annotated {annotation!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not (integer or isinstance(value, (float, np.floating))) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
@@ -125,8 +129,6 @@ def _build(cls, raw, context: str):
             raise ConfigError(f"{context}: missing required key {f.name!r}")
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -150,6 +152,24 @@ def _build_states(raw) -> tuple:
     if not isinstance(raw, list):
         raise ConfigError(f"states must be a list of numbers, got {raw!r}")
     return tuple(_number(p, "float", f"states[{i}]") for i, p in enumerate(raw))
+
+
+def _echoed(value):
+    """A config field as resolved() echoes it and the builders take it: a
+    spec as a JSON object, the signal as one flat object with its family,
+    and states as a list."""
+    if isinstance(value, SignalFamily):
+        flat = {"family": value.kind}
+        for attr in FAMILY_SPECS[value.kind]:
+            flat.update(asdict(getattr(value, attr)))
+        return flat
+    if isinstance(value, tuple):
+        return list(value)
+    return asdict(value) if is_dataclass(value) else value
+
+
+# the spec each config field holds
+_SPECS = {"grid": TimeGrid, "signal": SignalFamily, "bath": BathSpec, "sweep": SweepSpec}
 
 
 def _kind_keys(kind) -> tuple:
@@ -185,8 +205,9 @@ class ExperimentConfig:
         object.__setattr__(self, "omega", _number(self.omega, "float", "omega"))
         for name, low in (("n_traj", 1), ("master_seed", 0), ("workers", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ConfigError(f"config: {name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not isinstance(self.with_defect, bool):
             raise ConfigError(f"config: with_defect must be a boolean, got {self.with_defect!r}")
         keys = _kind_keys(self.kind)
@@ -197,6 +218,13 @@ class ExperimentConfig:
                 raise ConfigError(f"config: kind {self.kind!r} takes no {f.name}, got {value!r}")
         if getattr(self, keys[0]) is None:
             raise ConfigError(f"config: missing required key {keys[0]!r}")
+        # the grid, the signal and the bath or sweep, rebuilt as their JSON would be
+        for key in ("grid", "signal", keys[0]):
+            value = getattr(self, key)
+            if not isinstance(value, _SPECS[key]):
+                raise ConfigError(f"config: {key} must be a {_SPECS[key].__name__}, got {value!r}")
+            build = _build_signal if key == "signal" else partial(_build, _SPECS[key], context=key)
+            object.__setattr__(self, key, build(_echoed(value)))
         try:
             self.signal.check(self.grid)
         except ValueError as exc:
@@ -210,8 +238,9 @@ class ExperimentConfig:
                     f"{self.sweep.passage_time!r}; the sweep ends at s = 1"
                 )
         else:
+            states = _build_states(_echoed(self.states))
             try:
-                object.__setattr__(self, "states", _check_states(self.states))
+                object.__setattr__(self, "states", _check_states(states))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         size = _largest_array_bytes(self)
@@ -240,19 +269,7 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Canonical dict of everything that determines the result."""
-        out = {}
-        for key in _ECHOED_KEYS + _KIND_KEYS[self.kind]:
-            value = getattr(self, key)
-            if key == "signal":
-                value = {"family": self.signal.kind}
-                for attr in FAMILY_SPECS[self.signal.kind]:
-                    value.update(asdict(getattr(self.signal, attr)))
-            elif key == "states":
-                value = list(value)
-            elif is_dataclass(value):
-                value = asdict(value)
-            out[key] = value
-        return out
+        return {key: _echoed(getattr(self, key)) for key in _ECHOED_KEYS + _KIND_KEYS[self.kind]}
 
 
 def _largest_array_bytes(config: ExperimentConfig) -> int:
@@ -340,13 +357,17 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run one experiment; deterministic for a fixed (config, seed).
 
     config.workers only spreads whole trajectory blocks over processes, so
-    the numbers cannot depend on it.
+    the numbers cannot depend on it.  A run that runs out of memory, in
+    this process or in a pool worker, is a ConfigError naming grid.n_steps.
     """
     metadata = {"config": config.resolved(), "version": __version__}
     try:
         return _dispatch(config, metadata)
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"{config.kind} experiment: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"grid.n_steps = {config.grid.n_steps!r} needs more memory than "
+                          f"is free: {str(exc) or 'MemoryError'}") from exc
 
 
 def _block(config: ExperimentConfig, ks: Sequence[int]) -> np.ndarray:

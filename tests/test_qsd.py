@@ -72,10 +72,13 @@ class TestInitialState:
         for kind in ("memory-qsd", "memory-me2", "memory-ensemble"):
             memory = partial(ExperimentConfig, kind=kind, grid=GRID,
                              signal=SignalFamily(kind="none"), bath=BATH)
-            for states in ((0.5, 1.2), (-0.1,), (float("nan"),)):
+            for states in ((0.5, 1.2), (-0.1,)):
                 with pytest.raises(ConfigError,
                                    match=r"^states\[\d\] must be an excited probability"):
                     memory(states=states)
+            # the JSON number rule comes first, and a nan is no finite number
+            with pytest.raises(ConfigError, match=r"^states\[0\] must be a finite number, got nan$"):
+                memory(states=(float("nan"),))
             config = memory(states=[0.0, 1.0])
             assert config.states == (0.0, 1.0)
             with pytest.raises(ConfigError, match=r"^states\[0\] must be an excited probability"):
@@ -98,7 +101,11 @@ class TestInitialState:
             qsd_fidelity(states, kernel)
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("states, message", BAD_STATES)
+    # a config applies the JSON number rule before the range, as from_dict does
+    CONFIG_STATES = BAD_STATES[:3] + [pytest.param(
+        [float("nan")], "states[0] must be a finite number, got nan", id="nan-is-no-finite-number")]
+
+    @pytest.mark.parametrize("states, message", CONFIG_STATES)
     def test_config_messages_for_states(self, states, message):
         with pytest.raises(ConfigError) as raised:
             ExperimentConfig(kind="memory-qsd", grid=GRID, signal=SignalFamily(kind="none"),
@@ -170,6 +177,22 @@ class TestKernelSolvers:
     def test_wrong_splitting_length_rejected(self):
         with pytest.raises(ValueError, match="midpoint"):
             solve_kernel_riccati(np.ones(GRID.n_steps + 1), BATH, GRID)
+
+    @pytest.mark.parametrize("column", [[0, 2, 0], [0, -1, 0]], ids=["past-the-table", "negative"])
+    def test_runs_that_index_no_level_are_rejected(self, column):
+        """Unchecked, column 2 of two levels read the identity: F = 0 at every node."""
+        runs = (np.array([1.0, 3.0]), np.array(column), np.array([4, 3, 3]))
+        with pytest.raises(ValueError, match=r"^E: runs must .* index the 2 levels"):
+            solve_kernel_riccati(runs, BATH, TimeGrid(1.0, 10))
+
+    @pytest.mark.parametrize("length", [[5, 10], [10, 0], [4, 4]],
+                             ids=["15-cells-on-10", "an-empty-run", "8-cells-on-10"])
+    def test_runs_that_do_not_fill_whole_rows_are_rejected(self, length):
+        """Unchecked, 15 cells on a 10-cell grid solved the first 10 and said nothing."""
+        runs = (np.array([1.0, 3.0]), np.array([0, 1]), np.array(length))
+        with pytest.raises(ValueError, match=r"^E: runs must be non-empty, .* n_steps = 10, "
+                                             rf"got {sum(length)} cells$"):
+            solve_kernel_riccati(runs, BATH, TimeGrid(1.0, 10))
 
     def test_degenerate_qubit_diverges(self):
         """At zero splitting the kernel has a pole at finite time."""

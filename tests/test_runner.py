@@ -206,6 +206,21 @@ DIRECT = [
     (dict(kind="adiabatic", grid=TimeGrid(10.0, 100), signal=NO_CONTROL,
           sweep=SweepSpec(passage_time=5.0, base_freq=0.3)),
      "grid.t_max", "sweep-past-passage-time"),
+    # each field meets the rules its JSON would
+    (dict(kind="memory-qsd", grid=TimeGrid(1.0, 10.0), signal=NO_CONTROL, bath=BATH),
+     "grid.n_steps must be an integer, got 10.0", "float-n_steps"),
+    (dict(kind="memory-qsd", grid=GRID_10, signal=NO_CONTROL, bath=BATH, states=("0.5",)),
+     "states[0] must be a finite number, got '0.5'", "string-state"),
+    (dict(kind="memory-qsd", grid=GRID_10, signal=NO_CONTROL, bath=BATH, states=np.array([0.5])),
+     "states must be a list of numbers", "array-states"),
+    (dict(kind="memory-qsd", grid={"t_max": 1.0, "n_steps": 10}, signal=NO_CONTROL, bath=BATH),
+     "config: grid must be a TimeGrid, got {", "grid-as-a-dict"),
+    (dict(kind="memory-qsd", grid=GRID_10, signal="none", bath=BATH),
+     "config: signal must be a SignalFamily, got 'none'", "signal-as-a-string"),
+    (dict(kind="memory-qsd", grid=GRID_10, signal=NO_CONTROL, bath=(1.0, 0.5)),
+     "config: bath must be a BathSpec, got (1.0, 0.5)", "bath-as-a-tuple"),
+    (dict(kind="adiabatic", grid=GRID_10, signal=NO_CONTROL, sweep=BATH),
+     "config: sweep must be a SweepSpec, got BathSpec(", "bath-as-the-sweep"),
 ]
 
 
@@ -526,6 +541,24 @@ class TestConfigValidation:
     def test_a_default_is_no_field_the_kind_must_take(self):
         config = load_config(ROOT / "configs" / "fig4.json")
         assert dataclasses.replace(config, bath=None, omega=1, states=DEFAULT_STATES) == config
+
+    @pytest.mark.parametrize("changes", [
+        {"bath": BathSpec(coupling=1, cutoff=0.5), "grid": TimeGrid(10, 10000)},
+        {"grid": TimeGrid(10.0, np.int64(10000))},
+        {"bath": BathSpec(coupling=np.float32(1.0), cutoff=np.float64(0.5)),
+         "master_seed": np.int64(0), "states": [np.float64(0.5)]},
+    ], ids=["ints-for-floats", "int64-n_steps", "numpy-scalars"])
+    def test_a_config_built_in_python_writes_the_bytes_of_its_json(self, tmp_path, changes):
+        """Each of these configs is == to fig1's loaded config, and once wrote
+        another header (`"coupling":1`, `"t_max":10`), crashed in resolved()
+        (int64 is no JSON number) or was refused (an int64 master_seed)."""
+        config = load_config(ROOT / "configs" / "fig1.json")
+        built = dataclasses.replace(config, **changes)
+        assert built == config
+        for name, each in (("loaded", config), ("built", built)):
+            emit_csv(run_experiment(each), tmp_path / f"{name}.csv")
+        assert (tmp_path / "built.csv").read_bytes() == (tmp_path / "loaded.csv").read_bytes()
+        assert type(built.grid.n_steps) is int and type(built.master_seed) is int
 
     def test_an_integer_omega_echoes_as_the_loaded_float(self):
         config = load_config(ROOT / "configs" / "fig1.json")
@@ -1149,6 +1182,28 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("config error: grid.n_steps = 2305843009213693952 is too large") == 2
+        assert not out.exists()
+
+    def test_running_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A grid within numpy's limit but past the machine's memory raises
+        MemoryError in the run; a stand-in raises it here, since a real one
+        would take the test machine's memory."""
+        message = ("Unable to allocate 1.46 TiB for an array with shape (10000000000, 10) "
+                   "and data type complex128")
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(runner, "_dispatch", out_of_memory)
+        config = load_config(ROOT / "configs" / "fig1.json")
+        with pytest.raises(ConfigError) as raised:
+            run_experiment(config)
+        expected = f"grid.n_steps = 10000 needs more memory than is free: {message}"
+        assert str(raised.value) == expected
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(ROOT / "configs" / "fig1.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {expected}\n"
         assert not out.exists()
 
     def test_run_past_sweep_end_exits_2(self, tmp_path, capsys):

@@ -36,7 +36,6 @@ from pulseguard.qsd import (
 )
 from pulseguard.signals import (
     _MIN_DUTY,
-    _cell_runs,
     _draw_jittered_pulses,
     _rng,
     ChaoticSpec,
@@ -219,15 +218,16 @@ def controls(name, ks, grid=GRID):
     return [family.sample(substream(SEEDS.get(name, 11), k), grid) for k in ks]
 
 
-def cell_runs(E):
-    """The runs of the (B, n) drives E, as solve_kernel_riccati forms them
-    from cell values."""
-    return _effective_runs([_cell_runs(row) for row in E], 0.0)
-
-
 def block_runs(signals):
     """The runs of E = 1 + c of a block of controls, as the batched path forms them."""
     return _effective_runs([signal._runs for signal in signals], 1.0)
+
+
+def cell_index(runs, grid):
+    """The level table and (B, n_steps) cell index of `runs`, as
+    solve_kernel_riccati forms them for _map_table."""
+    level, column, length = runs
+    return level, np.repeat(column, length).reshape(-1, grid.n_steps)
 
 
 def stretch_drive(name):
@@ -285,8 +285,8 @@ class TestRiccatiKernel:
         assert np.max(np.abs(kernel.values - extended_kernel(E, bath, grid))) <= 1e-13
 
     def test_a_stretch_merges_unless_its_map_would_be_rescaled(self):
-        runs = block_runs(controls("spans", [0]))
-        table, _, cells, index, active = _map_table(runs, SHORT_MEMORY_BATH, GRID)
+        level, cells = cell_index(block_runs(controls("spans", [0])), GRID)
+        table, _, cells, index, active = _map_table(level, cells, SHORT_MEMORY_BATH, GRID)
         stretches = 1 + np.count_nonzero(np.diff(cells[0, :-1]), axis=1)
         pieces = np.count_nonzero(active, axis=0)[0]
         # every chunk has pulses that merge and gaps that stay single cells
@@ -295,6 +295,20 @@ class TestRiccatiKernel:
         # has entries up to 2; the table also keeps the maps of the keys that split
         eye = np.array([[1.0], [0.0], [0.0], [1.0]])
         assert np.all(np.abs(table[:, index[active]] + eye) <= 2.0)
+
+    def test_pieces_are_the_runs_of_equal_cells_in_each_chunk(self):
+        """On 300 cells, chunk 0 is one piece of level 0, chunk 1 a piece of
+        level 0 and one of level 1, 50 cells each, and the last chunk has
+        none.  The table holds the two levels, the identity, then one map per
+        (level id, L) in key order: (0, 50), (0, 100), (1, 50)."""
+        grid = TimeGrid(0.3, 300)
+        cells = np.repeat([0, 1, 0], [150, 50, 100])[np.newaxis]
+        table, maps, padded, index, active = _map_table(np.array([1.0, 3.0]), cells,
+                                                        FIG1_BATH, grid)
+        assert table.shape == (4, 6) and maps.shape == (4, 3)
+        assert np.array_equal(padded.reshape(1, -1), cells)
+        assert np.array_equal(index[:, 0], [[4, 3], [2, 5]])
+        assert np.array_equal(active[:, 0], [[True, True], [False, True]])
 
     @pytest.mark.parametrize("name", sorted(CONTROLS))
     def test_within_rk4_error_of_the_rk4_loop(self, name):
@@ -431,7 +445,8 @@ class TestBatchedKernel:
         free = splitting(CONTROLS["free"])
         E = np.stack([spans, free, splitting(CONTROLS["regular"]), splitting(CONTROLS["chaotic"]),
                       spans[::-1], spans + 0.5, 2.0 * free, spans])
-        table, maps, _, index, active = _map_table(cell_runs(E), bath, grid)
+        level, cells = np.unique(E, return_inverse=True)
+        table, maps, _, index, active = _map_table(level, cells.reshape(E.shape), bath, grid)
         # the maps of the keys that split stay in the table, unread by pass 1
         unread = np.setdiff1d(np.arange(maps.shape[1], table.shape[1]), index[active])
         assert 0 < len(unread) < table.shape[1] - maps.shape[1]
@@ -461,7 +476,8 @@ class TestBatchedKernel:
 
     def test_one_table_column_per_structural_level_of_the_block(self):
         signals = controls("jittered", range(4), PADDED)  # the last chunk is half padding
-        table, maps, cells, _, _ = _map_table(block_runs(signals), FIG2_BATH, PADDED)
+        level, cells = cell_index(block_runs(signals), PADDED)
+        table, maps, cells, _, _ = _map_table(level, cells, FIG2_BATH, PADDED)
         # pass 3 reads a copy of the table's cell maps and identity
         assert np.array_equal(maps, table[:, : maps.shape[1]])
         # omega, which every row's gaps share, then each pulse of each row
