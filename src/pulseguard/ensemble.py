@@ -19,8 +19,9 @@ another count shuts it down before a new one starts, so that no worker is
 forked while the old pool's threads run.  A pool that broke while idle (a
 worker killed between runs, say) refuses a run's first block at once, before
 any block reached it, so that run drops it and starts on a fresh pool, once;
-a pool that breaks after a block reached it is dropped and the break is
-raised, and the next pooled run starts a fresh one.  At a normal exit
+a pool that breaks after a block reached it is dropped, the run fails with
+a MemoryError that names the trajectories of the first block not done, and
+the next pooled run starts a fresh one.  At a normal exit
 `concurrent.futures` joins the workers, and a worker whose parent dies exits
 by itself.  A child forked from a process that keeps a pool does not use it:
 under the `fork` and `spawn` start methods its first pooled run starts its
@@ -175,11 +176,14 @@ def _pooled(run: Callable[[range], tuple], blocks: list, workers: int) -> list:
 
     A pool that broke while idle refuses the first block at once, before
     any block reached it, so it is dropped and the run starts on a fresh
-    pool, once.  A break after that drops the pool and is raised.
+    pool, once.  A break after that, a worker that died (killed by the
+    operating system for memory, say), drops the pool and is raised as a
+    MemoryError that names the trajectories of the first block not done.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     run = partial(_recorded, run)
+    done = 0
     with _pool_lock:
         try:
             pool = _kept_pool(workers)
@@ -195,14 +199,17 @@ def _pooled(run: Callable[[range], tuple], blocks: list, workers: int) -> list:
                 for future in futures:
                     for args in future.result()[1]:
                         warnings.warn_explicit(*args, registry=_registry)
+                    done += 1
                 return [future.result()[0] for future in futures]
             finally:
                 # as Executor.map: a block that failed leaves none queued
                 for future in futures:
                     future.cancel()
-        except BrokenProcessPool:
+        except BrokenProcessPool as exc:
             _drop_pool()
-            raise
+            ks = blocks[done]
+            raise MemoryError(f"a pool worker died before trajectories {ks[0]}-{ks[-1]} "
+                              "were done") from exc
 
 
 def _run_block(block: Callable[[range], np.ndarray], ks: range) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +237,8 @@ def ensemble_mean(
     which block(ks) returns for each block of indices ks.
 
     A NumericOverflowError from block(ks) names its position in ks as its
-    `row`, and is raised again naming trajectory ks[row].
+    `row`, and is raised again naming trajectory ks[row].  A pool worker
+    that dies under the run is a MemoryError (see _pooled).
 
     Both are taken over the trajectory axis only, so each keeps the shape of
     one trajectory's rows; the stderr is the sample standard error (ddof=1)

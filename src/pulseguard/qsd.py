@@ -127,15 +127,18 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     cells at one level has the cell map with dt replaced by L dt.  Pass 2
     carries F across the chunk ends, and pass 3 applies each chunk's cell
     maps one by one from its start value, writing F into the output and
-    checking each cell.  No pass holds a map per cell: the levels and the
-    pieces get one map each, in one table that every row indexes.
+    flagging each cell, which the rows' finished kernels then check (see
+    _scan).  No pass holds a map per cell: the levels and the pieces get
+    one map each, in one table that every row indexes.
 
     E holds one drive, shape (n_steps,), a batch of B drives, shape
-    (B, n_steps), or a batch's runs (level, column, length), as
-    signals._effective_runs forms them: run i is E = level[column[i]] for
-    length[i] cells, row after row, no two neighbours of a row at equal E
-    (runs that are empty, index past `level` or leave a row short are a
-    ValueError).  Either form becomes one index of each cell's level.  The
+    (B, n_steps), or a batch's runs (level, column, length), as the block
+    sampler signals.sample_family forms them: run i is E = level[column[i]]
+    for length[i] cells, row after row, no two neighbours of a row at equal
+    E (runs that are empty, index past `level` or leave a row short are a
+    ValueError).  Cell values become such runs by one comparison of each
+    cell with the one before, their levels numbered by value over the run
+    starts alone.  Either form becomes one index of each cell's level.  The
     kernel has shape (n_steps + 1,) or (B, n_steps + 1).  Every operation
     is elementwise over the rows, so a row's kernel is bit for bit the same
     in any batch, from either form.
@@ -152,14 +155,19 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
                 and len(length) and length.sum() % n == 0):
             raise ValueError(f"E: runs must be non-empty, index the {len(level)} levels and fill "
                              f"whole rows of n_steps = {n}, got {length.sum()} cells")
-        cells = np.repeat(column.astype(np.int32), length).reshape(-1, n)
         shape = (-1, n + 1)
     else:
         E = grid.on_cells(E, "E", batched=True)
-        # the levels numbered by value, + 0.0 making a -0 cell the +0 level
-        level, cells = np.unique(E.ravel() + 0.0, return_inverse=True)
-        cells = cells.reshape(-1, n)
         shape = E.shape[:-1] + (n + 1,)
+        # each row's runs of equal cells, their levels numbered by value,
+        # + 0.0 making a -0 run the +0 level
+        E = E.reshape(-1, n)
+        first = np.ones(E.shape, dtype=bool)
+        np.not_equal(E[:, 1:], E[:, :-1], out=first[:, 1:])
+        start = np.flatnonzero(first)
+        level, column = np.unique(E.take(start) + 0.0, return_inverse=True)
+        length = np.diff(start, append=E.size)
+    cells = np.repeat(column.astype(np.int32), length).reshape(-1, n)
     # the products are allocated before the table is built, so that the
     # build's temporaries leave one free stretch of heap for the scan's output
     Q = np.empty((4, len(cells), -(-n // min(_CHUNK, n)) - 1), dtype=complex)
@@ -170,7 +178,7 @@ def solve_kernel_riccati(E, bath: BathSpec, grid: TimeGrid) -> KernelCurve:
     # ~1.3 MB to the peak RSS of a process that solves fig2's blocks of 20
     del table, index, active
     values, good = _scan(maps, cells, Q, n)
-    chunk = cells.shape[2]
+    chunk = cells.shape[0]
     bad = np.argwhere(good < chunk)
     if len(bad):
         row, j = bad[0]  # the first row with a bad cell, then its first such chunk
@@ -194,10 +202,12 @@ def _map_table(level: np.ndarray, cells: np.ndarray, bath: BathSpec, grid: TimeG
     L > 1 cells, each read off its key.  Such a piece whose map is not
     finite or would need rescaling becomes L pieces of one cell, so pass 1
     multiplies there the cell maps; its own map stays in the table,
-    unread.  The cell index is padded to (B, chunks, chunk) with the
-    identity; the int32 piece index, (S, B, chunks - 1), holds the pieces
-    of every chunk but the last, in order, padded with the identity up to
-    S, the most of a chunk; the mask is true where a slot holds a piece.
+    unread.  Pass 3's cell index is chunk-major, (chunk, B, chunks), so
+    that each of its steps reads contiguous int32s, and its last chunk is
+    padded with the identity; the int32 piece index, (S, B, chunks - 1),
+    holds the pieces of every chunk but the last, in order, padded with
+    the identity up to S, the most of a chunk; the mask is true where a
+    slot holds a piece.
     """
     n = grid.n_steps
     chunk = min(_CHUNK, n)
@@ -206,11 +216,12 @@ def _map_table(level: np.ndarray, cells: np.ndarray, bath: BathSpec, grid: TimeG
     # pass 3's maps live through the scan, so they are allocated before the
     # temporaries that follow, which then leave free heap for the scan's output
     maps = np.empty((4, identity + 1), dtype=complex)
-    # the cell index as int32, its last chunk padded with the identity
-    padded = np.full((len(cells), chunks, chunk), identity, dtype=np.int32)
-    padded.reshape(len(cells), -1)[:, :n] = cells
+    # pass 3's cell index, chunk-major, its last chunk padded with the identity
+    steps = np.full((chunk, len(cells), chunks), identity, dtype=np.int32)
+    body = cells[:, : (chunks - 1) * chunk].reshape(len(cells), chunks - 1, chunk)
+    steps[:, :, :-1] = body.transpose(2, 0, 1)
+    steps[: n - (chunks - 1) * chunk, :, -1] = cells[:, (chunks - 1) * chunk :].T
     # pass 1's pieces: the runs of equal cells in every chunk but the last
-    body = padded[:, :-1]
     first = np.ones(body.shape, dtype=bool)
     np.not_equal(body[..., 1:], body[..., :-1], out=first[..., 1:])
     start = np.flatnonzero(first)
@@ -247,7 +258,7 @@ def _map_table(level: np.ndarray, cells: np.ndarray, bath: BathSpec, grid: TimeG
     index.reshape(-1)[rank * len(count) + group] = column
     active = np.arange(depth)[:, np.newaxis] < count
     shape = (depth, len(cells), chunks - 1)
-    return table, maps, padded, index.reshape(shape), active.reshape(shape)
+    return table, maps, steps, index.reshape(shape), active.reshape(shape)
 
 
 def _span_maps(level: np.ndarray, span, bath: BathSpec, out: np.ndarray) -> np.ndarray:
@@ -325,15 +336,17 @@ def _chunk_products(Q: np.ndarray, table: np.ndarray, index: np.ndarray, active:
 
 def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The kernels F, shape (B, n + 1), of the cell maps indexed by `cells`,
-    shape (B, chunks, chunk), from the chunk products I + Q of pass 1, and
-    how many good cells lead each chunk.
+    chunk-major, shape (chunk, B, chunks), from the chunk products I + Q of
+    pass 1, and how many good cells lead each chunk.
 
     Pass 2 carries F across the chunk ends through the products, and pass 3
     applies each chunk's cell maps one by one from its start, both by _step,
-    through buffers that every step reuses.
+    through buffers that every step reuses.  _step reads each map as
+    (D0, D1, D2, D3 - D0), so the last entry is formed once per map, in
+    place, in `maps` and in Q.
 
-    Pass 3 marks cell k bad where Re x <= -1, that is Re(a - b F_k) <= 0,
-    or where |F| after it exceeds the kernel bound or is nan.  In the cell,
+    A cell k is bad where Re x <= -1, that is Re(a - b F_k) <= 0, or where
+    |F| after it exceeds the kernel bound or is nan.  In the cell,
     z = exp(-int F) scales by exp(r dt/2) (a - b F_k), with
     a - b F_k = 1 + x ~ 1 - dt F_k, so the first rule fires when that
     factor turns by more than 90 degrees, which in practice means Re F_k
@@ -344,17 +357,22 @@ def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[n
     exact maps would carry F on, but no longer on a grid that resolves it.
     At a chunk's first cell, x is formed from the start value that pass 2
     carried, the value the map is applied to; the previous chunk's last
-    node agrees with it to rounding.
+    node agrees with it to rounding.  The rules are checked in that order:
+    each step of pass 3 records only whether Re x > -1, one flag per cell,
+    and then the |F| rule runs once per row over its finished nodes,
+    through one buffer, and clears the flags of the cells it fails.
 
     Returns a view of a (B, chunks * chunk + 1) buffer, in which F runs on
     past a bad cell, and the (B, chunks) int32 count of the cells before
     each chunk's first bad one (chunk if none).  The identity cells that
     pad the last chunk keep a good F good, so none is a row's first bad one.
     """
-    rows, chunks, chunk = cells.shape
+    chunk, rows, chunks = cells.shape
     out = np.empty((rows, chunks * chunk + 1), dtype=complex)
     out[:, 0] = 0.0
-    nodes = out[:, 1:].reshape(cells.shape)
+    nodes = out[:, 1:].reshape(rows, chunks, chunk)
+    maps[3] -= maps[0]
+    Q[3] -= Q[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # pass 2: F at each chunk's start
         F = np.zeros((rows, chunks), dtype=complex)
@@ -368,36 +386,36 @@ def _scan(maps: np.ndarray, cells: np.ndarray, Q: np.ndarray, n: int) -> tuple[n
         D = np.empty((4, rows, chunks), dtype=complex)
         entries = list(D)  # unpacked once, not at every step
         work = [np.empty_like(F) for _ in range(4)]
-        size = np.empty(F.shape)
-        ok = np.ones(F.shape, dtype=bool)
-        fine = np.empty_like(ok)
-        good = np.zeros(F.shape, dtype=np.int32)
+        # cell k of each chunk is fine where Re x > -1; a nan compares false
+        fine = np.empty((chunk, rows, chunks), dtype=bool)
         for k in range(chunk):
-            maps.take(cells[:, :, k], axis=1, out=D, mode="clip")
+            maps.take(cells[k], axis=1, out=D, mode="clip")
             x = _step(entries, F, work, F)
             nodes[:, :, k] = F
-            # a nan compares false, so it is bad
-            np.greater(x.real, -1.0, out=fine)
-            ok &= fine
-            np.abs(F, out=size)
-            np.less_equal(size, _KERNEL_BOUND, out=fine)
-            ok &= fine
-            good += ok
-    return out[:, : n + 1], good
+            np.greater(x.real, -1.0, out=fine[k])
+        # and where |F| after it is within the bound, which a nan is not
+        size = np.empty(chunks * chunk)
+        bounded = np.empty(size.shape, dtype=bool)
+        for row in range(rows):
+            np.abs(out[row, 1:], out=size)
+            np.less_equal(size, _KERNEL_BOUND, out=bounded)
+            fine[:, row] &= bounded.reshape(chunks, chunk).T
+    np.logical_and.accumulate(fine, axis=0, out=fine)
+    return out[:, : n + 1], fine.sum(axis=0, dtype=np.int32)
 
 
 def _step(D: Sequence, F: np.ndarray, work: Sequence, out: np.ndarray) -> np.ndarray:
-    """Write F + (F (D3 - D0 + D1 F) - D2) / (1 + x), F after the maps I + D,
-    into `out` through the four buffers `work`, and return x = D0 - D1 F,
-    so that 1 + x is the maps' a - b F.  No buffer but `out` is written
-    over its own operand: on an array of one element, numpy rounds such a
-    product by another rule, and runs any such operation slowly."""
-    D0, D1, D2, D3 = D
+    """Write F + (F (W + D1 F) - D2) / (1 + x), F after the maps I + D given
+    as D = (D0, D1, D2, W = D3 - D0), into `out` through the four buffers
+    `work`, and return x = D0 - D1 F, so that 1 + x is the maps' a - b F.
+    No buffer but `out` is written over its own operand: on an array of one
+    element, numpy rounds such a product by another rule, and runs any such
+    operation slowly."""
+    D0, D1, D2, W = D
     D1F, x, u, v = work
     np.multiply(D1, F, out=D1F)
     np.subtract(D0, D1F, out=x)
-    np.subtract(D3, D0, out=u)
-    np.add(u, D1F, out=v)
+    np.add(W, D1F, out=v)
     np.multiply(F, v, out=u)
     np.subtract(u, D2, out=v)
     np.add(1.0, x, out=u)

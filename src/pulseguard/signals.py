@@ -2,7 +2,13 @@
 
 The control enters the physics only through the shifted level splitting
 E(t) = omega + c(t).  All generators produce c(t) at the midpoints of a
-TimeGrid, which sidesteps edge ambiguity, as runs of cells (SampledSignal).
+TimeGrid, which sidesteps edge ambiguity, as runs of cells.
+
+One block sampler, sample_family, samples the controls of a block of
+trajectories, one per seed, and returns them as the runs of E that the
+batched kernel takes; SignalFamily.sample is a block of one, as a
+SampledSignal.  Each trajectory draws from its own seed, as it would
+alone, and everything after the draws runs once over the block's rows.
 
 Every pulse family (regular, chaotic, jittered) is a train of
 (end, duration, height) triples, and one sampler puts any train on the grid.
@@ -26,7 +32,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,16 +169,17 @@ class SampledSignal:
     _runs = (levels, ids, lengths): run i holds levels[ids[i]] for lengths[i]
     cells.  Ids are structural: 0 is every sample's gap, c = 0, 1 a regular
     train's pulses; each jittered or chaotic pulse and each shot count has
-    its own, and cell values are numbered by value (see _cell_runs).
-    `values`, c at the midpoints, is formed on first use if not given.
+    its own, and cell values are numbered by value (see _cell_runs).  A row
+    of a block shares the block's levels.  `values`, c at the midpoints, is
+    formed on first use if not given.
     """
 
     def __init__(self, grid: TimeGrid, values=None, _runs=None) -> None:
         if _runs is None:
             values = grid.on_cells(values, "values")
             _runs = _cell_runs(values)
-        if not np.all(np.isfinite(_runs[0])):
-            raise ValueError("signal values must be finite")
+            if not np.all(np.isfinite(_runs[0])):
+                raise ValueError("signal values must be finite")
         self.grid, self._values, self._runs = grid, values, _runs
 
     @property
@@ -204,62 +211,96 @@ def _cell_runs(values: np.ndarray) -> tuple:
     return np.append(0.0, levels), ids + 1, lengths
 
 
-def _effective_runs(runs, omega: float) -> tuple:
-    """The runs of E = omega + c over the _runs of a block, as solve_kernel_riccati
-    takes them: the gap, each row's levels, and the runs at equal E joined."""
-    levels, ids, lengths = zip(*runs)
-    level = omega + np.concatenate([[0.0]] + [row[1:] for row in levels])
-    shift = np.cumsum([0] + [len(row) - 1 for row in levels[:-1]])  # to each row's columns
-    column = np.concatenate([np.where(i > 0, i + f, 0) for i, f in zip(ids, shift)])
-    rows = np.cumsum([0] + [len(row) for row in ids[:-1]])
-    return (level, *_joined(level.take(column), column, np.concatenate(lengths), rows))
+def _effective_runs(level: np.ndarray, column: np.ndarray, length: np.ndarray, n: int,
+                    omega: float) -> tuple:
+    """The runs of E = omega + c, as solve_kernel_riccati takes them, from
+    runs of c that fill whole rows of n cells: a ValueError if a level of c
+    is not finite, then each row's neighbours at equal E joined."""
+    if not np.all(np.isfinite(level)):
+        raise ValueError("signal values must be finite")
+    level = omega + level
+    rows = np.searchsorted(np.cumsum(length), np.arange(0, length.sum(), n), side="right")
+    return (level, *_joined(level.take(column), column, length, rows))
 
 
-def _draw_jittered_pulses(
-    spec: PulseTrainSpec,
-    jitter: JitterSpec,
-    seed: Seed,
-    t_max: float,
-):
-    """Draw per-pulse (end_time, duration, height) arrays covering [0, t_max].
+def _rows(runs: tuple, grid: TimeGrid) -> list:
+    """A block's runs of c as one SampledSignal per row."""
+    level, column, length = runs
+    cuts = np.searchsorted(np.cumsum(length), np.arange(grid.n_steps, length.sum(), grid.n_steps),
+                           side="right")
+    return [SampledSignal(grid, _runs=(level, ids, lengths))
+            for ids, lengths in zip(np.split(column, cuts), np.split(length, cuts))]
+
+
+def _draw_jittered_pulses(spec: PulseTrainSpec, jitter: JitterSpec, seeds: Sequence[Seed],
+                          t_max: float):
+    """Draw one train per seed, each covering [0, t_max]: the trains' (end_time,
+    duration, height) arrays, row after row, and each train's pulse count.
 
     Pulse n ends at T_n = n*period + sum of period deviations so far; for
     zero deviations the edges reduce to exact multiples of the base period.
     Per pulse the draws happen in a fixed order (period, duration, area) so
-    a given seed always yields the same train.  The uniforms are drawn in
-    chunks of the expected pulse count, which consumes the stream exactly as
-    one draw of three per pulse would, and the deviations are summed in the
-    same sequential order, so the train does not depend on the chunking.
+    a given seed always yields the same train.  Each train draws its
+    uniforms in chunks of the expected pulse count, which consumes its
+    stream exactly as one draw of three per pulse would, and sums its
+    deviations in the same sequential order, so a train depends neither on
+    the chunking nor on the other trains.  Every train draws its first
+    chunk into one array, then the trains still open draw their next, and
+    each chunk's arithmetic runs once over the trains that drew it, in
+    place where it can.
     """
-    rng = _rng(seed)
+    rngs = [_rng(seed) for seed in seeds]
     chunk = int(t_max / spec.period) + 2
+    # (period, duration, area) of each open train's next chunk, worked on in place
+    draws = np.empty((3, len(rngs), chunk))
+    # each open train's period deviations, after the sum of its earlier ones
+    sums = np.zeros((len(rngs), chunk + 1))
+    rows = np.arange(len(rngs))
     parts = []
-    dev_sum = 0.0
-    n = 0
-    while True:
-        u = rng.uniform(-1.0, 1.0, size=(chunk, 3))
-        period_devs = jitter.period_dev * u[:, 0]
-        periods = spec.period + period_devs
-        dev_sums = np.cumsum(np.concatenate(([dev_sum], period_devs)))[1:]
-        ends = np.arange(n + 1, n + chunk + 1) * spec.period + dev_sums
+    while len(rows):
+        u, devs = draws[:, : len(rows)], sums[: len(rows)]
+        for i, row in enumerate(rows.tolist()):
+            u[:, i] = rngs[row].uniform(-1.0, 1.0, size=(chunk, 3)).T
+        periods, durations, areas = u
+        np.multiply(jitter.period_dev, periods, out=devs[:, 1:])
+        np.add(spec.period, devs[:, 1:], out=periods)
+        np.cumsum(devs, axis=1, out=devs)
+        carry = devs[:, -1].copy()
+        first = len(parts) * chunk + 1
+        ends = np.add(np.arange(first, first + chunk) * spec.period, devs[:, 1:], out=devs[:, 1:])
         # clamp, never redraw: duration into (0, period'], area into [0, inf)
-        durations = np.minimum(
-            np.maximum(spec.duration + jitter.duration_dev * u[:, 1], _MIN_DUTY * periods),
-            periods,
-        )
-        areas = np.maximum(spec.area + jitter.area_dev * u[:, 2], 0.0)
-        # the train ends with the first pulse that starts past t_max
-        past = np.flatnonzero(ends - durations > t_max)
-        count = past[0] + 1 if past.size else chunk
-        if not np.all(periods[:count] > 0.0):
+        durations *= jitter.duration_dev
+        durations += spec.duration
+        np.maximum(durations, _MIN_DUTY * periods, out=durations)
+        np.minimum(durations, periods, out=durations)
+        areas *= jitter.area_dev
+        areas += spec.area
+        np.maximum(areas, 0.0, out=areas)
+        np.divide(areas, durations, out=areas)
+        # a train ends with the first pulse that starts past t_max
+        past = ends - durations > t_max
+        ended = past.any(axis=1)
+        kept = np.arange(chunk) <= np.where(ended, past.argmax(axis=1), chunk)[:, np.newaxis]
+        if np.any(kept & ~(periods > 0.0)):
             raise ValueError(
                 "period_dev admits non-positive pulse periods; reduce it below the base period"
             )
-        parts.append((ends[:count], durations[:count], areas[:count] / durations[:count]))
-        if past.size:
-            return tuple(np.concatenate(column) for column in zip(*parts))
-        dev_sum = dev_sums[-1]
-        n += chunk
+        # the ends take the place of the periods, which nothing reads after the check
+        periods[...] = ends
+        parts.append((rows, kept.sum(axis=1), u[:, kept]))
+        sums[: np.count_nonzero(~ended), 0] = carry[~ended]
+        rows = rows[~ended]
+    del draws, sums
+    counts = np.zeros(len(rngs), dtype=np.intp)
+    for rows, count, _ in parts:
+        counts[rows] += count
+    trains = np.empty((3, counts.sum()))
+    # chunk k of a train follows its first k, which were full
+    start = np.cumsum(counts) - counts
+    for k, (rows, count, part) in enumerate(parts):
+        at = np.repeat(start[rows] + k * chunk - (np.cumsum(count) - count), count)
+        trains[:, at + np.arange(len(at))] = part
+    return (*trains, counts)
 
 
 def _jittered_height_bound(spec: PulseTrainSpec, jitter: JitterSpec) -> float:
@@ -286,31 +327,40 @@ def _logistic_intensities(chaos: ChaoticSpec, count: int) -> np.ndarray:
     return out
 
 
-def _sample_shot_noise(
-    spec: ShotNoiseSpec, seed: Seed, grid: TimeGrid
-) -> SampledSignal:
-    """Poisson impulse train binned on the grid.
+def _shot_runs(spec: ShotNoiseSpec, seeds: Sequence[Seed], grid: TimeGrid,
+               omega: float = 0.0) -> tuple:
+    """Poisson impulse trains binned on the grid, one row per seed, as the
+    runs of E = omega + c (see _effective_runs).
 
     Each arrival adds strength/dt to the cell it lands in; cells may hold
     several arrivals, and a count is its level's id, or past n_steps counts
-    the levels are numbered by value.  Resolving individual arrivals needs
-    rate * dt well below one; SignalFamily.check warns above 0.1, and this
-    sampler does not.  A cell whose arrivals stack past the float range
-    raises NumericOverflowError.
+    in the block the levels are numbered by value.  Each row draws its
+    counts from its own stream, and one comparison over the block cuts the
+    runs of equal counts.  Resolving individual arrivals needs rate * dt
+    well below one; SignalFamily.check warns above 0.1, and this sampler
+    does not.  A cell whose arrivals stack past the float range raises
+    NumericOverflowError, naming the first such row.
     """
-    rng = _rng(seed)
-    counts = rng.poisson(spec.rate * grid.dt, size=grid.n_steps)
+    n = grid.n_steps
+    counts = np.empty((len(seeds), n), dtype=np.int64)
+    for row, seed in zip(counts, seeds):
+        row[...] = _rng(seed).poisson(spec.rate * grid.dt, size=n)
     height = spec.strength / grid.dt
-    # the heights grow with the count, so the fullest cell overflows first
-    peak = int(counts.max())
-    if not math.isfinite(peak * height):
-        raise NumericOverflowError(
-            f"{peak} shot arrivals in one cell of dt = {grid.dt!r} at signal.strength = "
-            f"{spec.strength!r} give a height beyond the float range"
-        )
-    values = counts * height
-    return SampledSignal(grid, values, (np.arange(peak + 1) * height, *_joined(values, counts))
-                         if peak < grid.n_steps else None)
+    # the heights grow with the count, so a row's fullest cell overflows first
+    peaks = counts.max(axis=1)
+    for row, peak in enumerate(peaks.tolist()):
+        if not math.isfinite(peak * height):
+            raise NumericOverflowError(
+                f"{peak} shot arrivals in one cell of dt = {grid.dt!r} at signal.strength = "
+                f"{spec.strength!r} give a height beyond the float range", row)
+    counts = counts.ravel()
+    column, length = _joined(counts, counts, cuts=np.arange(0, len(counts), n))
+    if peaks.max() < n:
+        level = np.arange(peaks.max() + 1) * height
+    else:
+        level, column = np.unique(column * height, return_inverse=True)
+        level, column = np.append(0.0, level), column + 1
+    return _effective_runs(level, column, length, n, omega)
 
 
 # family -> {SignalFamily attribute: spec class}; the one place the families are listed
@@ -328,8 +378,9 @@ class SignalFamily:
     """Config-level description of one control family.
 
     kind is a key of FAMILY_SPECS, and exactly the spec attributes listed
-    there for it are set.  sample() is the single entry point used by
-    ensembles and the experiment runner; deterministic kinds ignore the seed.
+    there for it are set.  sample() is one trajectory's control, a block of
+    one of sample_family, which the experiment runner calls on a whole
+    block; deterministic kinds ignore the seed.
     check() holds the rules for whether a grid can carry the family.
     """
 
@@ -357,7 +408,8 @@ class SignalFamily:
         return self.kind in ("jittered", "shot")
 
     def sample(self, seed: Seed, grid: TimeGrid) -> SampledSignal:
-        return sample_family(self, seed, grid)
+        """The control of one trajectory: a block of one."""
+        return SampledSignal(grid, _runs=sample_family(self, [seed], grid))
 
     def check(self, grid: TimeGrid) -> None:
         """Raise ValueError if sample() cannot resolve or represent this family on `grid`.
@@ -425,21 +477,28 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _pulse_train(family: SignalFamily, seed: Seed, t_max: float):
-    """(end_time, duration, height) arrays of a pulse family's train on [0, t_max]."""
-    spec = family.pulse
+def _pulse_trains(family: SignalFamily, seeds: Sequence[Seed], t_max: float):
+    """The trains of a pulse family on [0, t_max], one per seed, as
+    _draw_jittered_pulses returns them; a deterministic train is the same
+    for every seed."""
     if family.kind == "jittered":
-        return _draw_jittered_pulses(spec, family.jitter, seed, t_max)
-    count = math.ceil(t_max / spec.period) + 1
-    heights = np.full(count, spec.height)
-    if family.kind == "chaotic":
-        # pulse n's height times L_n, so seed_intensity = 0 is silent
-        heights *= _logistic_intensities(family.chaos, count)
-    return np.arange(1, count + 1) * spec.period, np.full(count, spec.duration), heights
+        return _draw_jittered_pulses(family.pulse, family.jitter, seeds, t_max)
+    train = (np.zeros(0),) * 3
+    if family.kind != "none":
+        spec = family.pulse
+        count = math.ceil(t_max / spec.period) + 1
+        heights = np.full(count, spec.height)
+        if family.kind == "chaotic":
+            # pulse n's height times L_n, so seed_intensity = 0 is silent
+            heights *= _logistic_intensities(family.chaos, count)
+        train = (np.arange(1, count + 1) * spec.period, np.full(count, spec.duration), heights)
+    return (*(np.tile(column, len(seeds)) for column in train), np.full(len(seeds), len(train[0])))
 
 
-def _sample_pulses(pulses, grid: TimeGrid, one_level: bool = False) -> SampledSignal:
-    """Put a train of ascending (end_time, duration, height) arrays on the grid.
+def _pulse_runs(trains, grid: TimeGrid, omega: float = 0.0, one_level: bool = False) -> tuple:
+    """Put trains of ascending (end_time, duration, height) arrays, row after
+    row, with each row's pulse count, on the grid, as the runs of
+    E = omega + c (see _effective_runs).
 
     The module's one window test, done per pulse: both edges of each pulse
     are searched in the midpoints, so that pulse n covers the midpoints
@@ -447,30 +506,56 @@ def _sample_pulses(pulses, grid: TimeGrid, one_level: bool = False) -> SampledSi
     past end.  A midpoint belongs to the first pulse that ends at or after
     it, so each start is clipped into [stop_{n-1}, stop_n]: where rounding
     lets two windows overlap, the earlier pulse keeps the shared midpoints.
-    The runs are a gap, a pulse and so on; with `one_level` every pulse is level 1.
+    Each row's runs are a gap, a pulse and so on, then a gap; the empty
+    ones are dropped.  Levels: the gap, then each pulse's height, or with
+    `one_level` each row's first.  The searches, the clip and the runs
+    each run once over the whole block.
     """
-    ends, durations, heights = pulses
+    ends, durations, heights, counts = trains
+    n = grid.n_steps
     t = grid.midpoints
-    edges = np.empty(2 * len(ends), dtype=np.intp)
-    edges[::2] = np.searchsorted(t, ends - durations, side="right")
-    edges[1::2] = np.searchsorted(t, ends, side="right")
-    # start_n <= stop_n already, so a running maximum is the clip
-    np.maximum.accumulate(edges, out=edges)
-    levels = np.concatenate(([0.0], heights[:1] if one_level else heights))
-    ids = np.zeros(2 * len(ends) + 1, dtype=np.intp)
-    ids[1::2] = 1 if one_level else np.arange(1, len(ends) + 1)
-    lengths = np.diff(edges, prepend=0, append=len(t))
-    kept = lengths > 0
-    ids, lengths = _joined(levels.take(ids[kept]), ids[kept], lengths[kept])
-    return SampledSignal(grid, _runs=(levels, ids, lengths))
+    row = np.repeat(np.arange(len(counts)), counts)
+    # each row's runs are a gap, a pulse and so on, then a gap, bounded in
+    # cells of the block: run 2j + row + 1 is pulse j's
+    at = 2 * np.arange(len(ends)) + row + 1
+    bounds = np.repeat(np.arange(0, len(counts) * n + 1, n), np.append(2 * counts + 1, 1))
+    bounds[at] += np.searchsorted(t, ends - durations, side="right")
+    bounds[at + 1] += np.searchsorted(t, ends, side="right")
+    # start_n <= stop_n already, and a row's bounds lie past the row
+    # before's, so one running maximum is the clip of every row
+    np.maximum.accumulate(bounds, out=bounds)
+    column = np.zeros(len(bounds) - 1, dtype=np.intp)
+    if one_level:
+        heights = heights.take(np.cumsum(counts) - counts)
+        column[at] = row + 1
+    else:
+        column[at] = np.arange(1, len(ends) + 1)
+    del row, at
+    length = np.diff(bounds)
+    del bounds
+    kept = length > 0
+    column, length = column[kept], length[kept]
+    del kept
+    return _effective_runs(np.concatenate(([0.0], heights)), column, length, n, omega)
 
 
-def sample_family(family: SignalFamily, seed: Seed, grid: TimeGrid) -> SampledSignal:
+def sample_family(family: SignalFamily, seeds: Sequence[Seed], grid: TimeGrid,
+                  omega: float = 0.0) -> tuple:
+    """The controls of a block, one trajectory per seed, as the runs of
+    E = omega + c that solve_kernel_riccati takes: (level, column, length),
+    run i holding E = level[column[i]] for length[i] cells, row after row.
+
+    Level 0 is omega, every row's gap.  Each row draws from its own seed
+    as it would alone, and its runs are maximal (none empty, no two
+    neighbours at equal E) and the same in any block, up to the numbering
+    of their levels.  A level of c that is not finite is a ValueError; a
+    shot cell that overflows is a NumericOverflowError whose `row` is its
+    position in seeds.
+    """
     if family.kind == "shot":
-        return _sample_shot_noise(family.shot, seed, grid)
-    if family.kind == "none":
-        return _sample_pulses((np.zeros(0),) * 3, grid)
-    return _sample_pulses(_pulse_train(family, seed, grid.t_max), grid, family.kind == "regular")
+        return _shot_runs(family.shot, seeds, grid, omega)
+    return _pulse_runs(_pulse_trains(family, seeds, grid.t_max), grid, omega,
+                       family.kind == "regular")
 
 
 def effective_frequency(signal: SampledSignal, omega: float = 1.0) -> np.ndarray:

@@ -203,17 +203,59 @@ def end_worker_at_block(block, ks):
 
 
 def test_a_worker_that_dies_mid_run_breaks_that_run(tmp_path, pools):
-    """A break after a block reached the pool is raised, and the pool is
+    """A break after a block reached the pool is raised as a MemoryError
+    naming the trajectories of the first block not done, and the pool is
     dropped; the next run starts afresh with the one-process bytes."""
     config = dataclasses.replace(CONFIG, workers=2)
     serial = csv_bytes(CONFIG, tmp_path / "w1.csv")
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(MemoryError, match="^a pool worker died before trajectories 0-31 "
+                                          "were done$") as failure:
         ensemble.ensemble_mean(partial(end_worker_at_block, partial(runner._block, config)),
                                config.n_traj, workers=2)
+    assert isinstance(failure.value.__cause__, BrokenProcessPool)
     assert ensemble._pool is None
     assert len(pools) == 1 and pools[0].was_shut_down
     assert csv_bytes(config, tmp_path / "b.csv") == serial
     assert len(pools) == 2 and not pools[1].was_shut_down
+
+
+# a script that runs `pulseguard run` with a block that ends its worker
+# when it holds trajectory 0; its worker functions are importable under
+# every start method, so the script guards its run
+DYING_RUN = """\
+import os
+import sys
+
+from pulseguard import cli, runner
+
+block = runner._block
+
+
+def dying_block(config, ks):
+    if ks[0] == 0:
+        os._exit(1)
+    return block(config, ks)
+
+
+if __name__ == "__main__":
+    runner._block = dying_block
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_dead_worker_exits_2_with_one_line(tmp_path):
+    """A pool worker killed under a run, as the out-of-memory killer would,
+    is a config error naming grid.n_steps and the block, not a traceback."""
+    script = tmp_path / "dying_run.py"
+    script.write_text(DYING_RUN)
+    config = write_config(tmp_path / "cfg.json", raw(ENSEMBLE_RAW, n_traj=2 * _BLOCK + 3))
+    out = tmp_path / "res.csv"
+    done = run_python(script, "run", "--config", config, "--out", out, "--workers", "2")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (
+        "config error: grid.n_steps = 400 needs more memory than is free: a pool worker "
+        "died before trajectories 0-31 were done\n")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:shot rate")

@@ -907,6 +907,58 @@ class TestRunExperiment:
             run_experiment(config)
 
 
+# configs that fail numerically, and the message each run raises; a block
+# samples all its trajectories before it solves any, so an overflow in
+# sampling wins over a solve that fails in an earlier trajectory
+SHOT_900 = {"family": "shot", "strength": 1e305, "rate": 900.0}
+FIG2_RAW = json.loads((ROOT / "configs" / "fig2.json").read_text())
+FIG1_RAW = json.loads((ROOT / "configs" / "fig1.json").read_text())
+NUMERICAL_FAILURES = {
+    "dipping-128": (raw(DIPPING_RAW, n_traj=128), "memory-ensemble experiment: trajectory 66: "
+                    "memory kernel diverged at t = 6.42"),
+    "free-decay-at-omega-0": (
+        raw(MEMORY_RAW, grid={"t_max": 20.0, "n_steps": 4000}, signal={"family": "none"},
+            omega=0.0),
+        "memory-qsd experiment: trajectory 0: memory kernel diverged at t = 4.84"),
+    "fig2-free-decay-on-a-strong-bath": (
+        dict(FIG2_RAW, grid={"t_max": 1.0, "n_steps": 1000}, n_traj=2, omega=0.0,
+             bath={"coupling": 1e4, "cutoff": 0.01}, signal={"family": "none"}),
+        "memory-ensemble experiment: trajectory 0: memory kernel diverged at t = 0.223"),
+    "shot-overflow-memory-qsd": (
+        raw(OVERFLOWING_SHOT[0][0], **OVERFLOWING_SHOT[0][1]),
+        "memory-qsd experiment: trajectory 0: 19 shot arrivals in one cell of dt = 0.01 at "
+        "signal.strength = 1e+305 give a height beyond the float range"),
+    "shot-overflow-adiabatic": (
+        raw(OVERFLOWING_SHOT[1][0], **OVERFLOWING_SHOT[1][1]),
+        "adiabatic experiment: trajectory 0: 19 shot arrivals in one cell of dt = 0.01 at "
+        "signal.strength = 1e+305 give a height beyond the float range"),
+    "shot-overflow-at-trajectory-6": (
+        raw(MEMORY_RAW, kind="memory-ensemble", grid={"t_max": 1.0, "n_steps": 100},
+            signal=SHOT_900, n_traj=8),
+        "memory-ensemble experiment: trajectory 6: 20 shot arrivals in one cell of dt = 0.01 "
+        "at signal.strength = 1e+305 give a height beyond the float range"),
+    # trajectory 0's sweep fails too, but its block samples trajectory 6 first
+    "shot-overflow-at-trajectory-6-adiabatic": (
+        raw(ADIABATIC_RAW, grid={"t_max": 1.0, "n_steps": 100}, sweep={"passage_time": 1.0},
+            signal=SHOT_900, n_traj=8),
+        "adiabatic experiment: trajectory 6: 20 shot arrivals in one cell of dt = 0.01 "
+        "at signal.strength = 1e+305 give a height beyond the float range"),
+    "born-coupling-1e6": (
+        dict(FIG1_RAW, kind="memory-me2", bath={"coupling": 1e6, "cutoff": 0.5}),
+        "memory-me2 experiment: trajectory 0: Born factor exp(-exponent) is not a positive "
+        "float at t = 0.119; the second-order expansion does not hold there"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:shot rate", "ignore:Re int F dipped")
+@pytest.mark.parametrize("name", sorted(NUMERICAL_FAILURES))
+def test_numerical_failures_keep_their_messages(name):
+    config, message = NUMERICAL_FAILURES[name]
+    with pytest.raises(NumericOverflowError) as failure:
+        run_experiment(ExperimentConfig.from_dict(config))
+    assert str(failure.value) == message
+
+
 class TestCsvFormat:
     @pytest.fixture()
     def table(self):

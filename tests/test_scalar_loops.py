@@ -21,12 +21,15 @@ a chunk, not one per cell; the stretch drives below put stretches where it
 cuts, merges or splits them, and hold the kernel to the same 1e-13.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from pulseguard.bath import BathSpec
 from pulseguard.me2 import accumulated_phase, me2_fidelity
 from pulseguard.numerics import NumericOverflowError, TimeGrid, running_trapezoid
+from pulseguard import qsd
 from pulseguard.qsd import (
     DEFAULT_STATES,
     _KERNEL_BOUND,
@@ -43,8 +46,8 @@ from pulseguard.signals import (
     PulseTrainSpec,
     ShotNoiseSpec,
     SignalFamily,
-    _effective_runs,
     effective_frequency,
+    sample_family,
     substream,
 )
 
@@ -213,14 +216,16 @@ SPANS = SignalFamily("regular", pulse=PulseTrainSpec(period=0.037, duration=0.00
 
 
 def controls(name, ks, grid=GRID):
-    """The sampled controls of trajectories ks under control `name`."""
+    """The sampled controls of trajectories ks under control `name`, each alone."""
     family = {"spans": SPANS, **SHOT_EDGES, **CONTROLS}[name]
     return [family.sample(substream(SEEDS.get(name, 11), k), grid) for k in ks]
 
 
-def block_runs(signals):
-    """The runs of E = 1 + c of a block of controls, as the batched path forms them."""
-    return _effective_runs([signal._runs for signal in signals], 1.0)
+def block_runs(name, ks, grid=GRID):
+    """The runs of E = 1 + c of trajectories ks under control `name`,
+    sampled as one block, as the runner samples them."""
+    family = {"spans": SPANS, **SHOT_EDGES, **CONTROLS}[name]
+    return sample_family(family, [substream(SEEDS.get(name, 11), k) for k in ks], grid, 1.0)
 
 
 def cell_index(runs, grid):
@@ -285,12 +290,13 @@ class TestRiccatiKernel:
         assert np.max(np.abs(kernel.values - extended_kernel(E, bath, grid))) <= 1e-13
 
     def test_a_stretch_merges_unless_its_map_would_be_rescaled(self):
-        level, cells = cell_index(block_runs(controls("spans", [0])), GRID)
+        level, cells = cell_index(block_runs("spans", [0]), GRID)
         table, _, cells, index, active = _map_table(level, cells, SHORT_MEMORY_BATH, GRID)
-        stretches = 1 + np.count_nonzero(np.diff(cells[0, :-1]), axis=1)
+        # pass 3's cell index is chunk-major: row 0's chunks are cells[:, 0].T
+        stretches = 1 + np.count_nonzero(np.diff(cells[:, 0, :-1].T), axis=1)
         pieces = np.count_nonzero(active, axis=0)[0]
         # every chunk has pulses that merge and gaps that stay single cells
-        assert np.all((stretches < pieces) & (pieces < cells.shape[2]))
+        assert np.all((stretches < pieces) & (pieces < cells.shape[0]))
         # a map that pass 1 reads is finite and needs no rescaling, so its I + D
         # has entries up to 2; the table also keeps the maps of the keys that split
         eye = np.array([[1.0], [0.0], [0.0], [1.0]])
@@ -306,7 +312,9 @@ class TestRiccatiKernel:
         table, maps, padded, index, active = _map_table(np.array([1.0, 3.0]), cells,
                                                         FIG1_BATH, grid)
         assert table.shape == (4, 6) and maps.shape == (4, 3)
-        assert np.array_equal(padded.reshape(1, -1), cells)
+        # pass 3's index: cell j * 100 + k of row b at [k, b, j]
+        assert padded.shape == (100, 1, 3)
+        assert np.array_equal(padded.transpose(1, 2, 0).reshape(1, -1), cells)
         assert np.array_equal(index[:, 0], [[4, 3], [2, 5]])
         assert np.array_equal(active[:, 0], [[True, True], [False, True]])
 
@@ -367,6 +375,42 @@ class TestRiccatiKernel:
         E[0] = np.nan
         with pytest.raises(NumericOverflowError, match=f"t = {GRID.dt:.6g}$"):
             solve_kernel_riccati(E, FIG1_BATH, GRID)
+
+
+# pass 3's failures: each case's batch, bath and grid, and the row and
+# message of the error it raises
+PASS_THREE_FAILURES = {
+    # E = 0 puts a pole in cell 1200, the first cell of chunk 12
+    "first-cell-of-a-chunk": (lambda: np.stack([np.ones(2000), np.ones(2000), np.zeros(2000)]),
+                              FIG1_BATH, POLE_GRIDS["first-cell"][0],
+                              2, "memory kernel diverged at t = 4.83883"),
+    # F jumps to about w dt = 1e7 in the first cell, whose a - b F stays near 1
+    "kernel-bound-only": (lambda: np.ones((1, 1000)), BathSpec(coupling=2e15, cutoff=1.0),
+                          TimeGrid(t_max=1e-5, n_steps=1000), 0, "memory kernel diverged at t = 1e-08"),
+    "nan": (lambda: np.stack([np.ones(1000), np.where(np.arange(1000) == 500, np.nan, 1.0),
+                              np.ones(1000)]),
+            FIG1_BATH, TimeGrid(t_max=2.0, n_steps=1000), 1, "memory kernel diverged at t = 1.002"),
+    # cell 1230 of 1250: the last chunk is half identity padding
+    "padded-last-chunk": (lambda: np.stack([np.ones(1250), np.zeros(1250), np.zeros(1250)]),
+                          FIG1_BATH, POLE_GRIDS["padded-last-chunk"][0],
+                          1, "memory kernel diverged at t = 4.83881"),
+}
+
+
+class TestPassThreeChecks:
+    @pytest.mark.parametrize("case", sorted(PASS_THREE_FAILURES))
+    def test_failures_keep_their_row_and_message(self, case):
+        E, bath, grid, row, message = PASS_THREE_FAILURES[case]
+        with pytest.raises(NumericOverflowError) as failure:
+            solve_kernel_riccati(E(), bath, grid)
+        assert (failure.value.row, str(failure.value)) == (row, message)
+
+    def test_the_bound_case_is_caught_by_the_kernel_bound_alone(self, monkeypatch):
+        """Without the bound, the denominator rule first fires four cells on."""
+        E, bath, grid, _, _ = PASS_THREE_FAILURES["kernel-bound-only"]
+        monkeypatch.setattr(qsd, "_KERNEL_BOUND", np.inf)
+        with pytest.raises(NumericOverflowError, match="^memory kernel diverged at t = 5e-08$"):
+            solve_kernel_riccati(E(), bath, grid)
 
 
 def drives(name, count):
@@ -475,19 +519,21 @@ class TestBatchedKernel:
         np.testing.assert_allclose(Q[:, 0, 0], (product - np.eye(2)).ravel(), rtol=0, atol=1e-16)
 
     def test_one_table_column_per_structural_level_of_the_block(self):
-        signals = controls("jittered", range(4), PADDED)  # the last chunk is half padding
-        level, cells = cell_index(block_runs(signals), PADDED)
+        ks = range(4)
+        level, cells = cell_index(block_runs("jittered", ks, PADDED), PADDED)  # half padding
         table, maps, cells, _, _ = _map_table(level, cells, FIG2_BATH, PADDED)
         # pass 3 reads a copy of the table's cell maps and identity
         assert np.array_equal(maps, table[:, : maps.shape[1]])
         # omega, which every row's gaps share, then each pulse of each row
-        levels = 1.0 + np.concatenate([[0.0]] + [signal._runs[0][1:] for signal in signals])
-        index = cells.reshape(len(signals), -1)
-        assert maps.shape == (4, len(levels) + 1)
-        E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
-        assert np.array_equal(levels[index[:, : PADDED.n_steps]], E)
+        seeds = [substream(SEEDS["jittered"], k) for k in ks]
+        *_, heights, counts = _draw_jittered_pulses(FIG2_PULSE, FIG2_JITTER, seeds, PADDED.t_max)
+        assert level.tobytes() == (1.0 + np.concatenate([[0.0], heights])).tobytes()
+        assert maps.shape == (4, 1 + counts.sum() + 1)
+        index = cells.transpose(1, 2, 0).reshape(len(ks), -1)
+        E = np.stack([effective_frequency(signal, 1.0) for signal in controls("jittered", ks, PADDED)])
+        assert np.array_equal(level[index[:, : PADDED.n_steps]], E)
         # the padding indexes the identity I + 0, the column after the cell maps
-        assert np.all(index[:, PADDED.n_steps :] == len(levels)) and not maps[:, -1].any()
+        assert np.all(index[:, PADDED.n_steps :] == len(level)) and not maps[:, -1].any()
 
     @pytest.mark.parametrize("grid", [GRID, PADDED], ids=["whole-chunks", "padded-last-chunk"])
     @pytest.mark.parametrize("name, ks, bath", [
@@ -504,7 +550,7 @@ class TestBatchedKernel:
         signals = controls(name, ks, grid)
         E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
         expected = solve_kernel_riccati(E, bath, grid).values
-        assert solve_kernel_riccati(block_runs(signals), bath, grid).values.tobytes() == \
+        assert solve_kernel_riccati(block_runs(name, ks, grid), bath, grid).values.tobytes() == \
             expected.tobytes()
 
     def test_runs_at_one_splitting_are_joined(self):
@@ -512,9 +558,10 @@ class TestBatchedKernel:
         pulse's run and the gaps around it are one stretch of E."""
         family = SignalFamily("jittered", pulse=PulseTrainSpec(0.02, 0.005, 1e-20),
                               jitter=JitterSpec(0.004, 0.004, 1e-20))
-        signals = [family.sample(substream(5, k), PADDED) for k in range(3)]
+        seeds = [substream(5, k) for k in range(3)]
+        signals = [family.sample(seed, PADDED) for seed in seeds]
         assert all(len(signal._runs[1]) > 1 for signal in signals)
-        _, column, length = runs = block_runs(signals)
+        _, column, length = runs = sample_family(family, seeds, PADDED, 1.0)
         assert len(column) == 3 and np.all(length == PADDED.n_steps)
         E = np.stack([effective_frequency(signal, 1.0) for signal in signals])
         assert solve_kernel_riccati(runs, FIG2_BATH, PADDED).values.tobytes() == \
@@ -546,12 +593,12 @@ class TestBatchedKernel:
         """The gap's level, omega, is one column for the whole block, and its
         pieces' maps one per (level, L), so a row must not depend on which
         rows share its block."""
-        signals = controls(name, range(9), grid)
         bath = FIG2_BATH if name == "jittered" else FIG1_BATH
-        full = solve_kernel_riccati(block_runs(signals), bath, grid).values
+        full = solve_kernel_riccati(block_runs(name, range(9), grid), bath, grid).values
         for size in (1, 2, 7):
-            for first in range(0, len(signals), size):
-                batch = solve_kernel_riccati(block_runs(signals[first : first + size]), bath, grid)
+            for first in range(0, 9, size):
+                ks = range(first, min(first + size, 9))
+                batch = solve_kernel_riccati(block_runs(name, ks, grid), bath, grid)
                 assert batch.values.tobytes() == full[first : first + size].tobytes()
 
 
@@ -570,6 +617,12 @@ class TestBornRecursion:
         assert np.max(np.abs(scan - extended)) <= 1.5 * loop_error
 
 
+def row_slices(block, counts):
+    """Each row's part of arrays laid out row after row, `counts` to a row."""
+    cuts = np.cumsum(counts)[:-1]
+    return list(zip(*(np.split(a, cuts) for a in block)))
+
+
 class TestJitteredDraw:
     @pytest.mark.parametrize(
         "pulse, jitter",
@@ -581,33 +634,173 @@ class TestJitteredDraw:
         ids=["fig2", "zero-deviations", "multi-chunk"],
     )
     def test_bitwise_equal_to_per_pulse_draws(self, pulse, jitter):
-        for seed in range(30):
-            stream = substream(11, seed)
-            actual = _draw_jittered_pulses(pulse, jitter, stream, GRID.t_max)
+        """Each train of a block of 30, and each drawn alone, is the loop's."""
+        seeds = [substream(11, seed) for seed in range(30)]
+        *block, counts = _draw_jittered_pulses(pulse, jitter, seeds, GRID.t_max)
+        for stream, row in zip(seeds, row_slices(block, counts)):
             expected = reference_jittered(pulse, jitter, stream, GRID.t_max)
-            for a, e in zip(actual, expected):
+            alone = _draw_jittered_pulses(pulse, jitter, [stream], GRID.t_max)[:3]
+            for a, b, e in zip(row, alone, expected):
                 assert_bitwise(a, e)
+                assert_bitwise(b, e)
 
     def test_multi_chunk_case_outruns_one_chunk(self):
-        counts = [len(_draw_jittered_pulses(FIG2_PULSE, WIDE_JITTER, substream(11, seed),
-                                           GRID.t_max)[0])
-                  for seed in range(30)]
+        seeds = [substream(11, seed) for seed in range(30)]
+        counts = _draw_jittered_pulses(FIG2_PULSE, WIDE_JITTER, seeds, GRID.t_max)[3]
         assert max(counts) > int(GRID.t_max / FIG2_PULSE.period) + 2
 
     def test_non_positive_period_raises_exactly_when_the_loop_did(self):
         # periods reach -0.002, so some trains meet one before t_max and some do not
         jitter = JitterSpec(period_dev=0.022)
         outcomes = set()
+        drawn = []
         for seed in range(40):
             stream = substream(5, seed)
             try:
                 expected = reference_jittered(FIG2_PULSE, jitter, stream, 0.2)
             except ValueError:
                 with pytest.raises(ValueError, match="non-positive pulse periods"):
-                    _draw_jittered_pulses(FIG2_PULSE, jitter, stream, 0.2)
+                    _draw_jittered_pulses(FIG2_PULSE, jitter, [stream], 0.2)
                 outcomes.add("raised")
             else:
-                for a, e in zip(_draw_jittered_pulses(FIG2_PULSE, jitter, stream, 0.2), expected):
+                for a, e in zip(_draw_jittered_pulses(FIG2_PULSE, jitter, [stream], 0.2), expected):
                     assert_bitwise(a, e)
                 outcomes.add("drawn")
+                drawn.append(stream)
         assert outcomes == {"raised", "drawn"}
+        # a block raises if any of its trains does, and draws the others as the loop does
+        with pytest.raises(ValueError, match="^period_dev admits non-positive pulse periods; "
+                                             "reduce it below the base period$"):
+            _draw_jittered_pulses(FIG2_PULSE, jitter, [substream(5, seed) for seed in range(40)], 0.2)
+        *block, counts = _draw_jittered_pulses(FIG2_PULSE, jitter, drawn, 0.2)
+        for stream, row in zip(drawn, row_slices(block, counts)):
+            for a, e in zip(row, reference_jittered(FIG2_PULSE, jitter, stream, 0.2)):
+                assert_bitwise(a, e)
+
+
+def reference_train(family, seed, t_max):
+    """A pulse family's train pulse by pulse, as first written."""
+    if family.kind == "jittered":
+        return reference_jittered(family.pulse, family.jitter, seed, t_max)
+    ends, durations, heights = [], [], []
+    if family.kind != "none":
+        spec = family.pulse
+        x = family.chaos.seed_intensity if family.kind == "chaotic" else None
+        for n in range(1, math.ceil(t_max / spec.period) + 2):
+            height = spec.area / spec.duration
+            if x is not None:
+                x = family.chaos.logistic_r * (x - x * x)
+                height *= x
+            ends.append(n * spec.period)
+            durations.append(spec.duration)
+            heights.append(height)
+    return np.array(ends), np.array(durations), np.array(heights)
+
+
+def reference_splitting(family, seed, grid, omega):
+    """E = omega + c cell by cell: a pulse family's train tested midpoint by
+    midpoint against the window of the first pulse that ends at or after
+    it, or shot noise's arrival count in each cell times its height."""
+    if family.kind == "shot":
+        counts = np.random.default_rng(seed).poisson(family.shot.rate * grid.dt, size=grid.n_steps)
+        return omega + counts * (family.shot.strength / grid.dt)
+    ends, durations, heights = (a.tolist() for a in reference_train(family, seed, grid.t_max))
+    values, i = [], 0
+    for t in grid.midpoints.tolist():
+        while i < len(ends) and ends[i] < t:
+            i += 1
+        on = i < len(ends) and ends[i] - durations[i] < t
+        values.append(omega + heights[i] if on else omega + 0.0)
+    return np.array(values)
+
+
+def row_runs(runs, n):
+    """Each row's runs of a block, as (E of each run, lengths)."""
+    level, column, length = runs
+    cuts = np.flatnonzero(np.cumsum(length) % n == 0)[:-1] + 1
+    return [(level.take(ids), lengths) for ids, lengths in zip(np.split(column, cuts),
+                                                               np.split(length, cuts))]
+
+
+CLAMPED = SignalFamily("jittered", pulse=PulseTrainSpec(0.02, 0.005, 0.1),
+                       jitter=JitterSpec(0.004, 0.004, 0.3))
+# name: family, grid, master seed and trajectories of a block
+BLOCKS = {
+    "none": (CONTROLS["free"], GRID, 0, range(3)),
+    "regular": (CONTROLS["regular"], GRID, 0, range(3)),
+    "chaotic": (CONTROLS["chaotic"], GRID, 0, range(3)),
+    # fig2's first block, of which about a quarter of the trains draw a second chunk
+    "jittered": (CONTROLS["jittered"], GRID, 11, range(32)),
+    "jittered-multi-chunk": (SignalFamily("jittered", pulse=FIG2_PULSE, jitter=WIDE_JITTER),
+                             GRID, 11, range(8)),
+    # area_dev > area: a third of the pulses are clamped to zero height
+    "jittered-clamped": (CLAMPED, PADDED, 3, range(8)),
+    "shot": (CONTROLS["shot"], GRID, 13, range(32)),
+    "shot-zero-strength": (SHOT_EDGES["shot-zero-strength"], PADDED, 13, range(4)),
+    # about 1000 arrivals a cell: past n_steps counts, levels are numbered by value
+    "shot-by-value": (SignalFamily("shot", shot=ShotNoiseSpec(strength=0.1, rate=1e4)),
+                      TimeGrid(t_max=1.0, n_steps=10), 3, range(6)),
+}
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_each_row_is_its_trajectory_alone_and_the_scalar_reference(self, name):
+        family, grid, seed, ks = BLOCKS[name]
+        seeds = [substream(seed, k) for k in ks]
+        rows = row_runs(sample_family(family, seeds, grid, 1.0), grid.n_steps)
+        assert len(rows) == len(seeds)
+        for stream, (E, lengths) in zip(seeds, rows):
+            [(alone, alone_lengths)] = row_runs(sample_family(family, [stream], grid, 1.0),
+                                               grid.n_steps)
+            assert E.tobytes() == alone.tobytes() and np.array_equal(lengths, alone_lengths)
+            # maximal: none empty, no two neighbours at equal E
+            assert np.all(lengths > 0) and np.all(E[1:] != E[:-1])
+            expected = reference_splitting(family, stream, grid, 1.0)
+            assert np.repeat(E, lengths).tobytes() == expected.tobytes()
+
+    def test_the_blocks_reach_the_cases_they_are_named_for(self):
+        chunk = int(GRID.t_max / FIG2_PULSE.period) + 2
+        for name in ("jittered", "jittered-multi-chunk"):
+            family, grid, seed, ks = BLOCKS[name]
+            counts = _draw_jittered_pulses(family.pulse, family.jitter,
+                                           [substream(seed, k) for k in ks], grid.t_max)[3]
+            assert 0 < np.count_nonzero(counts > chunk) < len(ks), name
+        family, grid, seed, ks = BLOCKS["jittered-clamped"]
+        heights = _draw_jittered_pulses(family.pulse, family.jitter,
+                                        [substream(seed, k) for k in ks], grid.t_max)[2]
+        assert 0 < np.count_nonzero(heights == 0.0) < len(heights)
+        family, grid, seed, ks = BLOCKS["shot-by-value"]
+        peak = max(reference_splitting(family, substream(seed, k), grid, 0.0).max() for k in ks)
+        level, _, _ = sample_family(family, [substream(seed, k) for k in ks], grid, 1.0)
+        # more distinct counts than cells: numbered by value, a level per distinct value
+        assert peak / (family.shot.strength / grid.dt) >= grid.n_steps
+        assert len(level) <= 1 + grid.n_steps * len(ks) and level[-1] == 1.0 + peak
+
+    def test_a_block_of_one_is_the_signal_of_sample(self):
+        for name, (family, grid, seed, _) in BLOCKS.items():
+            level, column, length = sample_family(family, [substream(seed, 0)], grid)
+            signal = family.sample(substream(seed, 0), grid)
+            assert signal.values.tobytes() == np.repeat(level.take(column), length).tobytes(), name
+            assert np.array_equal(signal._runs[1], column) and np.array_equal(signal._runs[2], length)
+
+    def test_a_non_finite_height_keeps_its_message(self):
+        family = SignalFamily("regular", pulse=PulseTrainSpec(period=0.02, duration=0.01, area=1e307))
+        with pytest.raises(ValueError, match="^signal values must be finite$"):
+            sample_family(family, [0], GRID)
+
+    def test_a_shot_overflow_names_the_first_row_that_overflows(self):
+        """Heights of 1e307: 18 arrivals in a cell pass the float range.  In
+        fig3-like trajectories 0 .. 7 of seed 0, trajectory 6 is the first
+        whose fullest cell does, with 20, and trajectory 7 does too."""
+        family = SignalFamily("shot", shot=ShotNoiseSpec(strength=1e305, rate=900.0))
+        grid = TimeGrid(t_max=1.0, n_steps=100)
+        seeds = [substream(0, k) for k in range(8)]
+        with pytest.raises(NumericOverflowError) as failure:
+            sample_family(family, seeds, grid)
+        assert failure.value.row == 6
+        assert str(failure.value) == ("20 shot arrivals in one cell of dt = 0.01 at "
+                                      "signal.strength = 1e+305 give a height beyond the float range")
+        sample_family(family, seeds[:6], grid)
+
+

@@ -24,9 +24,8 @@ from pulseguard.signals import (
     _draw_jittered_pulses,
     _jittered_height_bound,
     _logistic_intensities,
-    _pulse_train,
-    _sample_pulses,
-    _sample_shot_noise,
+    _pulse_runs,
+    _pulse_trains,
     effective_frequency,
     substream,
 )
@@ -47,6 +46,25 @@ def chaotic(spec, chaos, grid):
 
 def jittered(spec, jitter, seed, grid):
     return SignalFamily(kind="jittered", pulse=spec, jitter=jitter).sample(seed, grid).values
+
+
+def draw(spec, jitter, seed, t_max):
+    """The jittered train of one seed, a block of one."""
+    return _draw_jittered_pulses(spec, jitter, [seed], t_max)[:3]
+
+
+def pulse_train(family, seed, t_max):
+    """The train of one seed of a pulse family."""
+    return _pulse_trains(family, [seed], t_max)[:3]
+
+
+def sample_train(train, grid):
+    """One train put on the grid, as a signal."""
+    return SampledSignal(grid, _runs=_pulse_runs((*train, np.array([len(train[0])])), grid))
+
+
+def shot_noise(spec, seed, grid):
+    return SignalFamily(kind="shot", shot=spec).sample(seed, grid)
 
 
 def reference_sample(pulses, grid):
@@ -214,15 +232,15 @@ class TestSampler:
     @given(case=pulse_trains(), seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_edge_search_is_the_midpoint_search(self, case, seed):
         family, grid = case
-        train = _pulse_train(family, substream(seed, 0), grid.t_max)
-        np.testing.assert_array_equal(_sample_pulses(train, grid).values,
+        train = pulse_train(family, substream(seed, 0), grid.t_max)
+        np.testing.assert_array_equal(sample_train(train, grid).values,
                                       reference_sample(train, grid))
 
     def test_overlapping_windows_keep_the_earlier_pulse(self):
         # midpoints 0.5 .. 3.5; pulse 2's window (0.5, 2.5] covers pulse 1's
         grid = TimeGrid(t_max=4.0, n_steps=4)
         train = (np.array([1.5, 2.5, 4.5]), np.array([1.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(_sample_pulses(train, grid).values, [0.0, 1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(sample_train(train, grid).values, [0.0, 1.0, 2.0, 0.0])
         np.testing.assert_array_equal(reference_sample(train, grid), [0.0, 1.0, 2.0, 0.0])
 
 
@@ -251,7 +269,7 @@ class TestJittered:
     def test_area_mean_unbiased(self):
         """Per-pulse area has mean psi when the clamps never engage."""
         jit = JitterSpec(period_dev=0.004, duration_dev=0.004, area_dev=0.18)
-        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(42, 0), 200.0)
+        ends, durations, heights = draw(BASE, jit, substream(42, 0), 200.0)
         areas = durations * heights
         three_se = 3.0 * jit.area_dev / np.sqrt(3.0) / np.sqrt(len(areas))
         assert abs(areas.mean() - BASE.area) < three_se
@@ -260,20 +278,20 @@ class TestJittered:
         # full-duty base with duration jitter forces the upper clamp
         spec = PulseTrainSpec(period=0.02, duration=0.02, area=0.2)
         jit = JitterSpec(duration_dev=0.01)
-        ends, durations, heights = _draw_jittered_pulses(spec, jit, substream(1, 0), 5.0)
+        ends, durations, heights = draw(spec, jit, substream(1, 0), 5.0)
         periods = np.diff(np.concatenate([[0.0], ends]))
         assert np.all(durations <= periods + 1e-15)
         assert np.all(durations > 0.0)
 
     def test_area_clamped_nonnegative(self):
         jit = JitterSpec(area_dev=0.5)
-        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(2, 0), 5.0)
+        ends, durations, heights = draw(BASE, jit, substream(2, 0), 5.0)
         assert np.all(heights >= 0.0)
 
     def test_excessive_period_dev_raises(self):
         jit = JitterSpec(period_dev=0.05)
         with pytest.raises(ValueError, match="period"):
-            _draw_jittered_pulses(BASE, jit, substream(3, 0), 5.0)
+            draw(BASE, jit, substream(3, 0), 5.0)
 
     @pytest.mark.parametrize(
         "jit",
@@ -282,7 +300,7 @@ class TestJittered:
          JitterSpec(period_dev=0.019, duration_dev=0.02)],  # upper clamp, short periods
     )
     def test_height_bound_holds(self, jit):
-        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(4, 0), 20.0)
+        ends, durations, heights = draw(BASE, jit, substream(4, 0), 20.0)
         assert heights.max() <= _jittered_height_bound(BASE, jit)
 
     def test_height_bound_infinite_when_duration_underflows(self):
@@ -292,7 +310,7 @@ class TestJittered:
 
     def test_pulse_edges_follow_period_draws(self):
         jit = JitterSpec(period_dev=0.004)
-        ends, durations, heights = _draw_jittered_pulses(BASE, jit, substream(9, 0), 2.0)
+        ends, durations, heights = draw(BASE, jit, substream(9, 0), 2.0)
         # every end time moves by the running sum of deviations, so gaps
         # between consecutive ends are the individual drawn periods
         gaps = np.diff(np.concatenate([[0.0], ends]))
@@ -348,14 +366,14 @@ class TestChaotic:
 class TestShotNoise:
     def test_zero_rate_silent(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
-        signal = _sample_shot_noise(ShotNoiseSpec(strength=1.0, rate=0.0), substream(0, 0), grid)
+        signal = shot_noise(ShotNoiseSpec(strength=1.0, rate=0.0), substream(0, 0), grid)
         assert np.all(signal.values == 0.0)
 
     def test_same_seed_bitwise(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
         spec = ShotNoiseSpec(strength=1.0, rate=2.0)
-        a = _sample_shot_noise(spec, substream(4, 1), grid)
-        b = _sample_shot_noise(spec, substream(4, 1), grid)
+        a = shot_noise(spec, substream(4, 1), grid)
+        b = shot_noise(spec, substream(4, 1), grid)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_time_average_matches_mean_drive(self):
@@ -364,7 +382,7 @@ class TestShotNoise:
         spec = ShotNoiseSpec(strength=1.0, rate=2.0)
         total, count = 0.0, 0
         for i in range(100):
-            v = _sample_shot_noise(spec, substream(99, i), grid).values
+            v = shot_noise(spec, substream(99, i), grid).values
             total += v.sum()
             count += v.size
         mean = total / count
@@ -389,7 +407,7 @@ class TestShotNoise:
         grid = TimeGrid(t_max=1.0, n_steps=100)
         spec = ShotNoiseSpec(strength=1e306, rate=1000.0)
         with pytest.raises(NumericOverflowError, match=r"signal\.strength = 1e\+306"):
-            _sample_shot_noise(spec, substream(0, 0), grid)
+            shot_noise(spec, substream(0, 0), grid)
 
     def test_poisson_limit_is_numpy_s(self):
         rng = np.random.default_rng(0)
@@ -400,7 +418,7 @@ class TestShotNoise:
     def test_values_quantised_by_strength(self):
         grid = TimeGrid(t_max=1.0, n_steps=1000)
         spec = ShotNoiseSpec(strength=0.3, rate=50.0)
-        v = _sample_shot_noise(spec, substream(8, 0), grid).values
+        v = shot_noise(spec, substream(8, 0), grid).values
         counts = v * grid.dt / spec.strength
         np.testing.assert_allclose(counts, np.rint(counts), atol=1e-9)
         assert v.max() > 0.0
@@ -419,7 +437,7 @@ class TestFamilyAndFrequency:
         # the drawn train put on the grid pulse by pulse, window by window
         t = self.GRID.midpoints
         expected = np.zeros_like(t)
-        for end, duration, height in zip(*_draw_jittered_pulses(BASE, jit, substream(6, 2), 1.0)):
+        for end, duration, height in zip(*draw(BASE, jit, substream(6, 2), 1.0)):
             expected[(t > end - duration) & (t <= end)] = height
         np.testing.assert_array_equal(values, expected)
 
@@ -494,7 +512,7 @@ class TestRuns:
     def test_pulse_runs_spell_the_midpoint_values(self, name, grid):
         family = RUN_FAMILIES[name]
         for seed in (0, 7, 1003):
-            train = _pulse_train(family, substream(seed, 0), grid.t_max)
+            train = pulse_train(family, substream(seed, 0), grid.t_max)
             assert_maximal_runs(family.sample(substream(seed, 0), grid), reference_sample(train, grid))
 
     def test_edge_trains_join_their_runs(self):
@@ -509,7 +527,7 @@ class TestRuns:
     def test_overlapping_windows_keep_the_earlier_pulse(self):
         grid = TimeGrid(t_max=4.0, n_steps=4)
         train = (np.array([1.5, 2.5, 4.5]), np.array([1.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-        signal = _sample_pulses(train, grid)
+        signal = sample_train(train, grid)
         assert_maximal_runs(signal, [0.0, 1.0, 2.0, 0.0])
         # pulse 3 is swallowed by the clip, yet keeps its level
         assert len(signal._runs[0]) == 4
@@ -518,7 +536,7 @@ class TestRuns:
     @given(case=pulse_trains(), seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_every_drawn_train_has_maximal_runs(self, case, seed):
         family, grid = case
-        train = _pulse_train(family, substream(seed, 0), grid.t_max)
+        train = pulse_train(family, substream(seed, 0), grid.t_max)
         assert_maximal_runs(family.sample(substream(seed, 0), grid), reference_sample(train, grid))
 
     @pytest.mark.parametrize("grid", [PADDED, TimeGrid(t_max=10.0, n_steps=10000)],
@@ -527,7 +545,7 @@ class TestRuns:
     def test_shot_runs_number_their_levels_by_count(self, grid, rate):
         spec = ShotNoiseSpec(strength=0.1, rate=rate)
         for seed in (0, 7, 1003):
-            signal = _sample_shot_noise(spec, substream(seed, 0), grid)
+            signal = shot_noise(spec, substream(seed, 0), grid)
             expected = shot_reference(spec, substream(seed, 0), grid)
             assert signal.values.tobytes() == expected.tobytes()
             levels, counts, lengths = assert_maximal_runs(signal, expected)
@@ -540,14 +558,14 @@ class TestRuns:
         than the grid, so the cells' values are numbered by value instead."""
         grid = TimeGrid(t_max=1.0, n_steps=10)
         spec = ShotNoiseSpec(strength=0.1, rate=1e4)  # about 1000 arrivals per cell
-        signal = _sample_shot_noise(spec, substream(3, 0), grid)
+        signal = shot_noise(spec, substream(3, 0), grid)
         expected = shot_reference(spec, substream(3, 0), grid)
         assert shot_counts(spec, substream(3, 0), grid).max() >= grid.n_steps
         levels, _, _ = assert_maximal_runs(signal, expected)
         assert np.array_equal(levels, np.append(0.0, np.unique(expected)))
 
     def test_shot_runs_of_zero_strength_are_one_run(self):
-        signal = _sample_shot_noise(ShotNoiseSpec(strength=0.0, rate=100.0), substream(0, 0), PADDED)
+        signal = shot_noise(ShotNoiseSpec(strength=0.0, rate=100.0), substream(0, 0), PADDED)
         assert len(assert_maximal_runs(signal, np.zeros(PADDED.n_steps))[1]) == 1
 
     def test_no_control_is_one_run(self):
